@@ -65,14 +65,9 @@ from .learn import (
     cross_validate,
     evaluate,
     evaluate_predictions,
-    knn_fit,
-    knn_predict,
-    length_only_classify,
     load_model,
     mean_std,
     save_model,
-    svm_fit,
-    svm_predict,
 )
 from .config import AppConfig, default_config, load_config, resolve_config
 

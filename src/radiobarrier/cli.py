@@ -179,8 +179,7 @@ def _make_factory(algo: str, args):
     if algo == "knn":
         return lambda: KnnClassifier(k=args.k)
     if algo == "svm":
-        return lambda: SvmClassifier(kernel=args.kernel, C=args.C,
-                                     gamma=args.gamma, seed=args.seed)
+        return lambda: SvmClassifier(kernel=args.kernel, C=args.C, gamma=args.gamma)
     if algo == "length":
         return lambda: LengthThresholdClassifier()
     raise ConfigurationError(f"unknown algorithm {algo!r}")

@@ -2,8 +2,9 @@
 
 Both classifiers standardize features with statistics fitted on their own
 training data, so per-fold standardization in cross-validation follows for
-free.  The SVM solves the soft-margin dual with sequential pairwise updates
-until no multiplier violates the KKT conditions beyond the tolerance.
+free.  The SVM solves the soft-margin dual with the deterministic
+second-order SMO of Fan, Chen & Lin (JMLR 6, 2005) and stops once the KKT
+gap is at most ``tol``; see ``SvmClassifier``.
 """
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ from .errors import InputDataError, TrainingError
 
 MODEL_FORMAT = "radiobarrier-model"
 MODEL_VERSION = 1
+
+# Lower bound on the curvature K_ii + K_jj - 2 K_ij of a working pair, as in LIBSVM.
+_TAU = 1e-12
 
 
 def _standardize_fit(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -92,16 +96,20 @@ class KnnClassifier:
         return np.array([self.predict_one(row) for row in X])
 
 
-def knn_fit(X, y, k: int = 3) -> KnnClassifier:
-    return KnnClassifier(k=k).fit(X, y)
-
-
-def knn_predict(model: KnnClassifier, query) -> str:
-    return model.predict_one(query)
-
-
 class SvmClassifier:
-    """Binary soft-margin SVM trained with sequential pairwise optimization."""
+    """Binary soft-margin SVM trained by SMO with second-order working sets.
+
+    The solver is the maximal-violating-pair SMO of Fan, Chen & Lin,
+    "Working Set Selection Using Second Order Information for Training
+    SVM", JMLR 6 (2005), as used by LIBSVM.  It keeps the dual gradient
+    G = Q alpha - e (Q_ij = y_i y_j K_ij) up to date, picks i as the most
+    violating index of I_up and j of I_low by the second-order gain, and
+    stops when the KKT gap m(alpha) - M(alpha) is at most ``tol`` (Keerthi
+    et al., Neural Computation 13, 2001).  ``tol`` therefore also bounds
+    ``max_kkt_residual``.  ``n_iter`` counts pair updates; reaching
+    ``max_iter`` of them raises ``TrainingError``.  There is no randomness:
+    the same data gives bit-identical coefficients.
+    """
 
     def __init__(
         self,
@@ -109,9 +117,7 @@ class SvmClassifier:
         C: float = 10.0,
         gamma: Optional[float] = None,
         tol: float = 1e-3,
-        max_iter: int = 10_000,
-        num_passes: int = 10,
-        seed: int = 0,
+        max_iter: int = 1_000_000,
     ):
         if kernel not in ("linear", "rbf"):
             raise TrainingError(f"unknown kernel {kernel!r}")
@@ -122,8 +128,6 @@ class SvmClassifier:
         self.gamma = gamma
         self.tol = tol
         self.max_iter = max_iter
-        self.num_passes = num_passes
-        self.seed = seed
         self.classes: Optional[Tuple[str, str]] = None
         self.support_vectors: Optional[np.ndarray] = None
         self.dual_coef: Optional[np.ndarray] = None  # alpha_i * y_i
@@ -142,8 +146,8 @@ class SvmClassifier:
         if self.kernel == "linear":
             return A @ B.T
         g = self._gamma_value(A.shape[1])
-        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-g * sq)
+        sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+        return np.exp(-g * np.maximum(sq, 0.0))
 
     # -- training ----------------------------------------------------------
 
@@ -158,85 +162,45 @@ class SvmClassifier:
 
         self.mean, self.std = _standardize_fit(X)
         Xs = (X - self.mean) / self.std
-        n = len(Xs)
         K = self._kernel_matrix(Xs, Xs)
+        diag = np.diag(K)
+        C, tol = self.C, self.tol
 
-        alphas = np.zeros(n)
-        b = 0.0
-        rng = np.random.default_rng(self.seed)
-        tol = self.tol
-        C = self.C
-
-        def error(i: int) -> float:
-            return float((alphas * ysign) @ K[:, i] + b - ysign[i])
-
-        def take_step(i: int, j: int) -> bool:
-            nonlocal b
-            if i == j:
-                return False
-            Ei = error(i)
-            Ej = error(j)
-            ai_old, aj_old = alphas[i], alphas[j]
-            if ysign[i] == ysign[j]:
-                L = max(0.0, ai_old + aj_old - C)
-                H = min(C, ai_old + aj_old)
-            else:
-                L = max(0.0, aj_old - ai_old)
-                H = min(C, C + aj_old - ai_old)
-            if H - L < 1e-12:
-                return False
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                return False
-            aj_new = aj_old - ysign[j] * (Ei - Ej) / eta
-            aj_new = min(H, max(L, aj_new))
-            if abs(aj_new - aj_old) < 1e-8:
-                return False
-            ai_new = ai_old + ysign[i] * ysign[j] * (aj_old - aj_new)
-            alphas[i] = ai_new
-            alphas[j] = aj_new
-            b1 = b - Ei - ysign[i] * (ai_new - ai_old) * K[i, i] - ysign[j] * (aj_new - aj_old) * K[i, j]
-            b2 = b - Ej - ysign[i] * (ai_new - ai_old) * K[i, j] - ysign[j] * (aj_new - aj_old) * K[j, j]
-            if 0.0 < ai_new < C:
-                b = b1
-            elif 0.0 < aj_new < C:
-                b = b2
-            else:
-                b = 0.5 * (b1 + b2)
-            return True
-
-        passes = 0
-        iters = 0
-        while passes < self.num_passes:
-            if iters >= self.max_iter:
+        alphas = np.zeros(len(Xs))
+        grad = -np.ones(len(Xs))  # G = Q alpha - e at alpha = 0
+        self.n_iter = 0
+        while True:
+            yg = -ysign * grad
+            up = np.where(ysign > 0, alphas < C, alphas > 0)
+            low = np.where(ysign > 0, alphas > 0, alphas < C)
+            i = int(np.argmax(np.where(up, yg, -np.inf)))
+            m = yg[i]
+            M = np.where(low, yg, np.inf).min()
+            if m - M <= tol:
+                break
+            if self.n_iter >= self.max_iter:
                 raise TrainingError(
-                    f"SVM did not converge after {iters} sweeps "
-                    f"(max residual {self._max_residual(alphas, ysign, K, b):.3g}, tol {tol})"
+                    f"SVM did not converge after {self.n_iter} pair updates "
+                    f"(KKT gap {m - M:.3g}, tol {tol})"
                 )
-            changed = 0
-            for i in range(n):
-                r = ysign[i] * error(i)
-                if (r < -tol and alphas[i] < C) or (r > tol and alphas[i] > 0):
-                    j = int(rng.integers(n - 1))
-                    if j >= i:
-                        j += 1
-                    if take_step(i, j):
-                        changed += 1
-                        continue
-                    stepped = False
-                    for j in range(n):
-                        if take_step(i, j):
-                            changed += 1
-                            stepped = True
-                            break
-                    if not stepped:
-                        pass  # no pair improves this violator; re-checked at the end
-            iters += 1
-            passes = passes + 1 if changed == 0 else 0
+            b = m - yg
+            a = np.maximum(K[i, i] + diag - 2.0 * K[i], _TAU)
+            j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+            # alpha_i += y_i t and alpha_j -= y_j t keep sum(y alpha) fixed; the
+            # unclipped optimum is t = b_j / a_j.  A multiplier whose room runs
+            # out lands exactly on its bound, so round-off never leaves it free.
+            steps = ((i, ysign[i]), (j, -ysign[j]))
+            room = [C - alphas[k] if d > 0 else alphas[k] for k, d in steps]
+            t = min(b[j] / a[j], *room)
+            for (k, d), r in zip(steps, room):
+                old = alphas[k]
+                alphas[k] = (C if d > 0 else 0.0) if t == r else old + d * t
+                grad += ((alphas[k] - old) * ysign[k]) * ysign * K[k]
+            self.n_iter += 1
 
-        self.n_iter = iters
-        self.bias = float(b)
-        self.max_kkt_residual = self._max_residual(alphas, ysign, K, b)
+        free = (alphas > 0) & (alphas < C)
+        self.bias = float(yg[free].mean()) if free.any() else float(m + M) / 2.0
+        self.max_kkt_residual = self._max_residual(alphas, ysign, K, self.bias)
         if self.max_kkt_residual > tol:
             raise TrainingError(
                 f"SVM stalled with KKT residual {self.max_kkt_residual:.3g} > tol {tol}"
@@ -265,14 +229,6 @@ class SvmClassifier:
     def predict(self, X) -> np.ndarray:
         scores = self.decision_function(X)
         return np.array([self.classes[1] if s >= 0 else self.classes[0] for s in scores])
-
-
-def svm_fit(X, y, kernel: str = "rbf", C: float = 10.0, tol: float = 1e-3, **kwargs) -> SvmClassifier:
-    return SvmClassifier(kernel=kernel, C=C, tol=tol, **kwargs).fit(X, y)
-
-
-def svm_predict(model: SvmClassifier, query) -> str:
-    return str(model.predict(np.asarray(query, dtype=float)[None, :])[0])
 
 
 class LengthThresholdClassifier:
@@ -311,11 +267,6 @@ class LengthThresholdClassifier:
         X = np.asarray(X, dtype=float)
         lengths = X[:, 0] if X.ndim == 2 else X
         return np.where(lengths >= self.threshold, "truck", "passenger_car")
-
-
-def length_only_classify(train_lengths, train_labels, query_length: float) -> str:
-    model = LengthThresholdClassifier().fit(np.asarray(train_lengths), train_labels)
-    return str(model.predict(np.array([query_length]))[0])
 
 
 # ---------------------------------------------------------------------------

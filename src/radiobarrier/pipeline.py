@@ -545,13 +545,9 @@ def dataset_drop_stats(
     links_used: str = "direct",
 ) -> Tuple[Dict[str, ClassDropStats], List[Tuple[int, str, float]]]:
     """Per-class drop magnitude statistics over the selected links."""
-    drops: List[Tuple[int, str, float]] = []
-    for event in dataset.events:
-        segments = detect_events(event.frames, layout, det_cfg)
-        if not segments:
-            continue
-        segment = max(segments, key=lambda s: s.t_end - s.t_start)
-        drops.append((event.event_id, event.label, event_drop_magnitude(segment, layout, links_used)))
+    records, _ = detect_dataset(dataset, layout, det_cfg)
+    drops = [(r.event_id, r.label, event_drop_magnitude(r.segment, layout, links_used))
+             for r in records]
     present = {label for _, label, _ in drops}
     if not all(label in present for label in LABELS):
         raise InputDataError("drop study needs events of both labels")

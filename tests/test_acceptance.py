@@ -17,8 +17,6 @@ from radiobarrier.learn import (
     cross_validate,
     evaluate_predictions,
     format_percent,
-    knn_fit,
-    knn_predict,
     load_model,
     mean_std,
     save_model,
@@ -263,8 +261,8 @@ def test_criterion_9_learner_properties(bench, cfg, tmp_path):
     ids = [fv.event_id for fv in vectors]
 
     # k = 1 training accuracy
-    knn1 = knn_fit(X, y, k=1)
-    self_acc = float(np.mean([knn_predict(knn1, row) == lab for row, lab in zip(X, y)]))
+    knn1 = KnnClassifier(k=1).fit(X, y)
+    self_acc = float(np.mean([knn1.predict_one(row) == lab for row, lab in zip(X, y)]))
     knn_ok = self_acc == 1.0
 
     # SVM KKT residuals on a converged fit
@@ -290,7 +288,7 @@ def test_criterion_9_learner_properties(bench, cfg, tmp_path):
     save_model(svm, svm_path)
     svm_back = load_model(svm_path)
     knn_path = tmp_path / "knn.json"
-    knn3 = knn_fit(X, y, k=3)
+    knn3 = KnnClassifier(k=3).fit(X, y)
     save_model(knn3, knn_path)
     knn_back = load_model(knn_path)
     probe = X[::7]

@@ -14,31 +14,26 @@ from radiobarrier.learn import (
     evaluate,
     evaluate_predictions,
     format_percent,
-    knn_fit,
-    knn_predict,
-    length_only_classify,
     load_model,
     mean_std,
     save_model,
-    svm_fit,
-    svm_predict,
 )
 
 
 # -- k-NN -----------------------------------------------------------------------
 
 def test_knn_nearest_point():
-    model = knn_fit(np.array([[0.0], [10.0]]), np.array(["A", "B"]), k=1)
-    assert knn_predict(model, np.array([1.0])) == "A"
+    model = KnnClassifier(k=1).fit(np.array([[0.0], [10.0]]), np.array(["A", "B"]))
+    assert model.predict_one(np.array([1.0])) == "A"
 
 
 def test_knn_degenerate_k_equals_n():
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
     y = np.array(["A", "A", "A", "B", "B"])
-    model = knn_fit(X, y, k=5)
+    model = KnnClassifier(k=5).fit(X, y)
     # with k = n every query sees the whole set: majority class wins anywhere
     for q in (-100.0, 0.0, 10.5, 500.0):
-        assert knn_predict(model, np.array([q])) == "A"
+        assert model.predict_one(np.array([q])) == "A"
 
 
 def brute_force_knn(X, y, k, query):
@@ -66,30 +61,30 @@ def brute_force_knn(X, y, k, query):
 def test_knn_matches_brute_force_oracle():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [5.0, 5.0], [5.5, 4.5]])
     y = np.array(["A", "A", "B", "B", "B"])
-    model = knn_fit(X, y, k=3)
+    model = KnnClassifier(k=3).fit(X, y)
     rng = np.random.default_rng(3)
     for _ in range(100):
         q = rng.uniform(-1.0, 7.0, size=2)
-        assert knn_predict(model, q) == brute_force_knn(X, y, 3, q)
+        assert model.predict_one(q) == brute_force_knn(X, y, 3, q)
 
 
 def test_knn_k1_self_prediction_is_perfect():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 4))
     y = np.array(["A", "B"] * 15)
-    model = knn_fit(X, y, k=1)
-    assert all(knn_predict(model, row) == lab for row, lab in zip(X, y))
+    model = KnnClassifier(k=1).fit(X, y)
+    assert all(model.predict_one(row) == lab for row, lab in zip(X, y))
 
 
 def test_knn_k_larger_than_n_rejected():
     with pytest.raises(TrainingError):
-        knn_fit(np.array([[0.0], [1.0]]), np.array(["A", "B"]), k=3)
+        KnnClassifier(k=3).fit(np.array([[0.0], [1.0]]), np.array(["A", "B"]))
 
 
 def test_knn_dimension_mismatch():
-    model = knn_fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(["A", "B"]), k=1)
+    model = KnnClassifier(k=1).fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(["A", "B"]))
     with pytest.raises(InputDataError):
-        knn_predict(model, np.array([1.0, 2.0, 3.0]))
+        model.predict_one(np.array([1.0, 2.0, 3.0]))
 
 
 # -- SVM -----------------------------------------------------------------------
@@ -105,7 +100,7 @@ def blobs(n=40, seed=0, separation=6.0):
 
 def test_svm_separable_blobs():
     X, y = blobs()
-    model = svm_fit(X, y, kernel="linear", C=1.0)
+    model = SvmClassifier(kernel="linear", C=1.0).fit(X, y)
     assert (model.predict(X) == y).all()
     assert model.max_kkt_residual <= model.tol
     assert np.all(np.abs(model.dual_coef) <= model.C + 1e-12)
@@ -114,7 +109,7 @@ def test_svm_separable_blobs():
 def test_svm_xor_with_rbf():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], dtype=float)
     y = np.array(["A", "A", "B", "B"])
-    model = svm_fit(X, y, kernel="rbf", C=1000.0, gamma=1.0)
+    model = SvmClassifier(kernel="rbf", C=1000.0, gamma=1.0).fit(X, y)
     assert (model.predict(X) == y).all()
     assert model.max_kkt_residual <= model.tol
     # decision values verified by direct kernel-sum evaluation
@@ -128,26 +123,26 @@ def test_svm_xor_with_rbf():
 
 def test_svm_feature_scaling_is_noop():
     X, y = blobs(seed=5)
-    base = svm_fit(X, y, kernel="rbf", C=10.0)
-    scaled = svm_fit(X * 1000.0, y, kernel="rbf", C=10.0)
+    base = SvmClassifier(kernel="rbf", C=10.0).fit(X, y)
+    scaled = SvmClassifier(kernel="rbf", C=10.0).fit(X * 1000.0, y)
     queries = np.random.default_rng(1).normal(3.0, 3.0, size=(50, 2))
     assert (base.predict(queries) == scaled.predict(queries * 1000.0)).all()
 
 
 def test_knn_feature_scaling_is_noop():
     X, y = blobs(seed=8)
-    base = knn_fit(X, y, k=3)
-    scaled = knn_fit(X * 250.0, y, k=3)
+    base = KnnClassifier(k=3).fit(X, y)
+    scaled = KnnClassifier(k=3).fit(X * 250.0, y)
     queries = np.random.default_rng(2).normal(3.0, 3.0, size=(50, 2))
     for q in queries:
-        assert knn_predict(base, q) == knn_predict(scaled, q * 250.0)
+        assert base.predict_one(q) == scaled.predict_one(q * 250.0)
 
 
 def test_svm_single_class_rejected():
     X = np.zeros((4, 2))
     y = np.array(["A"] * 4)
     with pytest.raises(TrainingError):
-        svm_fit(X, y)
+        SvmClassifier().fit(X, y)
 
 
 def test_svm_nonconvergence_raises():
@@ -158,18 +153,31 @@ def test_svm_nonconvergence_raises():
 
 def test_svm_predict_single_query():
     X, y = blobs(seed=2)
-    model = svm_fit(X, y, kernel="linear", C=1.0)
-    assert svm_predict(model, X[0]) == y[0]
+    model = SvmClassifier(kernel="linear", C=1.0).fit(X, y)
+    assert model.predict(X[0][None])[0] == y[0]
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+def test_svm_converges_deterministically_on_overlapping_blobs(kernel, C):
+    for seed in range(100):
+        X, y = blobs(seed=seed, separation=3.0)
+        model = SvmClassifier(kernel=kernel, C=C).fit(X, y)
+        assert model.max_kkt_residual <= model.tol
+        assert np.all(np.abs(model.dual_coef) <= C)
+        again = SvmClassifier(kernel=kernel, C=C).fit(X, y)
+        assert np.array_equal(again.dual_coef, model.dual_coef)
+        assert again.bias == model.bias
 
 
 # -- length threshold --------------------------------------------------------------
 
 def test_length_threshold_clear_margin():
-    label = length_only_classify(
-        [4.0, 5.0, 14.0, 16.0],
-        ["passenger_car", "passenger_car", "truck", "truck"],
-        12.0,
+    model = LengthThresholdClassifier().fit(
+        np.array([4.0, 5.0, 14.0, 16.0]),
+        np.array(["passenger_car", "passenger_car", "truck", "truck"]),
     )
+    label = model.predict(np.array([12.0]))[0]
     assert label == "truck"
 
 
@@ -305,7 +313,7 @@ def test_evaluate_counts_sum_to_total():
 def test_evaluate_with_model():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array(["passenger_car"] * 2 + ["truck"] * 2)
-    model = knn_fit(X, y, k=1)
+    model = KnnClassifier(k=1).fit(X, y)
     report = evaluate(model, X, y, ["van", "van", "truck", "truck"])
     assert report.overall_rate == 1.0
 
@@ -339,7 +347,7 @@ def test_mean_std_needs_two_values():
 
 def test_knn_round_trip(tmp_path):
     X, y = blobs(seed=12)
-    model = knn_fit(X, y, k=3)
+    model = KnnClassifier(k=3).fit(X, y)
     p = tmp_path / "knn.json"
     save_model(model, p)
     loaded = load_model(p)
@@ -349,7 +357,7 @@ def test_knn_round_trip(tmp_path):
 
 def test_svm_round_trip(tmp_path):
     X, y = blobs(seed=13)
-    model = svm_fit(X, y, kernel="rbf", C=10.0)
+    model = SvmClassifier(kernel="rbf", C=10.0).fit(X, y)
     p = tmp_path / "svm.json"
     save_model(model, p)
     loaded = load_model(p)
