@@ -34,7 +34,6 @@ from .propagation import (
 from .simulator import (
     Dataset,
     PassageEvent,
-    RssiSampleFrame,
     SimulationConfig,
     baseline_rssi,
     generate_dataset,

@@ -9,6 +9,7 @@ a segment is open, so the trough itself never contaminates them.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from collections import deque
 from dataclasses import dataclass, replace
@@ -21,12 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, EstimationError, InputDataError
 from .geometry import LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
-from .simulator import (
-    Dataset,
-    RssiSampleFrame,
-    SimulationConfig,
-    generate_dataset,
-)
+from .simulator import Dataset, SimulationConfig, generate_dataset
 
 
 @dataclass(frozen=True)
@@ -68,28 +64,32 @@ class EventSegment:
 
 
 def detect_events(
-    frames: Sequence[RssiSampleFrame],
+    rssi: np.ndarray,
+    dt: float,
     layout: SensorLayout,
     cfg: DetectionConfig = DetectionConfig(),
 ) -> List[EventSegment]:
-    """Segment a time-ordered uniform stream into vehicle passages."""
-    if len(frames) < 2:
-        raise InputDataError("stream too short to establish a baseline")
-    dt = frames[1].t - frames[0].t
-    if dt <= 0:
-        raise InputDataError("stream must be time-ordered with positive dt")
+    """Segment a uniform (frames x links) stream sampled every dt s into vehicle passages."""
+    rssi = np.asarray(rssi, dtype=float)
+    n_links = len(layout.links)
+    if rssi.ndim != 2 or rssi.shape[1] != n_links:
+        raise ConfigurationError(
+            f"stream of shape {rssi.shape} does not have one column per layout link ({n_links})"
+        )
+    if not dt > 0 or not math.isfinite(cfg.baseline_window / dt):
+        raise InputDataError(f"stream dt {dt} s is not a usable positive sampling step")
     if cfg.min_duration < dt:
         raise ConfigurationError(
             f"min_duration {cfg.min_duration} s is below the stream dt {dt} s"
         )
-    n_links = len(layout.links)
     window = max(2, int(round(cfg.baseline_window / dt)))
-    if len(frames) < window:
+    if len(rssi) < window:
         raise InputDataError(
-            f"stream of {len(frames)} samples is shorter than the "
+            f"stream of {len(rssi)} samples is shorter than the "
             f"{window}-sample baseline window"
         )
 
+    rows = rssi.tolist()
     quiet: List[deque] = [deque(maxlen=window) for _ in range(n_links)]
     segments: List[EventSegment] = []
     open_start: Optional[int] = None
@@ -97,46 +97,43 @@ def detect_events(
 
     def close(end_index: int) -> None:
         nonlocal open_start, open_baselines
-        seg = _build_segment(frames, open_start, end_index, dt, open_baselines, layout, cfg)
+        seg = _build_segment(rows, open_start, end_index, dt, open_baselines, layout, cfg)
         if seg.t_end - seg.t_start >= cfg.min_duration:
             segments.append(seg)
         open_start = None
         open_baselines = None
 
-    for i, frame in enumerate(frames):
+    for i, values in enumerate(rows):
         if open_start is None:
             seeded = all(len(q) == window for q in quiet)
             if seeded:
                 baselines = tuple(statistics.median(q) for q in quiet)
                 if any(
-                    frame.values[j] <= baselines[j] - cfg.drop_threshold
+                    values[j] <= baselines[j] - cfg.drop_threshold
                     for j in range(n_links)
                 ):
                     open_start = i
                     open_baselines = baselines
                     continue
             for j in range(n_links):
-                quiet[j].append(frame.values[j])
+                quiet[j].append(values[j])
         else:
             recovered = all(
-                frame.values[j] >= open_baselines[j] - cfg.release_threshold
+                values[j] >= open_baselines[j] - cfg.release_threshold
                 for j in range(n_links)
             )
             if recovered:
                 close(i)
                 for j in range(n_links):
-                    quiet[j].append(frame.values[j])
+                    quiet[j].append(values[j])
     if open_start is not None:
-        close(len(frames) - 1)
+        close(len(rows) - 1)
     return segments
 
 
-def _build_segment(frames, start, end, dt, baselines, layout, cfg) -> EventSegment:
-    times = tuple(frames[i].t for i in range(start, end + 1))
-    traces = tuple(
-        tuple(frames[i].values[j] for i in range(start, end + 1))
-        for j in range(len(layout.links))
-    )
+def _build_segment(rows, start, end, dt, baselines, layout, cfg) -> EventSegment:
+    times = tuple(i * dt for i in range(start, end + 1))
+    traces = tuple(zip(*rows[start:end + 1]))  # per link
     windows = []
     for j, link in enumerate(layout.links):
         onset = None
@@ -340,13 +337,19 @@ def detect_dataset(
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
 ) -> Tuple[List[SegmentRecord], DetectionSummary]:
-    """Run detection over every event of a dataset."""
+    """Run detection over every event of a dataset recorded with this layout's links."""
+    link_ids = [link.id for link in layout.links]
+    if dataset.metadata["link_ids"] != link_ids:
+        raise ConfigurationError(
+            f"dataset was recorded on links {dataset.metadata['link_ids']}, "
+            f"the configured layout has links {link_ids}"
+        )
     records: List[SegmentRecord] = []
     detected = 0
     segs = 0
     spurious = 0
     for event in dataset.events:
-        segments = detect_events(event.frames, layout, det_cfg)
+        segments = detect_events(event.rssi, event.dt, layout, det_cfg)
         segs += len(segments)
         if len(segments) > 1:
             spurious += len(segments) - 1

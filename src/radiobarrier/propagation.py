@@ -15,8 +15,10 @@ cheaper of the over-the-top and under-the-body detours wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 if TYPE_CHECKING:  # circular at runtime: geometry imports fresnel_v from here
     from .geometry import Pose, RadioLink, VehicleSpec
@@ -42,30 +44,34 @@ def fspl(distance: float, frequency: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance * frequency / SPEED_OF_LIGHT)
 
 
-def fresnel_v(h: float, d1: float, d2: float, lam: float) -> float:
+def fresnel_v(h, d1, d2, lam):
     """Fresnel diffraction parameter for a knife edge.
 
     h is the signed clearance of the edge over the path (positive when the
     edge cuts into the path), d1 and d2 the sub-path lengths either side of
-    the edge.  The sign of h is preserved.
+    the edge.  The sign of h is preserved.  Arguments broadcast like a
+    ufunc's; scalars in give a float out.
     """
-    if d1 <= 0 or d2 <= 0:
+    if np.any(d1 <= 0) or np.any(d2 <= 0):
         raise ValueError("sub-path lengths must be positive")
-    if lam <= 0:
+    if np.any(lam <= 0):
         raise ValueError("wavelength must be positive")
-    return h * math.sqrt(2.0 * (d1 + d2) / (lam * d1 * d2))
+    return h * np.sqrt(2.0 * (d1 + d2) / (lam * d1 * d2))
 
 
-def knife_edge_loss(v: float) -> float:
+def knife_edge_loss(v):
     """Single knife-edge obstruction loss in dB (>= 0).
 
     Uses the standard approximation 6.9 + 20*log10(sqrt((v-0.1)^2+1)+v-0.1)
-    for v > -0.78 and zero below; the result is clamped at 0 dB.
+    for v > -0.78 and zero below; the result is clamped at 0 dB.  Works
+    elementwise on arrays; a scalar in gives a float out.
     """
-    if v <= -0.78:
-        return 0.0
-    u = v - 0.1
-    return max(0.0, 6.9 + 20.0 * math.log10(math.sqrt(u * u + 1.0) + u))
+    v = np.asarray(v, dtype=float)
+    loss = np.zeros(v.shape)
+    above = v > -0.78
+    u = v[above] - 0.1
+    loss[above] = np.maximum(0.0, 6.9 + 20.0 * np.log10(np.sqrt(u * u + 1.0) + u))
+    return loss[()]
 
 
 @dataclass(frozen=True)
@@ -145,22 +151,25 @@ def gain_toward(pattern: AntennaPattern, origin: Point, target: Point) -> float:
     return antenna_gain(pattern, d_az, d_el)
 
 
-def obstruction_loss(vehicle: "VehicleSpec", pose: "Pose", path: Tuple[Point, Point], lam: float) -> float:
-    """Total knife-edge loss in dB a vehicle inflicts on one path.
+def obstruction_loss(vehicle: "VehicleSpec", pose: "Pose", path, lam: float):
+    """Total knife-edge loss in dB a vehicle inflicts on a path.
 
     Losses of intersected body segments cascade additively in dB.  For a
     segment with ground clearance the detour is the cheaper of the top and
     bottom edges; energy slipping under the body therefore caps the loss.
+    The nose position and the path coordinates may be arrays; the result
+    has their broadcast shape (a float when all are scalars).
     """
     from .geometry import occlusion_params  # deferred to avoid an import cycle
 
-    total = 0.0
+    shape = np.broadcast_shapes(np.shape(pose.front_x), *(np.shape(c) for end in path for c in end))
+    total = np.zeros(shape)
     for obs in occlusion_params(vehicle, pose, path, lam):
         loss = knife_edge_loss(obs.v_top)
         if obs.v_bottom is not None:
-            loss = min(loss, knife_edge_loss(obs.v_bottom))
-        total += loss
-    return total
+            loss = np.minimum(loss, knife_edge_loss(obs.v_bottom))
+        total[obs.mask] += loss
+    return total[()]
 
 
 @dataclass(frozen=True)
@@ -171,12 +180,9 @@ class LinkContext:
     lam: float
     base_db: float  # tx power + gains - fspl(d_dir)
     clear_db: float  # noiseless vehicle-free value
-    x_lo: float
-    x_hi: float
-    reflection: bool
     a_r0: float  # |gamma| * d_dir / d_refl, before obstruction
     phase: float  # rad
-    sub_paths: Tuple[Tuple[Point, Point], ...]  # ground-bounce legs
+    sub_paths: Tuple[Tuple[Point, Point], ...]  # ground-bounce legs, if the ray reflects
 
 
 def build_link_context(
@@ -220,47 +226,57 @@ def build_link_context(
         sub_paths = ()
         clear_db = base_db
 
-    x_lo = min(p_tx[0], p_rx[0])
-    x_hi = max(p_tx[0], p_rx[0])
     return LinkContext(
         path=(p_tx, p_rx),
         lam=lam,
         base_db=base_db,
         clear_db=clear_db,
-        x_lo=x_lo,
-        x_hi=x_hi,
-        reflection=reflection,
         a_r0=a_r0,
         phase=phase,
         sub_paths=sub_paths,
     )
 
 
-def noiseless_rssi(ctx: LinkContext, vehicle: Optional["VehicleSpec"], pose: Optional["Pose"]) -> float:
-    """Noise-free RSSI for a link context with an optional vehicle in the scene."""
-    if vehicle is None or pose is None:
-        return ctx.clear_db
-    lo, hi = _vehicle_x_extent(vehicle, pose)
-    if hi < ctx.x_lo or lo > ctx.x_hi:
-        return ctx.clear_db
+def noiseless_rssi(ctx: Union[LinkContext, Sequence[LinkContext]],
+                   vehicle: Optional["VehicleSpec"], pose: Optional["Pose"]):
+    """Noise-free RSSI with an optional vehicle in the scene.
 
-    loss_direct = obstruction_loss(vehicle, pose, ctx.path, ctx.lam)
-    a_d = 10.0 ** (-loss_direct / 20.0)
-    if ctx.reflection:
-        loss_refl = sum(obstruction_loss(vehicle, pose, sub, ctx.lam) for sub in ctx.sub_paths)
-        a_r = ctx.a_r0 * 10.0 ** (-loss_refl / 20.0)
-        amp = math.hypot(a_d + a_r * math.cos(ctx.phase), a_r * math.sin(ctx.phase))
-    else:
-        amp = a_d
-    if amp <= 0.0:
-        return -math.inf
-    return ctx.base_db + 20.0 * math.log10(amp)
+    `ctx` is one link's context, or a sequence of contexts of one channel
+    evaluated together with the link axis last.  `pose.front_x` may be an
+    array of nose positions: every path of every link is then evaluated at
+    every position in one pass.  One context and a scalar position give a
+    float.
+    """
+    links = (ctx,) if isinstance(ctx, LinkContext) else tuple(ctx)
+    rssi = np.array([c.clear_db for c in links])
+    if vehicle is not None and pose is not None:
+        bounces = np.array([bool(c.sub_paths) for c in links])
+        legs = [c.sub_paths for c in links if c.sub_paths]
+        paths = [c.path for c in links] + [leg[0] for leg in legs] + [leg[1] for leg in legs]
+        ends = np.moveaxis(np.array(paths, dtype=float), 0, -1)  # (2 ends, 3 coords, paths)
+        nose = replace(pose, front_x=np.asarray(pose.front_x)[..., None])
+        loss = obstruction_loss(vehicle, nose, ends, links[0].lam)
+        n, m = len(links), len(legs)
+        loss_direct = loss[..., :n]
+        loss_refl = np.zeros_like(loss_direct)
+        loss_refl[..., bounces] = loss[..., n:n + m] + loss[..., n + m:]
 
-
-def _vehicle_x_extent(vehicle: "VehicleSpec", pose: "Pose") -> Tuple[float, float]:
-    if pose.heading >= 0:
-        return pose.front_x - vehicle.total_length, pose.front_x
-    return pose.front_x, pose.front_x + vehicle.total_length
+        # Where nothing obstructs a link the vehicle-free value holds exactly.
+        rssi = np.broadcast_to(rssi, loss_direct.shape).copy()
+        hit = (loss_direct > 0.0) | (loss_refl > 0.0)
+        j = np.nonzero(hit)[-1]  # link of each obstructed sample
+        base_db, a_r0, cos_phase, sin_phase = np.array(
+            [(c.base_db, c.a_r0, math.cos(c.phase), math.sin(c.phase)) for c in links]
+        ).T[:, j]
+        a_d = 10.0 ** (-loss_direct[hit] / 20.0)
+        a_r = a_r0 * 10.0 ** (-loss_refl[hit] / 20.0)
+        amp = np.hypot(a_d + a_r * cos_phase, a_r * sin_phase)
+        level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
+        np.log10(amp, out=level, where=amp > 0.0)
+        rssi[hit] = base_db + 20.0 * level
+    if isinstance(ctx, LinkContext):
+        rssi = rssi[..., 0]
+    return rssi[()]
 
 
 def link_rssi(

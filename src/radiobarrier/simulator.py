@@ -48,28 +48,28 @@ class SimulationConfig:
         return self.speed_overrides.get(type_name, self.speed_range)
 
 
-@dataclass(frozen=True)
-class RssiSampleFrame:
-    t: float
-    values: Tuple[float, ...]  # one dBm value per layout link, in link order
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassageEvent:
+    """One passage: metadata and the RSSI trace of every link.
+
+    `rssi` is a read-only float64 (frames x links) array in dBm, links in
+    layout order; frame i was sampled at t = i * dt.
+    """
+
     event_id: int
     type_name: str
     label: str
     true_speed: float
     true_length: float
     lane_y: float
-    frames: Tuple[RssiSampleFrame, ...]
+    rssi: np.ndarray
+    dt: float
     fingerprint: str
 
-    @property
-    def dt(self) -> float:
-        if len(self.frames) < 2:
-            return 0.0
-        return self.frames[1].t - self.frames[0].t
+    def __post_init__(self) -> None:
+        rssi = np.array(self.rssi, dtype=np.float64)
+        rssi.flags.writeable = False
+        object.__setattr__(self, "rssi", rssi)
 
 
 @dataclass(frozen=True)
@@ -155,30 +155,13 @@ def simulate_passage(
             f"{layout.road_width} m road"
         )
 
-    contexts = _link_contexts(layout, channel, patterns)
     total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
     n_frames = int(math.ceil(total_time / sim.dt)) + 1
-    n_links = len(contexts)
-
-    rng = np.random.default_rng(seed)
-    if channel.noise_sigma > 0:
-        noise = rng.normal(0.0, channel.noise_sigma, size=(n_frames, n_links))
-    else:
-        noise = None
-
     start_x = -sim.pre_roll * speed
-    floor = channel.rssi_floor
-    frames = []
-    for i in range(n_frames):
-        t = i * sim.dt
-        pose = Pose(front_x=start_x + speed * t, lane_y=lane_y)
-        values = []
-        for j, ctx in enumerate(contexts):
-            v = noiseless_rssi(ctx, vehicle, pose)
-            if noise is not None:
-                v += noise[i, j]
-            values.append(v if v > floor else floor)
-        frames.append(RssiSampleFrame(t, tuple(values)))
+    nose = Pose(front_x=start_x + speed * (np.arange(n_frames) * sim.dt), lane_y=lane_y)
+    rssi = noiseless_rssi(_link_contexts(layout, channel, patterns), vehicle, nose)
+    if channel.noise_sigma > 0:
+        rssi += np.random.default_rng(seed).normal(0.0, channel.noise_sigma, size=rssi.shape)
 
     return PassageEvent(
         event_id=event_id,
@@ -187,7 +170,8 @@ def simulate_passage(
         true_speed=speed,
         true_length=vehicle.total_length,
         lane_y=lane_y,
-        frames=tuple(frames),
+        rssi=np.maximum(rssi, channel.rssi_floor),
+        dt=sim.dt,
         fingerprint=fingerprint,
     )
 
@@ -271,7 +255,8 @@ def generate_dataset(
 # Serialization: one metadata header line, then one event per line.  Floats
 # are rendered with 17 significant digits so files reproduce byte-for-byte.
 
-def _fmt(value) -> str:
+def dumps_compact(value) -> str:
+    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
     if isinstance(value, bool) or value is None or isinstance(value, int):
         return json.dumps(value)
     if isinstance(value, float):
@@ -279,75 +264,85 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
+        return "[" + ",".join(dumps_compact(v) for v in value) + "]"
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in items) + "}"
+        return "{" + ",".join(json.dumps(str(k)) + ":" + dumps_compact(v) for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def dumps_compact(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
-    return _fmt(value)
+# Keys of an event line besides its "values" matrix, with their types.
+_EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
+                 "true_length": float, "lane_y": float, "dt": float, "fingerprint": str}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    path = Path(path)
     lines = [dumps_compact(dataset.metadata)]
     for ev in dataset.events:
-        lines.append(
-            dumps_compact(
-                {
-                    "event_id": ev.event_id,
-                    "type_name": ev.type_name,
-                    "label": ev.label,
-                    "true_speed": ev.true_speed,
-                    "true_length": ev.true_length,
-                    "lane_y": ev.lane_y,
-                    "dt": ev.dt,
-                    "fingerprint": ev.fingerprint,
-                    "values": [list(f.values) for f in ev.frames],
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+        n_frames, n_links = ev.rssi.shape
+        row = "[" + ",".join(["%.17g"] * n_links) + "]"
+        values = ("[" + ",".join([row] * n_frames) + "]") % tuple(ev.rssi.ravel().tolist())
+        head = dumps_compact({key: getattr(ev, key) for key in _EVENT_FIELDS})
+        # "values" sorts after every other key, so it closes the object
+        lines.append(head[:-1] + ',"values":' + values + "}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _check_field(where: str, key: str, value, kind: type) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise InputDataError(f"{where}: {key} must be of type {kind.__name__}, got {value!r:.40}")
+    if kind is float and not math.isfinite(value):
+        raise InputDataError(f"{where}: {key} is not finite")
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file, rejecting any line that does not fit its header."""
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"dataset file {path} does not exist")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not text
+        raise InputDataError(f"cannot read dataset file {path}: {exc}") from exc
     if not lines:
         raise InputDataError(f"{path} is empty")
     try:
         metadata = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{path}: bad metadata line: {exc}") from exc
-    if metadata.get("format") != FORMAT_NAME:
+    if not isinstance(metadata, dict) or metadata.get("format") != FORMAT_NAME:
         raise InputDataError(f"{path} is not a {FORMAT_NAME} file")
+    link_ids = metadata.get("link_ids")
+    if not isinstance(link_ids, list) or not link_ids:
+        raise InputDataError(f"{path}: header lacks the list of link_ids")
+    _check_field(f"{path}: header", "event_count", metadata.get("event_count"), int)
+
     events = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise InputDataError(f"{path}:{lineno}: bad event line: {exc}") from exc
-        dt = raw["dt"]
-        frames = tuple(
-            RssiSampleFrame(i * dt, tuple(vals)) for i, vals in enumerate(raw["values"])
-        )
-        events.append(
-            PassageEvent(
-                event_id=raw["event_id"],
-                type_name=raw["type_name"],
-                label=raw["label"],
-                true_speed=raw["true_speed"],
-                true_length=raw["true_length"],
-                lane_y=raw["lane_y"],
-                frames=frames,
-                fingerprint=raw["fingerprint"],
-            )
+            raise InputDataError(f"{where}: bad event line: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InputDataError(f"{where}: an event line must be a JSON object")
+        missing = [key for key in (*_EVENT_FIELDS, "values") if key not in raw]
+        if missing:
+            raise InputDataError(f"{where}: event line lacks {', '.join(missing)}")
+        for key, kind in _EVENT_FIELDS.items():
+            _check_field(where, key, raw[key], kind)
+        try:
+            rssi = np.array(raw["values"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
+            raise InputDataError(f"{where}: values are not a numeric matrix: {exc}") from exc
+        if rssi.ndim != 2 or rssi.shape[1] != len(link_ids):
+            raise InputDataError(f"{where}: values of shape {rssi.shape} are not rows of "
+                                 f"{len(link_ids)} link values")
+        if not np.isfinite(rssi).all():
+            raise InputDataError(f"{where}: values hold a non-finite number")
+        events.append(PassageEvent(rssi=rssi, **{key: raw[key] for key in _EVENT_FIELDS}))
+    if len(events) != metadata["event_count"]:
+        raise InputDataError(
+            f"{path}: header announces {metadata['event_count']} events, file holds {len(events)}"
         )
     return Dataset(events=tuple(events), metadata=metadata)

@@ -208,7 +208,7 @@ def test_criterion_7_trailer_signature(cfg):
     ev = simulate_passage(layout, chan, patterns, truck, 10.0, lane, seed=0,
                           sim=SimulationConfig())
     j = 4  # middle direct link
-    drops = np.array([base[j] - f.values[j] for f in ev.frames])
+    drops = base[j] - ev.rssi[:, j]
     blocked = np.flatnonzero(drops > 1.0)
     window = drops[blocked[0]:blocked[-1] + 1]
     third = len(window) // 3
@@ -238,7 +238,7 @@ def test_criterion_8_estimator_accuracy(cfg):
         for speed in (5.0, 8.0, 12.0, 17.0, 23.0, 30.0):
             ev = simulate_passage(layout, chan, patterns, vehicle, speed, lane,
                                   seed=0, sim=SimulationConfig())
-            segments = detect_events(ev.frames, layout, det)
+            segments = detect_events(ev.rssi, ev.dt, layout, det)
             assert len(segments) == 1
             v = estimate_speed(segments[0], layout)
             L = estimate_length(segments[0], v, layout)

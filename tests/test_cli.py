@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radiobarrier.cli import main
 
@@ -162,3 +166,86 @@ def test_training_error_exit_code(tmp_path, capsys):
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert "radiobarrier" in capsys.readouterr().out
+
+
+def test_dataset_line_without_dt_exits_3(workspace, tmp_path, capsys):
+    lines = (workspace / "gen" / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["dt"]
+    lines[1] = json.dumps(record)
+    broken = tmp_path / "dataset.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    code = run(["detect", "--dataset", str(broken), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "dt" in err
+
+
+def test_detect_with_other_layout_exits_2(workspace, tmp_path, capsys):
+    config = tmp_path / "two_posts.ini"
+    config.write_text("[layout]\nnodes_per_side = 2\n")
+    code = run(["detect", "--config", str(config),
+                "--dataset", str(workspace / "gen" / "dataset.jsonl"),
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "segments.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def two_event_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run(["generate", "--out", str(root), "--mix", "passenger car=1,truck=1",
+                "--seed", "3"]) == 0
+    return (root / "dataset.jsonl").read_text().splitlines()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutate(lines, data):
+    out = list(lines)
+    i = data.draw(st.integers(0, len(out) - 1), label="line")
+    kind = data.draw(st.sampled_from(["text", "drop", "cut", "del_key", "set_key", "cell"]),
+                     label="mutation")
+    if kind == "text":
+        out[i] = data.draw(st.text(max_size=30))
+    elif kind == "drop":
+        del out[i]
+    elif kind == "cut":
+        out[i] = out[i][: data.draw(st.integers(0, len(out[i])))]
+    else:
+        record = json.loads(out[i])
+        if kind == "cell" and "values" in record:
+            row = record["values"][data.draw(st.integers(0, len(record["values"]) - 1))]
+            col = data.draw(st.integers(0, len(row) - 1))
+            if data.draw(st.booleans(), label="delete cell"):
+                del row[col]
+            else:
+                row[col] = data.draw(JSON_VALUES)
+        else:
+            key = data.draw(st.sampled_from(sorted(record)))
+            if kind == "del_key":
+                del record[key]
+            else:
+                record[key] = data.draw(JSON_VALUES)
+        out[i] = json.dumps(record)
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_detect_on_mutated_dataset_exits_cleanly(two_event_lines, capsys, data):
+    lines = _mutate(two_event_lines, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = Path(tmp) / "dataset.jsonl"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run(["detect", "--dataset", str(dataset), "--out", str(Path(tmp) / "out")])
+    capsys.readouterr()
+    assert code in (0, 2, 3)

@@ -166,7 +166,6 @@ def test_trailer_clearance_hand_evaluated():
     out = occlusion_params(trailer, Pose(front_x=9.5, lane_y=2.25), PATH, LAM)
     assert len(out) == 1
     obs = out[0]
-    assert obs.blocked
     assert obs.d1 == pytest.approx(3.5)
     assert obs.d2 == pytest.approx(3.5)
     factor = math.sqrt(2.0 * 7.0 / (LAM * 3.5 * 3.5))  # independent evaluation

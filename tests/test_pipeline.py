@@ -29,7 +29,6 @@ from radiobarrier.pipeline import (
     save_segments,
 )
 from radiobarrier.simulator import (
-    RssiSampleFrame,
     SimulationConfig,
     baseline_rssi,
     generate_dataset,
@@ -43,10 +42,6 @@ def centered_lane(layout, vehicle):
     return (layout.road_width - vehicle.width) / 2.0
 
 
-def quiet_frames(base, n, dt=0.01, t0=0.0):
-    return [RssiSampleFrame(t0 + i * dt, tuple(base)) for i in range(n)]
-
-
 def passage(layout, patterns, channel, vehicle, speed=10.0, seed=0, sim=None):
     return simulate_passage(layout, channel, patterns, vehicle, speed,
                             centered_lane(layout, vehicle), seed=seed,
@@ -57,13 +52,13 @@ def passage(layout, patterns, channel, vehicle, speed=10.0, seed=0, sim=None):
 
 def test_pure_baseline_has_no_segments(layout, patterns, quiet_channel):
     base = baseline_rssi(layout, quiet_channel, patterns)
-    assert detect_events(quiet_frames(base, 400), layout, DET) == []
+    assert detect_events(np.tile(base, (400, 1)), 0.01, layout, DET) == []
 
 
 def test_single_car_yields_one_segment(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car)
-    segments = detect_events(ev.frames, layout, DET)
+    segments = detect_events(ev.rssi, ev.dt, layout, DET)
     assert len(segments) == 1
     seg = segments[0]
     base = baseline_rssi(layout, quiet_channel, patterns)
@@ -78,7 +73,7 @@ def test_truck_bridged_into_single_segment(signature_layout, signature_patterns,
                                            quiet_channel, app_config):
     truck = app_config.catalog["truck"]
     ev = passage(signature_layout, signature_patterns, quiet_channel, truck)
-    segments = detect_events(ev.frames, signature_layout, DET)
+    segments = detect_events(ev.rssi, ev.dt, signature_layout, DET)
     assert len(segments) == 1
 
 
@@ -87,22 +82,15 @@ def test_concatenated_passages_yield_k_segments(layout, patterns, quiet_channel,
     base = baseline_rssi(layout, quiet_channel, patterns)
     ev = passage(layout, patterns, quiet_channel, car)
     k = 3
-    frames = []
-    t = 0.0
-    for _ in range(k):
-        for f in ev.frames:
-            frames.append(RssiSampleFrame(t, f.values))
-            t += 0.01
-        for f in quiet_frames(base, 150):  # > 2 baseline windows of quiet
-            frames.append(RssiSampleFrame(t, f.values))
-            t += 0.01
-    segments = detect_events(frames, layout, DET)
+    quiet = np.tile(base, (150, 1))  # > 2 baseline windows of quiet
+    stream = np.vstack([ev.rssi, quiet] * k)
+    segments = detect_events(stream, 0.01, layout, DET)
     assert len(segments) == k
 
 
 def test_stream_shorter_than_baseline_window(layout):
     with pytest.raises(InputDataError):
-        detect_events(quiet_frames([0.0] * 9, 10), layout, DET)
+        detect_events(np.tile([0.0] * 9, (10, 1)), 0.01, layout, DET)
 
 
 def test_detection_config_validation():
@@ -116,7 +104,7 @@ def test_min_duration_below_dt_rejected(layout, patterns, quiet_channel):
     base = baseline_rssi(layout, quiet_channel, patterns)
     cfg = DetectionConfig(min_duration=0.001)
     with pytest.raises(ConfigurationError):
-        detect_events(quiet_frames(base, 200), layout, cfg)
+        detect_events(np.tile(base, (200, 1)), 0.01, layout, cfg)
 
 
 def test_restricted_topology_pipeline(app_config, quiet_channel):
@@ -129,7 +117,7 @@ def test_restricted_topology_pipeline(app_config, quiet_channel):
     car = app_config.catalog["passenger car"]
     ev = simulate_passage(lay, quiet_channel, pat, car, 10.0,
                           centered_lane(lay, car), seed=0, sim=SimulationConfig())
-    seg = detect_events(ev.frames, lay, DET)[0]
+    seg = detect_events(ev.rssi, ev.dt, lay, DET)[0]
     v = estimate_speed(seg, lay)
     L = estimate_length(seg, v, lay)
     assert v == pytest.approx(10.0, rel=0.02)
@@ -158,7 +146,7 @@ def test_speed_from_two_onsets(layout):
 def test_speed_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=12.0)
-    seg = detect_events(ev.frames, layout, DET)[0]
+    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
     assert estimate_speed(seg, layout) == pytest.approx(12.0, rel=0.02)
 
 
@@ -182,7 +170,7 @@ def test_length_simple_arithmetic(layout):
 def test_length_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=10.0)
-    seg = detect_events(ev.frames, layout, DET)[0]
+    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
     speed = estimate_speed(seg, layout)
     assert estimate_length(seg, speed, layout) == pytest.approx(4.5, rel=0.05)
 
@@ -193,7 +181,7 @@ def test_truck_length_includes_gap(signature_layout, signature_patterns, app_con
     chan = replace(quiet_channel, ground_reflection_enabled=False)
     truck = app_config.catalog["truck"]
     ev = passage(signature_layout, signature_patterns, chan, truck, speed=10.0)
-    seg = detect_events(ev.frames, signature_layout, DET)[0]
+    seg = detect_events(ev.rssi, ev.dt, signature_layout, DET)[0]
     speed = estimate_speed(seg, signature_layout)
     assert estimate_length(seg, speed, signature_layout) == pytest.approx(15.8, rel=0.05)
 
@@ -203,7 +191,7 @@ def test_length_scale_consistency(layout, patterns, quiet_channel, app_config):
     lengths = []
     for speed in (7.0, 14.0):
         ev = passage(layout, patterns, quiet_channel, van, speed=speed)
-        seg = detect_events(ev.frames, layout, DET)[0]
+        seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
         v = estimate_speed(seg, layout)
         lengths.append(estimate_length(seg, v, layout))
     assert lengths[0] == pytest.approx(lengths[1], rel=0.05)
@@ -268,7 +256,7 @@ def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
     rows = []
     for speed in (6.0, 18.0):  # very different durations
         ev = passage(layout, patterns, quiet_channel, car, speed=speed)
-        seg = detect_events(ev.frames, layout, DET)[0]
+        seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
         v = estimate_speed(seg, layout)
         L = estimate_length(seg, v, layout)
         rows.append(extract_features(seg, v, L, FeatureConfig(), layout))

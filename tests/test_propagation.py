@@ -135,6 +135,19 @@ def test_fresnel_v_rejects_bad_distances():
         fresnel_v(1.0, 3.5, -1.0, 0.125)
 
 
+def test_fresnel_v_scalar_and_array_inputs():
+    assert isinstance(fresnel_v(0.7, 2.0, 5.0, 0.125), float)
+    h = np.array([[-0.7, 0.0], [0.3, 1.2]])
+    d1 = np.array([2.0, 3.5])
+    got = fresnel_v(h, d1, 7.0 - d1, 0.125)
+    assert got.shape == (2, 2)
+    for (r, c), value in np.ndenumerate(h):
+        assert got[r, c] == fresnel_v(float(value), float(d1[c]), float(7.0 - d1[c]), 0.125)
+    assert fresnel_v(np.array([]), np.array([]), np.array([]), 0.125).shape == (0,)
+    with pytest.raises(ValueError):
+        fresnel_v(h, np.array([2.0, 0.0]), 3.0, 0.125)
+
+
 # -- knife edge loss ----------------------------------------------------------------
 
 def test_knife_edge_grazing_loss():
@@ -144,6 +157,17 @@ def test_knife_edge_grazing_loss():
 def test_knife_edge_below_cutoff_is_zero():
     assert knife_edge_loss(-2.0) == 0.0
     assert knife_edge_loss(-0.78) == 0.0
+
+
+def test_knife_edge_loss_scalar_and_array_inputs():
+    assert isinstance(knife_edge_loss(0.4), float)
+    assert isinstance(knife_edge_loss(-2.0), float)
+    vs = np.array([[-5.0, -0.78, -0.5], [0.0, 1.3, 12.0]])
+    got = knife_edge_loss(vs)
+    assert got.shape == (2, 3)
+    for idx, v in np.ndenumerate(vs):
+        assert got[idx] == knife_edge_loss(float(v))
+    assert got[0, 0] == got[0, 1] == 0.0
 
 
 def test_knife_edge_monotone_over_transition():
@@ -280,3 +304,29 @@ def test_trace_smooth_inside_trough():
     assert jumps <= 2  # one entry, one exit
     interior = np.sort(deltas)[:-jumps] if jumps else deltas
     assert np.all(interior < 3.0)
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+@pytest.mark.parametrize("heading", [1, -1])
+@pytest.mark.parametrize("layout_name", ["layout", "signature_layout"])
+def test_whole_trace_matches_frame_by_frame(request, app_config, quiet_channel,
+                                            layout_name, heading, reflection):
+    # one call over every nose position and link equals one scalar call per
+    # position and link, for every catalog vehicle and both driving directions
+    layout = request.getfixturevalue(layout_name)
+    patterns = app_config.build_patterns(layout)
+    chan = replace(quiet_channel, ground_reflection_enabled=reflection)
+    contexts = [build_link_context(link, chan, patterns) for link in layout.links]
+    for vehicle in app_config.catalog.values():
+        lane = (layout.road_width - vehicle.width) / 2.0
+        span = layout.array_length + vehicle.total_length + 2.0
+        lo = -2.0 if heading == 1 else -vehicle.total_length - 2.0
+        xs = np.arange(lo, lo + span + 2.0, 0.23)
+        trace = noiseless_rssi(contexts, vehicle, Pose(xs, lane, heading))
+        assert trace.shape == (len(xs), len(contexts))
+        frame_by_frame = np.array([
+            [noiseless_rssi(ctx, vehicle, Pose(float(x), lane, heading)) for ctx in contexts]
+            for x in xs
+        ])
+        assert np.abs(trace - frame_by_frame).max() <= 1e-9
+        assert (trace < frame_by_frame.max(axis=0) - 1.0).any()  # the vehicle was seen

@@ -1,14 +1,16 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radiobarrier.errors import ConfigurationError
+from radiobarrier.errors import ConfigurationError, InputDataError
 from radiobarrier.propagation import AntennaPattern, ChannelConfig, fspl
 from radiobarrier.simulator import (
     SimulationConfig,
     baseline_rssi,
+    dumps_compact,
     generate_dataset,
     load_dataset,
     save_dataset,
@@ -53,7 +55,7 @@ def test_car_min_depth_exceeds_10db(layout, patterns, quiet_channel, app_config)
     ev = simulate_passage(layout, quiet_channel, patterns, car, 10.0,
                           centered_lane(layout, car), seed=0)
     for j in range(len(layout.links)):
-        depth = base[j] - min(f.values[j] for f in ev.frames)
+        depth = base[j] - ev.rssi[:, j].min()
         assert depth > 10.0
 
 
@@ -65,7 +67,7 @@ def test_truck_gap_peak_between_troughs(signature_layout, signature_patterns,
     ev = simulate_passage(signature_layout, quiet_channel, signature_patterns, truck,
                           10.0, centered_lane(signature_layout, truck), seed=0)
     j = 4  # middle direct link
-    drops = np.array([base[j] - f.values[j] for f in ev.frames])
+    drops = base[j] - ev.rssi[:, j]
     blocked = np.flatnonzero(drops > 1.0)
     window = drops[blocked[0]:blocked[-1] + 1]
     third = len(window) // 3
@@ -84,7 +86,7 @@ def test_doubling_speed_halves_occlusion(layout, patterns, quiet_channel, app_co
         ev = simulate_passage(layout, quiet_channel, patterns, car, speed,
                               centered_lane(layout, car), seed=0)
         j = 4
-        return sum(1 for f in ev.frames if f.values[j] < base[j] - 6.0)
+        return int((ev.rssi[:, j] < base[j] - 6.0).sum())
 
     slow = occlusion_frames(8.0)
     fast = occlusion_frames(16.0)
@@ -98,8 +100,8 @@ def test_preroll_equals_baseline_at_zero_noise(layout, patterns, quiet_channel, 
     ev = simulate_passage(layout, quiet_channel, patterns, car, 10.0,
                           centered_lane(layout, car), seed=0, sim=sim)
     n_roll = int(0.5 / sim.dt)
-    for frame in ev.frames[:n_roll]:
-        assert frame.values == tuple(base)
+    for row in ev.rssi[:n_roll]:
+        assert tuple(row) == tuple(base)
 
 
 def test_occlusion_duration_matches_geometry(layout, patterns, quiet_channel, app_config):
@@ -110,7 +112,7 @@ def test_occlusion_duration_matches_geometry(layout, patterns, quiet_channel, ap
     ev = simulate_passage(layout, quiet_channel, patterns, car, speed,
                           centered_lane(layout, car), seed=0)
     for j, link in enumerate(layout.links):
-        blocked = [i for i, f in enumerate(ev.frames) if f.values[j] < base[j] - 1e-6]
+        blocked = np.flatnonzero(ev.rssi[:, j] < base[j] - 1e-6)
         measured = (len(blocked)) * 0.01
         expected = (car.total_length + car.width * abs(link.delta_x) / layout.road_width) / speed
         assert measured == pytest.approx(expected, abs=0.02)
@@ -134,6 +136,16 @@ def test_true_metadata_recorded(layout, patterns, quiet_channel, app_config):
     assert ev.event_id == 17
     assert ev.label == "truck"
     assert ev.dt == pytest.approx(0.01)
+
+
+def test_trace_is_read_only_frames_by_links(layout, patterns, quiet_channel, app_config):
+    car = app_config.catalog["passenger car"]
+    ev = simulate_passage(layout, quiet_channel, patterns, car, 10.0,
+                          centered_lane(layout, car), seed=0)
+    assert ev.rssi.dtype == np.float64
+    assert ev.rssi.shape[1] == len(layout.links)
+    with pytest.raises(ValueError):
+        ev.rssi[0, 0] = 0.0
 
 
 # -- generate_dataset ---------------------------------------------------------
@@ -174,7 +186,7 @@ def test_event_traces_independent_of_mix(layout, patterns, app_config):
                            {"passenger car": 1, "truck": 2}, app_config.sim, seed=4)
     small = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                              {"passenger car": 1}, app_config.sim, seed=4)
-    assert big.events[0].frames == small.events[0].frames
+    assert np.array_equal(big.events[0].rssi, small.events[0].rssi)
     assert big.events[0].true_speed == small.events[0].true_speed
 
 
@@ -202,7 +214,78 @@ def test_dataset_round_trip(tmp_path, layout, patterns, app_config):
         assert a.event_id == b.event_id
         assert a.type_name == b.type_name
         assert a.true_speed == b.true_speed
-        assert a.frames == b.frames
+        assert np.array_equal(a.rssi, b.rssi)
     p2 = tmp_path / "ds2.jsonl"
     save_dataset(loaded, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config):
+    ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                          {"van": 1, "truck": 1}, app_config.sim, seed=6)
+    p = tmp_path / "ds.jsonl"
+    save_dataset(ds, p)
+    lines = p.read_text().splitlines()
+    assert lines[0] == dumps_compact(ds.metadata)
+    for ev, line in zip(ds.events, lines[1:]):
+        record = {
+            "event_id": ev.event_id, "type_name": ev.type_name, "label": ev.label,
+            "true_speed": ev.true_speed, "true_length": ev.true_length,
+            "lane_y": ev.lane_y, "dt": ev.dt, "fingerprint": ev.fingerprint,
+            "values": ev.rssi.tolist(),
+        }
+        assert line == dumps_compact(record)
+
+
+def _drop_dt(lines):
+    record = json.loads(lines[1])
+    del record["dt"]
+    lines[1] = json.dumps(record)
+
+
+def _ragged(lines):
+    record = json.loads(lines[1])
+    record["values"][3] = record["values"][3][:-1]
+    lines[1] = json.dumps(record)
+
+
+def _narrow(lines):
+    record = json.loads(lines[2])
+    record["values"] = [row[:-1] for row in record["values"]]
+    lines[2] = json.dumps(record)
+
+
+def _not_finite(lines):
+    record = json.loads(lines[1])
+    record["values"][5][2] = float("nan")
+    lines[1] = json.dumps(record)
+
+
+def _infinite_speed(lines):
+    record = json.loads(lines[1])
+    record["true_speed"] = float("inf")
+    lines[1] = json.dumps(record)
+
+
+def _short_by_one(lines):
+    del lines[2]
+
+
+def _string_dt(lines):
+    record = json.loads(lines[1])
+    record["dt"] = "0.01"
+    lines[1] = json.dumps(record)
+
+
+@pytest.mark.parametrize("mutate", [_drop_dt, _ragged, _narrow, _not_finite, _infinite_speed,
+                                    _short_by_one, _string_dt])
+def test_load_rejects_malformed_lines(tmp_path, layout, patterns, app_config, mutate):
+    ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                          {"passenger car": 2}, app_config.sim, seed=2)
+    p = tmp_path / "ds.jsonl"
+    save_dataset(ds, p)
+    lines = p.read_text().splitlines()
+    mutate(lines)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputDataError):
+        load_dataset(p)
