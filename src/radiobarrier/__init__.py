@@ -62,7 +62,6 @@ from .learn import (
     LengthThresholdClassifier,
     SvmClassifier,
     cross_validate,
-    evaluate,
     evaluate_predictions,
     load_model,
     mean_std,

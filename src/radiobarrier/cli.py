@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AppConfig, resolve_config
+from .config import resolve_config
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -78,7 +78,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _parse_mix(text: str, cfg: AppConfig) -> dict:
+def _parse_mix(text: str) -> dict:
     mix = {}
     for part in text.split(","):
         part = part.strip()
@@ -102,7 +102,7 @@ def _cmd_generate(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     patterns = cfg.build_patterns(layout)
-    mix = _parse_mix(args.mix, cfg) if args.mix else {t: 50 for t in cfg.catalog}
+    mix = _parse_mix(args.mix) if args.mix else {t: 50 for t in cfg.catalog}
     dataset = generate_dataset(
         layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
         seed=args.seed, jobs=args.jobs,
@@ -144,7 +144,7 @@ def _cmd_detect(args) -> int:
     records, summary = detect_dataset(dataset, layout, cfg.detection)
     out = _out_dir(args)
     target = out / "segments.jsonl"
-    save_segments(records, target)
+    save_segments(records, target, layout)
     _write_manifest(out, "detect", args, [args.dataset], [target])
     print(
         f"detected {summary.events_detected}/{summary.events_total} passages "
@@ -158,7 +158,7 @@ def _cmd_features(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     if args.segments:
-        records = load_segments(args.segments)
+        records = load_segments(args.segments, layout)
         source = args.segments
     elif args.dataset:
         dataset = load_dataset(args.dataset)
@@ -258,8 +258,6 @@ def _render_table(header, rows, markdown: bool) -> str:
 
 def _cmd_crossval(args) -> int:
     vectors = load_features_csv(args.table)
-    if not vectors:
-        raise InputDataError("feature table is empty")
     X = feature_matrix(vectors, args.feature_set)
     y = np.array([fv.label for fv in vectors])
     ids = [fv.event_id for fv in vectors]
@@ -302,8 +300,6 @@ def _split_train_test(vectors, test_fraction: float, seed: int):
 
 def _cmd_evaluate(args) -> int:
     vectors = load_features_csv(args.table)
-    if not vectors:
-        raise InputDataError("feature table is empty")
     train, test = _split_train_test(vectors, args.test_fraction, args.seed)
     if not train or not test:
         raise InputDataError("train/test split left an empty side")
@@ -357,7 +353,7 @@ def _cmd_study(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     patterns = cfg.build_patterns(layout)
-    mix = _parse_mix(args.mix, cfg) if args.mix else {t: 20 for t in cfg.catalog}
+    mix = _parse_mix(args.mix) if args.mix else {t: 20 for t in cfg.catalog}
     study = reflection_study(
         layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
         seed=args.seed, det_cfg=cfg.detection,

@@ -296,9 +296,8 @@ def cross_validate(
     factory: Callable[[], object],
     folds: int = 5,
     seed: int = 0,
-    stratified: bool = True,
 ) -> CvSummary:
-    """Seeded k-fold cross-validation; each event is tested exactly once.
+    """Seeded k-fold cross-validation, stratified by label; each event is tested exactly once.
 
     Rows are canonicalized by event id before the seeded shuffle, so
     permuting the input order changes nothing.  Standardization happens
@@ -318,15 +317,8 @@ def cross_validate(
 
     rng = np.random.default_rng(seed)
     fold_of = np.empty(n, dtype=int)
-    if stratified:
-        for label in sorted(set(y.tolist())):
-            idxs = np.flatnonzero(y == label)
-            perm = idxs.copy()
-            rng.shuffle(perm)
-            for pos, idx in enumerate(perm):
-                fold_of[idx] = pos % folds
-    else:
-        perm = np.arange(n)
+    for label in sorted(set(y.tolist())):
+        perm = np.flatnonzero(y == label)
         rng.shuffle(perm)
         for pos, idx in enumerate(perm):
             fold_of[idx] = pos % folds
@@ -413,11 +405,6 @@ def evaluate_predictions(y_true, y_pred, type_names) -> EvaluationReport:
         total=total,
         correct=correct,
     )
-
-
-def evaluate(model, X_test, y_test, type_names) -> EvaluationReport:
-    pred = model.predict(np.asarray(X_test, dtype=float))
-    return evaluate_predictions(y_test, pred, type_names)
 
 
 # ---------------------------------------------------------------------------

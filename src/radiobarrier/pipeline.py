@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, EstimationError, InputDataError
 from .geometry import LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
-from .simulator import Dataset, SimulationConfig, generate_dataset
+from .simulator import (Dataset, SimulationConfig, finite_array, generate_dataset,
+                        read_records, write_records)
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,33 @@ class LinkWindow:
     release_t: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSegment:
-    t_start: float
-    t_end: float
+    """Frames start .. start + len(rssi) - 1 of one event's trace.
+
+    `rssi` is a read-only float64 (frames x links) array, links in layout
+    order: a view into the event's trace when detected.  Frame i of the
+    event was sampled at t = i * dt.
+    """
+
+    start: int
     dt: float
     baselines: Tuple[float, ...]  # per link, layout order, frozen at onset
-    traces: Tuple[Tuple[float, ...], ...]  # per link slice over [t_start, t_end]
-    times: Tuple[float, ...]
+    rssi: np.ndarray
     windows: Tuple[LinkWindow, ...]  # only links that crossed the drop threshold
+
+    def __post_init__(self) -> None:
+        rssi = np.asarray(self.rssi, dtype=np.float64).view()
+        rssi.flags.writeable = False
+        object.__setattr__(self, "rssi", rssi)
+
+    @property
+    def t_start(self) -> float:
+        return self.start * self.dt
+
+    @property
+    def t_end(self) -> float:
+        return (self.start + len(self.rssi) - 1) * self.dt
 
     def window_for(self, link_id: int) -> Optional[LinkWindow]:
         for w in self.windows:
@@ -97,7 +116,7 @@ def detect_events(
 
     def close(end_index: int) -> None:
         nonlocal open_start, open_baselines
-        seg = _build_segment(rows, open_start, end_index, dt, open_baselines, layout, cfg)
+        seg = _build_segment(rssi, open_start, end_index, dt, open_baselines, layout, cfg)
         if seg.t_end - seg.t_start >= cfg.min_duration:
             segments.append(seg)
         open_start = None
@@ -131,29 +150,20 @@ def detect_events(
     return segments
 
 
-def _build_segment(rows, start, end, dt, baselines, layout, cfg) -> EventSegment:
-    times = tuple(i * dt for i in range(start, end + 1))
-    traces = tuple(zip(*rows[start:end + 1]))  # per link
+def _build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment:
+    frames = rssi[start:end + 1]
+    levels = np.array(baselines)
+    dropped = frames <= levels - cfg.drop_threshold
+    held = frames <= levels - cfg.release_threshold  # true wherever dropped is
     windows = []
     for j, link in enumerate(layout.links):
-        onset = None
-        last_below_release = None
-        for k, v in enumerate(traces[j]):
-            if onset is None and v <= baselines[j] - cfg.drop_threshold:
-                onset = times[k]
-            if v <= baselines[j] - cfg.release_threshold:
-                last_below_release = times[k]
-        if onset is not None and last_below_release is not None:
-            windows.append(LinkWindow(link.id, onset, last_below_release + dt))
-    return EventSegment(
-        t_start=times[0],
-        t_end=times[-1],
-        dt=dt,
-        baselines=baselines,
-        traces=traces,
-        times=times,
-        windows=tuple(windows),
-    )
+        onsets = np.flatnonzero(dropped[:, j])
+        if onsets.size:
+            last = int(np.flatnonzero(held[:, j])[-1])
+            windows.append(LinkWindow(link.id, (start + int(onsets[0])) * dt,
+                                      (start + last) * dt + dt))
+    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames,
+                        windows=tuple(windows))
 
 
 def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
@@ -202,14 +212,14 @@ def drop_magnitude(trace: Sequence[float], baseline: float) -> float:
     """Depth of the deepest dip below baseline, in dB, clamped at 0."""
     if len(trace) == 0:
         raise InputDataError("empty trace slice")
-    return max(0.0, baseline - min(trace))
+    return max(0.0, baseline - float(np.min(trace)))
 
 
 def event_drop_magnitude(segment: EventSegment, layout: SensorLayout,
                          links_used: str = "direct") -> float:
     """Per-event drop: largest per-link drop over the cross-street links."""
     indices = _link_indices(layout, links_used)
-    return max(drop_magnitude(segment.traces[j], segment.baselines[j]) for j in indices)
+    return max(drop_magnitude(segment.rssi[:, j], segment.baselines[j]) for j in indices)
 
 
 def _link_indices(layout: SensorLayout, links_used: str) -> List[int]:
@@ -278,9 +288,9 @@ def extract_features(
     profile: List[float] = []
     if cfg.include_rssi:
         grid = np.linspace(segment.t_start, segment.t_end, cfg.resample_points)
-        times = np.asarray(segment.times)
+        times = (segment.start + np.arange(len(segment.rssi), dtype=np.float64)) * segment.dt
         for j in _link_indices(layout, cfg.links_used):
-            drops = np.maximum(0.0, segment.baselines[j] - np.asarray(segment.traces[j]))
+            drops = np.maximum(0.0, segment.baselines[j] - segment.rssi[:, j])
             profile.extend(float(x) for x in np.interp(grid, times, drops))
     return FeatureVector(
         event_id=event_id,
@@ -319,6 +329,10 @@ def featurize_dataset(
 # Segment serialization: one header line, then one detected segment per line.
 
 SEGMENTS_FORMAT = "radiobarrier-segments"
+SEGMENTS_VERSION = 2
+# Keys of a segment line besides its "values" matrix, with their types.
+_SEGMENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "n_segments": int,
+                   "start_index": int, "dt": float, "baselines": list, "windows": dict}
 
 
 @dataclass(frozen=True)
@@ -338,12 +352,7 @@ def detect_dataset(
     det_cfg: DetectionConfig = DetectionConfig(),
 ) -> Tuple[List[SegmentRecord], DetectionSummary]:
     """Run detection over every event of a dataset recorded with this layout's links."""
-    link_ids = [link.id for link in layout.links]
-    if dataset.metadata["link_ids"] != link_ids:
-        raise ConfigurationError(
-            f"dataset was recorded on links {dataset.metadata['link_ids']}, "
-            f"the configured layout has links {link_ids}"
-        )
+    _layout_link_ids("dataset", dataset.metadata["link_ids"], layout)
     records: List[SegmentRecord] = []
     detected = 0
     segs = 0
@@ -368,72 +377,51 @@ def detect_dataset(
     return records, summary
 
 
-def save_segments(records: Sequence[SegmentRecord], path) -> None:
-    from .simulator import dumps_compact
-
-    path = Path(path)
-    lines = [dumps_compact({"format": SEGMENTS_FORMAT, "version": 1, "count": len(records)})]
-    for rec in records:
-        seg = rec.segment
-        start_index = int(round(seg.t_start / seg.dt))
-        lines.append(
-            dumps_compact(
-                {
-                    "event_id": rec.event_id,
-                    "type_name": rec.type_name,
-                    "label": rec.label,
-                    "n_segments": rec.n_segments,
-                    "dt": seg.dt,
-                    "start_index": start_index,
-                    "baselines": list(seg.baselines),
-                    "traces": [list(t) for t in seg.traces],
-                    "windows": {
-                        str(w.link_id): [w.onset_t, w.release_t] for w in seg.windows
-                    },
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
+    expected = [link.id for link in layout.links]
+    if link_ids != expected:
+        raise ConfigurationError(f"{source} was recorded on links {link_ids}, "
+                                 f"the configured layout has links {expected}")
+    return expected
 
 
-def load_segments(path) -> List[SegmentRecord]:
-    import json
+def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout) -> None:
+    header = {"format": SEGMENTS_FORMAT, "version": SEGMENTS_VERSION,
+              "link_ids": [link.id for link in layout.links], "event_count": len(records)}
+    write_records(path, header, (
+        ({
+            "event_id": rec.event_id,
+            "type_name": rec.type_name,
+            "label": rec.label,
+            "n_segments": rec.n_segments,
+            "start_index": rec.segment.start,
+            "dt": rec.segment.dt,
+            "baselines": list(rec.segment.baselines),
+            "windows": {str(w.link_id): [w.onset_t, w.release_t] for w in rec.segment.windows},
+        }, rec.segment.rssi)
+        for rec in records
+    ))
 
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"segments file {path} does not exist")
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise InputDataError(f"{path} is empty")
-    header = json.loads(lines[0])
-    if header.get("format") != SEGMENTS_FORMAT:
-        raise InputDataError(f"{path} is not a {SEGMENTS_FORMAT} file")
+
+def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
+    """Read a segments file detected on this layout's links."""
+    header, lines = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
+    link_ids = _layout_link_ids(f"segments file {path}", header["link_ids"], layout)
     records = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        dt = raw["dt"]
-        i0 = raw["start_index"]
-        n = len(raw["traces"][0]) if raw["traces"] else 0
-        times = tuple((i0 + k) * dt for k in range(n))
-        segment = EventSegment(
-            t_start=times[0],
-            t_end=times[-1],
-            dt=dt,
-            baselines=tuple(raw["baselines"]),
-            traces=tuple(tuple(t) for t in raw["traces"]),
-            times=times,
-            windows=tuple(
-                LinkWindow(int(link_id), onset, release)
-                for link_id, (onset, release) in sorted(
-                    raw["windows"].items(), key=lambda kv: int(kv[0])
-                )
-            ),
+    for where, raw, values in lines:
+        unknown = sorted(set(raw["windows"]) - set(map(str, link_ids)))
+        if unknown:
+            raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
+        windows = tuple(
+            LinkWindow(link_id, *finite_array(where, f"window {link_id}",
+                                              raw["windows"][str(link_id)], (2,)).tolist())
+            for link_id in link_ids if str(link_id) in raw["windows"]
         )
-        records.append(
-            SegmentRecord(raw["event_id"], raw["type_name"], raw["label"], segment, raw["n_segments"])
-        )
+        baselines = finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
+        segment = EventSegment(start=raw["start_index"], dt=raw["dt"],
+                               baselines=tuple(baselines.tolist()), rssi=values, windows=windows)
+        records.append(SegmentRecord(raw["event_id"], raw["type_name"], raw["label"], segment,
+                                     raw["n_segments"]))
     return records
 
 
@@ -480,33 +468,35 @@ def save_features_csv(vectors: Sequence[FeatureVector], path) -> None:
 
 
 def load_features_csv(path) -> List[FeatureVector]:
+    """Read a non-empty feature table, rejecting any row that does not fit its header."""
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"feature table {path} does not exist")
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputDataError(f"cannot read feature table {path}: {exc}") from exc
+    header = rows[0] if rows else []
+    expected = ["event_id", "type_name", "label", "est_speed", "est_length", "drop_magnitude"]
+    if header[: len(expected)] != expected:
+        raise InputDataError(f"{path} is not a feature table")
     vectors = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            raise InputDataError(f"{where}: {len(row)} cells under a {len(header)}-column header")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputDataError(f"{path} is empty") from None
-        expected = ["event_id", "type_name", "label", "est_speed", "est_length", "drop_magnitude"]
-        if header[: len(expected)] != expected:
-            raise InputDataError(f"{path} is not a feature table")
-        for row in reader:
-            if not row:
-                continue
-            vectors.append(
-                FeatureVector(
-                    event_id=int(row[0]),
-                    type_name=row[1],
-                    label=row[2],
-                    est_speed=float(row[3]),
-                    est_length=float(row[4]),
-                    drop_magnitude=float(row[5]),
-                    rssi_profile=tuple(float(x) for x in row[6:]),
-                )
-            )
+            event_id = int(row[0])
+            numbers = [float(x) for x in row[3:]]
+        except ValueError as exc:
+            raise InputDataError(f"{where}: {exc}") from None
+        if not all(math.isfinite(x) for x in numbers):
+            raise InputDataError(f"{where}: a feature is not finite")
+        speed, length, drop, *profile = numbers
+        vectors.append(FeatureVector(event_id, row[1], row[2], speed, length, drop, tuple(profile)))
+    if not vectors:
+        raise InputDataError(f"feature table {path} has no rows")
     return vectors
 
 

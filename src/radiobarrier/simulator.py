@@ -13,7 +13,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -252,16 +252,14 @@ def generate_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one metadata header line, then one event per line.  Floats
-# are rendered with 17 significant digits so files reproduce byte-for-byte.
+# Serialization: one header line, then one record per line.  Floats are
+# rendered with 17 significant digits so files reproduce byte-for-byte.
 
 def dumps_compact(value) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys."""
-    if isinstance(value, bool) or value is None or isinstance(value, int):
-        return json.dumps(value)
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, str)):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(dumps_compact(v) for v in value) + "]"
@@ -271,20 +269,18 @@ def dumps_compact(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-# Keys of an event line besides its "values" matrix, with their types.
-_EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
-                 "true_length": float, "lane_y": float, "dt": float, "fingerprint": str}
+def write_records(path, header: Mapping, records: Iterable[Tuple[Mapping, np.ndarray]]) -> None:
+    """Write `header`, then one line per (fields, matrix) record.
 
-
-def save_dataset(dataset: Dataset, path) -> None:
-    lines = [dumps_compact(dataset.metadata)]
-    for ev in dataset.events:
-        n_frames, n_links = ev.rssi.shape
-        row = "[" + ",".join(["%.17g"] * n_links) + "]"
-        values = ("[" + ",".join([row] * n_frames) + "]") % tuple(ev.rssi.ravel().tolist())
-        head = dumps_compact({key: getattr(ev, key) for key in _EVENT_FIELDS})
-        # "values" sorts after every other key, so it closes the object
-        lines.append(head[:-1] + ',"values":' + values + "}")
+    Each line is `fields` as `dumps_compact` renders it, closed by the
+    (rows x links) matrix under "values", rendered through one row template.
+    """
+    lines = [dumps_compact(header)]
+    for fields, matrix in records:
+        n_rows, n_cols = matrix.shape
+        row = "[" + ",".join(["%.17g"] * n_cols) + "]"
+        values = ("[" + ",".join([row] * n_rows) + "]") % tuple(matrix.ravel().tolist())
+        lines.append(dumps_compact(fields)[:-1] + ',"values":' + values + "}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -295,27 +291,48 @@ def _check_field(where: str, key: str, value, kind: type) -> None:
         raise InputDataError(f"{where}: {key} is not finite")
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file, rejecting any line that does not fit its header."""
+def finite_array(where: str, key: str, value, shape: Tuple[Optional[int], ...]) -> np.ndarray:
+    """`value` as a finite float64 array of `shape`, where None matches any length."""
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
+        raise InputDataError(f"{where}: {key} is not numeric: {exc}") from exc
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise InputDataError(f"{where}: {key} of shape {array.shape} does not fit {shape}")
+    if not np.isfinite(array).all():
+        raise InputDataError(f"{where}: {key} holds a non-finite number")
+    return array
+
+
+def read_records(path, format_name: str, version: int, fields: Mapping[str, type]):
+    """Read a file written by `write_records`, rejecting any line that does not fit its header.
+
+    The header must name `format_name` at `version`, list the `link_ids` and
+    count the records in `event_count`.  Every line must hold each key of
+    `fields` with a value of its type, and a finite "values" matrix with one
+    column per link.  Returns the header and, per line, its location for
+    messages, its `fields` and its matrix.
+    """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not text
-        raise InputDataError(f"cannot read dataset file {path}: {exc}") from exc
+        raise InputDataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise InputDataError(f"{path} is empty")
     try:
-        metadata = json.loads(lines[0])
+        header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: bad metadata line: {exc}") from exc
-    if not isinstance(metadata, dict) or metadata.get("format") != FORMAT_NAME:
-        raise InputDataError(f"{path} is not a {FORMAT_NAME} file")
-    link_ids = metadata.get("link_ids")
+        raise InputDataError(f"{path}: bad header line: {exc}") from exc
+    if not (isinstance(header, dict) and header.get("format") == format_name
+            and header.get("version") == version):
+        raise InputDataError(f"{path} is not a {format_name} file of version {version}")
+    link_ids = header.get("link_ids")
     if not isinstance(link_ids, list) or not link_ids:
         raise InputDataError(f"{path}: header lacks the list of link_ids")
-    _check_field(f"{path}: header", "event_count", metadata.get("event_count"), int)
+    _check_field(f"{path}: header", "event_count", header.get("event_count"), int)
 
-    events = []
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -323,26 +340,36 @@ def load_dataset(path) -> Dataset:
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise InputDataError(f"{where}: bad event line: {exc}") from exc
+            raise InputDataError(f"{where}: bad record line: {exc}") from exc
         if not isinstance(raw, dict):
-            raise InputDataError(f"{where}: an event line must be a JSON object")
-        missing = [key for key in (*_EVENT_FIELDS, "values") if key not in raw]
+            raise InputDataError(f"{where}: a record line must be a JSON object")
+        missing = [key for key in (*fields, "values") if key not in raw]
         if missing:
-            raise InputDataError(f"{where}: event line lacks {', '.join(missing)}")
-        for key, kind in _EVENT_FIELDS.items():
+            raise InputDataError(f"{where}: record line lacks {', '.join(missing)}")
+        for key, kind in fields.items():
             _check_field(where, key, raw[key], kind)
-        try:
-            rssi = np.array(raw["values"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
-            raise InputDataError(f"{where}: values are not a numeric matrix: {exc}") from exc
-        if rssi.ndim != 2 or rssi.shape[1] != len(link_ids):
-            raise InputDataError(f"{where}: values of shape {rssi.shape} are not rows of "
-                                 f"{len(link_ids)} link values")
-        if not np.isfinite(rssi).all():
-            raise InputDataError(f"{where}: values hold a non-finite number")
-        events.append(PassageEvent(rssi=rssi, **{key: raw[key] for key in _EVENT_FIELDS}))
-    if len(events) != metadata["event_count"]:
+        values = finite_array(where, "values", raw["values"], (None, len(link_ids)))
+        records.append((where, {key: raw[key] for key in fields}, values))
+    if len(records) != header["event_count"]:
         raise InputDataError(
-            f"{path}: header announces {metadata['event_count']} events, file holds {len(events)}"
+            f"{path}: header announces {header['event_count']} records, file holds {len(records)}"
         )
-    return Dataset(events=tuple(events), metadata=metadata)
+    return header, records
+
+
+# Keys of an event line besides its "values" matrix, with their types.
+_EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
+                 "true_length": float, "lane_y": float, "dt": float, "fingerprint": str}
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    write_records(path, dataset.metadata,
+                  (({key: getattr(ev, key) for key in _EVENT_FIELDS}, ev.rssi)
+                   for ev in dataset.events))
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset file, rejecting any line that does not fit its header."""
+    metadata, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
+    events = tuple(PassageEvent(rssi=values, **fields) for _, fields, values in records)
+    return Dataset(events=events, metadata=metadata)

@@ -17,9 +17,11 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Dataset + features generated once for the read-only CLI tests."""
+    """Dataset, segments and features generated once for the read-only CLI tests."""
     root = tmp_path_factory.mktemp("cli")
     assert run(["generate", "--out", str(root / "gen"), "--mix", MIX, "--seed", "21"]) == 0
+    assert run(["detect", "--dataset", str(root / "gen" / "dataset.jsonl"),
+                "--out", str(root / "det")]) == 0
     assert run(["features", "--dataset", str(root / "gen" / "dataset.jsonl"),
                 "--out", str(root / "feat")]) == 0
     return root
@@ -192,12 +194,90 @@ def test_detect_with_other_layout_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "out" / "segments.jsonl").exists()
 
 
+def _edit_line(source, target, index, edit):
+    lines = source.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def _edit_record(edit):
+    def edit_line(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+    return edit_line
+
+
+@pytest.mark.parametrize("index, edit, needle", [
+    (1, _edit_record(lambda r: r.pop("dt")), "dt"),
+    (0, lambda line: line[:-1], "header"),
+    (1, _edit_record(lambda r: r["windows"].update({"10": [1.0, 1.2]})), "windows"),
+], ids=["line_without_dt", "header_not_json", "window_of_unknown_link"])
+def test_features_on_bad_segments_exits_3(workspace, tmp_path, capsys, index, edit, needle):
+    broken = _edit_line(workspace / "det" / "segments.jsonl", tmp_path / "segments.jsonl",
+                        index, edit)
+    code = run(["features", "--segments", str(broken), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and needle in err
+
+
+def test_features_on_segments_from_other_layout_exits_2(workspace, tmp_path, capsys):
+    config = tmp_path / "two_posts.ini"
+    config.write_text("[layout]\nnodes_per_side = 2\n")
+    code = run(["features", "--config", str(config),
+                "--segments", str(workspace / "det" / "segments.jsonl"),
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
+def _set_cell(column, value):
+    def edit(line):
+        cells = line.split(",")
+        cells[column] = value
+        return ",".join(cells)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_cell(7, "abc"),  # f_1
+    _set_cell(7, "inf"),
+    _set_cell(0, "1.5"),  # event_id
+    lambda line: line.rsplit(",", 1)[0],
+], ids=["f_1_not_a_number", "f_1_infinite", "event_id_not_an_integer", "row_too_short"])
+def test_crossval_on_bad_feature_row_exits_3(workspace, tmp_path, capsys, edit):
+    table = workspace / "feat" / "features.csv"
+    assert table.read_text().split(",")[7] == "f_1"
+    broken = _edit_line(table, tmp_path / "features.csv", 1, edit)
+    code = run(["crossval", "--table", str(broken)])
+    assert code == 3
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
-def two_event_lines(tmp_path_factory):
+def mutable_lines(tmp_path_factory):
+    """The lines of a 4-event dataset and of its segments and feature table.
+
+    Two events per label let the unchanged table fill a stratified 2-fold split.
+    """
     root = tmp_path_factory.mktemp("fuzz")
-    assert run(["generate", "--out", str(root), "--mix", "passenger car=1,truck=1",
+    assert run(["generate", "--out", str(root), "--mix", "passenger car=2,truck=2",
                 "--seed", "3"]) == 0
-    return (root / "dataset.jsonl").read_text().splitlines()
+    assert run(["detect", "--dataset", str(root / "dataset.jsonl"), "--out", str(root)]) == 0
+    assert run(["features", "--segments", str(root / "segments.jsonl"),
+                "--out", str(root)]) == 0
+    return {name: (root / name).read_text().splitlines() for name in FUZZED}
+
+
+# File -> the command that reads it and the exit codes it may end with.
+FUZZED = {
+    "dataset.jsonl": (["detect", "--dataset"], (0, 2, 3)),
+    "segments.jsonl": (["features", "--segments"], (0, 2, 3, 4)),
+    "features.csv": (["crossval", "--folds", "2", "--k", "1", "--table"], (0, 2, 3, 4)),
+}
 
 
 JSON_VALUES = st.recursive(
@@ -219,6 +299,14 @@ def _mutate(lines, data):
         del out[i]
     elif kind == "cut":
         out[i] = out[i][: data.draw(st.integers(0, len(out[i])))]
+    elif not out[i].startswith("{"):  # a feature table row: rewrite or delete one cell
+        cells = out[i].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1))
+        if kind == "del_key":
+            del cells[col]
+        else:
+            cells[col] = str(data.draw(JSON_VALUES))
+        out[i] = ",".join(cells)
     else:
         record = json.loads(out[i])
         if kind == "cell" and "values" in record:
@@ -238,14 +326,16 @@ def _mutate(lines, data):
     return out
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+@settings(max_examples=120, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_detect_on_mutated_dataset_exits_cleanly(two_event_lines, capsys, data):
-    lines = _mutate(two_event_lines, data)
+def test_detect_on_mutated_dataset_exits_cleanly(mutable_lines, capsys, data):
+    name = data.draw(st.sampled_from(sorted(FUZZED)), label="file")
+    command, exits = FUZZED[name]
+    lines = _mutate(mutable_lines[name], data)
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = Path(tmp) / "dataset.jsonl"
-        dataset.write_text("\n".join(lines) + "\n")
-        code = run(["detect", "--dataset", str(dataset), "--out", str(Path(tmp) / "out")])
+        path = Path(tmp) / name
+        path.write_text("\n".join(lines) + "\n")
+        code = run([*command, str(path), "--out", str(Path(tmp) / "out")])
     capsys.readouterr()
-    assert code in (0, 2, 3)
+    assert code in exits

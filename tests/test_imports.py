@@ -1,0 +1,23 @@
+import ast
+import sys
+from pathlib import Path
+
+import radiobarrier
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "radiobarrier"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one declared runtime dependency; the learners are from scratch
+    foreign = []
+    for path in sorted(Path(radiobarrier.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in ALLOWED]
+    assert foreign == []

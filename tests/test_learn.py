@@ -11,7 +11,6 @@ from radiobarrier.learn import (
     LengthThresholdClassifier,
     SvmClassifier,
     cross_validate,
-    evaluate,
     evaluate_predictions,
     format_percent,
     load_model,
@@ -314,7 +313,7 @@ def test_evaluate_with_model():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array(["passenger_car"] * 2 + ["truck"] * 2)
     model = KnnClassifier(k=1).fit(X, y)
-    report = evaluate(model, X, y, ["van", "van", "truck", "truck"])
+    report = evaluate_predictions(y, model.predict(X), ["van", "van", "truck", "truck"])
     assert report.overall_rate == 1.0
 
 

@@ -62,11 +62,25 @@ def test_single_car_yields_one_segment(layout, patterns, quiet_channel, app_conf
     assert len(segments) == 1
     seg = segments[0]
     base = baseline_rssi(layout, quiet_channel, patterns)
-    trough = min(min(t) for t in seg.traces)
+    trough = seg.rssi.min()
     assert trough < min(base) - 10.0
     # every link window sits inside the overall segment
     for w in seg.windows:
         assert seg.t_start <= w.onset_t < w.release_t <= seg.t_end + seg.dt
+
+
+def test_detected_segment_is_a_read_only_slice_of_the_event(layout, patterns, quiet_channel,
+                                                            app_config):
+    ev = passage(layout, patterns, quiet_channel, app_config.catalog["passenger car"])
+    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
+    n = len(seg.rssi)
+    assert seg.rssi.shape == (n, len(layout.links))
+    assert not seg.rssi.flags.writeable
+    with pytest.raises(ValueError):
+        seg.rssi[0, 0] = 0.0
+    assert np.array_equal(seg.rssi, ev.rssi[seg.start:seg.start + n])
+    assert seg.t_start == seg.start * ev.dt
+    assert seg.t_end == (seg.start + n - 1) * ev.dt
 
 
 def test_truck_bridged_into_single_segment(signature_layout, signature_patterns,
@@ -127,12 +141,10 @@ def test_restricted_topology_pipeline(app_config, quiet_channel):
 # -- estimators -------------------------------------------------------------------
 
 def synthetic_segment(windows, dt=0.01, n_links=9):
-    times = tuple(i * dt for i in range(100))
     return EventSegment(
-        t_start=0.0, t_end=times[-1], dt=dt,
+        start=0, dt=dt,
         baselines=tuple([-40.0] * n_links),
-        traces=tuple(tuple([-40.0] * len(times)) for _ in range(n_links)),
-        times=times,
+        rssi=np.full((100, n_links), -40.0),
         windows=tuple(windows),
     )
 
@@ -220,14 +232,13 @@ def test_drop_magnitude_empty_rejected():
 
 def test_resample_constant_drop(layout):
     n = 50
-    times = tuple(i * 0.01 for i in range(n))
     seg = EventSegment(
-        t_start=0.0, t_end=times[-1], dt=0.01,
+        start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
-        traces=tuple(tuple([-50.0] * n) for _ in range(9)),
-        times=times,
-        windows=(LinkWindow(1, 0.0, times[-1]),),
+        rssi=np.full((n, 9), -50.0),
+        windows=(LinkWindow(1, 0.0, (n - 1) * 0.01),),
     )
+    assert seg.t_start == 0.0 and seg.t_end == (n - 1) * 0.01
     fv = extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
     assert len(fv.rssi_profile) == 9 * 32
     assert all(x == pytest.approx(10.0) for x in fv.rssi_profile)
@@ -235,15 +246,14 @@ def test_resample_constant_drop(layout):
 
 
 def test_resample_two_points_are_endpoints(layout):
-    times = (0.0, 0.01, 0.02, 0.03)
-    drops = (1.0, 5.0, 7.0, 2.0)
+    drops = np.array([1.0, 5.0, 7.0, 2.0])
     seg = EventSegment(
-        t_start=0.0, t_end=0.03, dt=0.01,
+        start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
-        traces=tuple(tuple(-40.0 - d for d in drops) for _ in range(9)),
-        times=times,
+        rssi=np.tile(-40.0 - drops[:, None], (1, 9)),
         windows=(LinkWindow(1, 0.0, 0.03),),
     )
+    assert seg.t_start == 0.0 and seg.t_end == 0.03
     cfg = FeatureConfig(resample_points=2)
     fv = extract_features(seg, 10.0, 4.5, cfg, layout)
     per_link = fv.rssi_profile[:2]
@@ -275,12 +285,12 @@ def test_feature_config_validation():
 
 def test_degenerate_segment_rejected(layout):
     seg = EventSegment(
-        t_start=1.0, t_end=1.0, dt=0.01,
+        start=100, dt=0.01,
         baselines=tuple([-40.0] * 9),
-        traces=tuple((-50.0,) for _ in range(9)),
-        times=(1.0,),
+        rssi=np.full((1, 9), -50.0),
         windows=(),
     )
+    assert seg.t_start == seg.t_end == 1.0
     with pytest.raises(InputDataError):
         extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
 
@@ -298,13 +308,16 @@ def test_segments_round_trip(tmp_path, layout, patterns, app_config):
     records, summary = detect_dataset(ds, layout, DET)
     assert summary.events_detected == 4
     p = tmp_path / "segments.jsonl"
-    save_segments(records, p)
-    loaded = load_segments(p)
+    save_segments(records, p, layout)
+    loaded = load_segments(p, layout)
     assert len(loaded) == len(records)
     for a, b in zip(records, loaded):
         assert a.event_id == b.event_id
-        assert a.segment.times == b.segment.times
-        assert a.segment.traces == b.segment.traces
+        assert a.segment.start == b.segment.start
+        assert a.segment.t_start == b.segment.t_start
+        assert a.segment.t_end == b.segment.t_end
+        assert np.array_equal(a.segment.rssi, b.segment.rssi)
+        assert not b.segment.rssi.flags.writeable
         assert a.segment.windows == b.segment.windows
     # features computed from loaded segments match the direct path
     direct = featurize_records(records, layout)
