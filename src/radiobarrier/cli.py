@@ -69,7 +69,8 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    path = out_dir / f"manifest.{command}.json"  # one per command: a shared --out keeps all
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _out_dir(args) -> Path:

@@ -3,21 +3,30 @@
 Detection is threshold-with-hysteresis against a rolling per-link baseline:
 a segment opens when any link falls drop_threshold below its baseline and
 closes once every link has recovered to within release_threshold.  Baselines
-are medians over a trailing window of vehicle-free samples and freeze while
-a segment is open, so the trough itself never contaminates them.
+are medians over the last `window` vehicle-free ("quiet") frames and freeze
+while a segment is open, so the trough itself never contaminates them.
+
+The quiet frames are the stream minus each [onset, close) span, so detection
+takes one Python step per segment: it reads look-ahead blocks behind the last
+`window` quiet frames, doubling from a few windows and restarting after every
+segment, and takes medians only where some link is at or below the block's
+per-link max minus drop_threshold.  That screen is exact: no window's median
+exceeds the block max, and rounding x - drop_threshold is monotonic in x.
+The release is the first later frame with every link back within
+release_threshold; the next quiet window is the one before the onset plus
+the closing frame.
 """
 from __future__ import annotations
 
 import csv
 import math
-import statistics
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, InputDataError
 from .geometry import LABELS, SensorLayout, VehicleSpec
@@ -95,6 +104,9 @@ def detect_events(
         raise ConfigurationError(
             f"stream of shape {rssi.shape} does not have one column per layout link ({n_links})"
         )
+    if not np.isfinite(rssi).all():
+        frame, j = np.argwhere(~np.isfinite(rssi))[0]
+        raise InputDataError(f"stream frame {frame}, link {layout.links[j].id} is not finite")
     if not dt > 0 or not math.isfinite(cfg.baseline_window / dt):
         raise InputDataError(f"stream dt {dt} s is not a usable positive sampling step")
     if cfg.min_duration < dt:
@@ -108,46 +120,53 @@ def detect_events(
             f"{window}-sample baseline window"
         )
 
-    rows = rssi.tolist()
-    quiet: List[deque] = [deque(maxlen=window) for _ in range(n_links)]
     segments: List[EventSegment] = []
-    open_start: Optional[int] = None
-    open_baselines: Optional[Tuple[float, ...]] = None
-
-    def close(end_index: int) -> None:
-        nonlocal open_start, open_baselines
-        seg = _build_segment(rssi, open_start, end_index, dt, open_baselines, layout, cfg)
+    quiet, cursor = rssi[:window], window  # the last `window` quiet frames before the cursor
+    while (found := _find_onset(rssi, cursor, quiet, cfg.drop_threshold)) is not None:
+        onset, baselines, behind = found
+        # the release: the first later frame with every link back within release_threshold
+        floor = baselines - cfg.release_threshold
+        close = next((lo + int(np.argmax(up))
+                      for lo, hi in _blocks(onset + 1, len(rssi), 4 * window)
+                      if (up := (rssi[lo:hi] >= floor).all(axis=1)).any()), None)
+        seg = _build_segment(rssi, onset, len(rssi) - 1 if close is None else close, dt,
+                             tuple(baselines.tolist()), layout, cfg)
         if seg.t_end - seg.t_start >= cfg.min_duration:
             segments.append(seg)
-        open_start = None
-        open_baselines = None
-
-    for i, values in enumerate(rows):
-        if open_start is None:
-            seeded = all(len(q) == window for q in quiet)
-            if seeded:
-                baselines = tuple(statistics.median(q) for q in quiet)
-                if any(
-                    values[j] <= baselines[j] - cfg.drop_threshold
-                    for j in range(n_links)
-                ):
-                    open_start = i
-                    open_baselines = baselines
-                    continue
-            for j in range(n_links):
-                quiet[j].append(values[j])
-        else:
-            recovered = all(
-                values[j] >= open_baselines[j] - cfg.release_threshold
-                for j in range(n_links)
-            )
-            if recovered:
-                close(i)
-                for j in range(n_links):
-                    quiet[j].append(values[j])
-    if open_start is not None:
-        close(len(rows) - 1)
+        if close is None:
+            break
+        # [onset, close) never enters the quiet buffer; the closing frame does
+        quiet, cursor = np.concatenate([behind[1:], rssi[close:close + 1]]), close + 1
     return segments
+
+
+def _blocks(start: int, stop: int, size: int):
+    """[lo, hi) spans covering start..stop, the first `size` long, each twice the last."""
+    while start < stop:
+        yield start, min(start + size, stop)
+        start, size = start + size, 2 * size
+
+
+def _find_onset(rssi, start, quiet, drop):
+    """First frame from `start` on with a link `drop` below the median of the
+    len(quiet) quiet frames before it, `quiet` being those before `start`.
+    Returns (onset, baselines, the frames behind the baselines), or None."""
+    window = len(quiet)
+    for lo, hi in _blocks(start, len(rssi), 4 * window):
+        stream = np.concatenate([quiet, rssi[lo:hi]])
+        behind = sliding_window_view(stream[:-1], window, axis=0)  # k: frames before lo + k
+        values = stream[window:]
+        # exact screen: no window's median exceeds the block's max
+        candidates = np.flatnonzero((values <= stream.max(axis=0) - drop).any(axis=1))
+        for c_lo, c_hi in _blocks(0, len(candidates), 4):
+            ks = candidates[c_lo:c_hi]
+            medians = np.median(behind[ks], axis=-1)
+            hits = np.flatnonzero((values[ks] <= medians - drop).any(axis=1))
+            if hits.size:
+                k = int(ks[hits[0]])
+                return lo + k, medians[hits[0]], stream[k:k + window]
+        quiet = stream[-window:]
+    return None
 
 
 def _build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment:

@@ -47,11 +47,19 @@ def test_generate_jobs_flag_is_byte_identical(tmp_path):
 
 
 def test_manifest_written(workspace):
-    manifest = json.loads((workspace / "gen" / "manifest.json").read_text())
+    manifest = json.loads((workspace / "gen" / "manifest.generate.json").read_text())
     assert manifest["command"] == "generate"
     assert manifest["seed"] == 21
     assert manifest["outputs"]
     assert "version" in manifest
+
+
+def test_each_command_keeps_its_manifest(tmp_path):
+    out = str(tmp_path)
+    assert run(["generate", "--out", out, "--mix", "passenger car=1", "--seed", "3"]) == 0
+    assert run(["detect", "--dataset", str(tmp_path / "dataset.jsonl"), "--out", out]) == 0
+    manifests = {p.name: json.loads(p.read_text())["command"] for p in tmp_path.glob("manifest*")}
+    assert manifests == {"manifest.generate.json": "generate", "manifest.detect.json": "detect"}
 
 
 def test_baseline_prints_table(capsys):

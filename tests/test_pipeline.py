@@ -107,6 +107,18 @@ def test_stream_shorter_than_baseline_window(layout):
         detect_events(np.tile([0.0] * 9, (10, 1)), 0.01, layout, DET)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_samples_rejected(layout, patterns, quiet_channel, app_config, bad):
+    # a NaN never compares >= the release floor: it held a passage open to the end
+    ev = passage(layout, patterns, quiet_channel, app_config.catalog["passenger car"])
+    for frames, first in ((slice(None), 0), (slice(7, 8), 7)):
+        stream = ev.rssi.copy()
+        stream[frames, 3] = bad
+        where = f"frame {first}, link {layout.links[3].id} is not finite"
+        with pytest.raises(InputDataError, match=where):
+            detect_events(stream, ev.dt, layout, DET)
+
+
 def test_detection_config_validation():
     with pytest.raises(ConfigurationError):
         DetectionConfig(drop_threshold=3.0, release_threshold=3.0)
