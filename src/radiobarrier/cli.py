@@ -61,7 +61,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     inputs: list, outputs: list) -> None:
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config": getattr(args, "config", None),
         "seed": getattr(args, "seed", None),
         "inputs": [str(p) for p in inputs],
@@ -145,7 +145,7 @@ def _cmd_detect(args) -> int:
     records, summary = detect_dataset(dataset, layout, cfg.detection)
     out = _out_dir(args)
     target = out / "segments.jsonl"
-    save_segments(records, target, layout)
+    save_segments(records, target, layout, args.dataset)
     _write_manifest(out, "detect", args, [args.dataset], [target])
     print(
         f"detected {summary.events_detected}/{summary.events_total} passages "
@@ -501,10 +501,12 @@ def _env_seed(default: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args.argv = argv  # what the manifest records
     try:
         return args.func(args)
     except ConfigurationError as exc:

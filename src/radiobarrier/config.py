@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple
 
@@ -35,6 +34,12 @@ class AntennaConfig:
     azimuth_beamwidth: float = 60.0  # deg
     elevation_beamwidth: float = 30.0  # deg
     downtilt: float = 5.0  # deg
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("omni", "directional"):
+            raise ConfigurationError(f"[antenna] kind must be omni or directional, not {self.kind!r}")
+        if not (0 < self.azimuth_beamwidth < math.inf and 0 < self.elevation_beamwidth < math.inf):
+            raise ConfigurationError("[antenna] beamwidths must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -130,31 +135,6 @@ def default_config() -> AppConfig:
     )
 
 
-def _parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-
-
-def load_config(path) -> AppConfig:
-    """Read an INI configuration file; missing keys fall back to defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file {path} does not exist")
-    cp = _parser()
-    try:
-        cp.read_string(path.read_text())
-    except configparser.Error as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    return _config_from_parser(cp)
-
-
-def load_default_config_file() -> AppConfig:
-    """Parse the packaged default.ini (identical to default_config())."""
-    text = resources.files("radiobarrier.data").joinpath("default.ini").read_text()
-    cp = _parser()
-    cp.read_string(text)
-    return _config_from_parser(cp)
-
-
 def _get(cp, section, option, conv, fallback):
     if not cp.has_option(section, option):
         return fallback
@@ -167,7 +147,16 @@ def _get(cp, section, option, conv, fallback):
         raise ConfigurationError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 
 
-def _config_from_parser(cp: configparser.ConfigParser) -> AppConfig:
+def load_config(path) -> AppConfig:
+    """Read an INI configuration file; missing keys fall back to defaults."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigurationError(f"config file {path} does not exist")
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        cp.read_string(path.read_text())
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     d = default_config()
 
     lpr = _get(cp, "layout", "links_per_receiver", int, 0)
@@ -187,8 +176,6 @@ def _config_from_parser(cp: configparser.ConfigParser) -> AppConfig:
         elevation_beamwidth=_get(cp, "antenna", "elevation_beamwidth_deg", float, d.antenna.elevation_beamwidth),
         downtilt=_get(cp, "antenna", "downtilt_deg", float, d.antenna.downtilt),
     )
-    if antenna.kind not in ("omni", "directional"):
-        raise ConfigurationError(f"[antenna] kind must be omni or directional, got {antenna.kind!r}")
 
     try:
         channel = ChannelConfig(

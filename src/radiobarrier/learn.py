@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputDataError, TrainingError
+from .errors import ConfigurationError, InputDataError, TrainingError
 
 MODEL_FORMAT = "radiobarrier-model"
 MODEL_VERSION = 1
@@ -121,8 +121,8 @@ class SvmClassifier:
     ):
         if kernel not in ("linear", "rbf"):
             raise TrainingError(f"unknown kernel {kernel!r}")
-        if C <= 0:
-            raise TrainingError("C must be positive")
+        if not (0 < C < math.inf and (gamma is None or 0 < gamma < math.inf)):  # NaN fails too
+            raise TrainingError(f"C and gamma must be finite and positive: C={C}, gamma={gamma}")
         self.kernel = kernel
         self.C = C
         self.gamma = gamma
@@ -307,6 +307,8 @@ def cross_validate(
     y = np.asarray(y)
     ids = np.asarray(event_ids)
     n = len(X)
+    if folds < 2:
+        raise ConfigurationError(f"cross-validation needs at least 2 folds, got {folds}")
     if n < folds:
         raise InputDataError(f"{n} events cannot fill {folds} folds")
     if len(set(ids.tolist())) != n:

@@ -19,7 +19,9 @@ the closing frame.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -32,7 +34,7 @@ from .errors import ConfigurationError, EstimationError, InputDataError
 from .geometry import LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
 from .simulator import (Dataset, SimulationConfig, finite_array, generate_dataset,
-                        read_records, write_records)
+                        read_events, read_records, write_records)
 
 
 @dataclass(frozen=True)
@@ -345,13 +347,14 @@ def featurize_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Segment serialization: one header line, then one detected segment per line.
+# Segment serialization: a header naming the dataset the segments were
+# detected from, then one line per segment locating it in its event's trace.
 
 SEGMENTS_FORMAT = "radiobarrier-segments"
-SEGMENTS_VERSION = 2
-# Keys of a segment line besides its "values" matrix, with their types.
-_SEGMENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "n_segments": int,
-                   "start_index": int, "dt": float, "baselines": list, "windows": dict}
+SEGMENTS_VERSION = 3
+# Keys of a segment line with their types.
+_SEGMENT_FIELDS = {"event_id": int, "start_index": int, "frames": int,
+                   "baselines": list, "windows": dict}
 
 
 @dataclass(frozen=True)
@@ -362,7 +365,6 @@ class SegmentRecord:
     type_name: str
     label: str
     segment: EventSegment
-    n_segments: int  # segments detected in the event's stream
 
 
 def detect_dataset(
@@ -373,27 +375,15 @@ def detect_dataset(
     """Run detection over every event of a dataset recorded with this layout's links."""
     _layout_link_ids("dataset", dataset.metadata["link_ids"], layout)
     records: List[SegmentRecord] = []
-    detected = 0
     segs = 0
-    spurious = 0
     for event in dataset.events:
         segments = detect_events(event.rssi, event.dt, layout, det_cfg)
         segs += len(segments)
-        if len(segments) > 1:
-            spurious += len(segments) - 1
         if segments:
-            detected += 1
             segment = max(segments, key=lambda s: s.t_end - s.t_start)
-            records.append(
-                SegmentRecord(event.event_id, event.type_name, event.label, segment, len(segments))
-            )
-    summary = DetectionSummary(
-        events_total=len(dataset.events),
-        events_detected=detected,
-        segments_total=segs,
-        spurious_segments=spurious,
-    )
-    return records, summary
+            records.append(SegmentRecord(event.event_id, event.type_name, event.label, segment))
+    # every segment but the longest of its event is spurious
+    return records, DetectionSummary(len(dataset.events), len(records), segs, segs - len(records))
 
 
 def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
@@ -404,30 +394,52 @@ def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
     return expected
 
 
-def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout) -> None:
+def _sha256(path) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except (OSError, ValueError) as exc:  # missing, unreadable, or a NUL in the name
+        raise InputDataError(f"cannot read {path}: {exc}") from exc
+
+
+def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, dataset) -> None:
+    """Write segments detected on `layout` from the file `dataset`, which the header names by
+    its SHA-256 and by its path relative to `path`'s directory (a run directory can move)."""
     header = {"format": SEGMENTS_FORMAT, "version": SEGMENTS_VERSION,
-              "link_ids": [link.id for link in layout.links], "event_count": len(records)}
-    write_records(path, header, (
-        ({
-            "event_id": rec.event_id,
-            "type_name": rec.type_name,
-            "label": rec.label,
-            "n_segments": rec.n_segments,
-            "start_index": rec.segment.start,
-            "dt": rec.segment.dt,
-            "baselines": list(rec.segment.baselines),
-            "windows": {str(w.link_id): [w.onset_t, w.release_t] for w in rec.segment.windows},
-        }, rec.segment.rssi)
-        for rec in records
-    ))
+              "link_ids": [link.id for link in layout.links], "event_count": len(records),
+              "dataset": os.path.relpath(dataset, Path(path).parent),
+              "dataset_sha256": _sha256(dataset)}
+    write_records(path, header, ({
+        "event_id": rec.event_id,
+        "start_index": rec.segment.start,
+        "frames": len(rec.segment.rssi),
+        "baselines": list(rec.segment.baselines),
+        "windows": {str(w.link_id): [w.onset_t, w.release_t] for w in rec.segment.windows},
+    } for rec in records))
 
 
 def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
-    """Read a segments file detected on this layout's links."""
+    """Read a segments file detected on this layout's links; each segment is a read-only view
+    of its event's trace in the dataset the header names, whose SHA-256 must still match."""
     header, lines = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
     link_ids = _layout_link_ids(f"segments file {path}", header["link_ids"], layout)
+    if not isinstance(header.get("dataset"), str):
+        raise InputDataError(f"{path}: header does not name the dataset")
+    dataset = Path(path).parent / header["dataset"]
+    if _sha256(dataset) != header.get("dataset_sha256"):
+        raise InputDataError(f"{dataset} is not the dataset {path} was detected from: "
+                             f"its SHA-256 differs")
+    dataset_header, events = read_events(dataset)
+    _layout_link_ids(f"dataset {dataset}", dataset_header["link_ids"], layout)
+    by_id = {event.event_id: event for event in events}
     records = []
-    for where, raw, values in lines:
+    for where, raw in lines:
+        event = by_id.get(raw["event_id"])
+        if event is None:
+            raise InputDataError(f"{where}: event {raw['event_id']} is not in {dataset}")
+        start, stop = raw["start_index"], raw["start_index"] + raw["frames"]
+        if not 0 <= start < stop <= len(event.rssi):
+            raise InputDataError(f"{where}: frames [{start}, {stop}) do not fit the "
+                                 f"{len(event.rssi)} frames of event {event.event_id}")
         unknown = sorted(set(raw["windows"]) - set(map(str, link_ids)))
         if unknown:
             raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
@@ -437,10 +449,9 @@ def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
             for link_id in link_ids if str(link_id) in raw["windows"]
         )
         baselines = finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
-        segment = EventSegment(start=raw["start_index"], dt=raw["dt"],
-                               baselines=tuple(baselines.tolist()), rssi=values, windows=windows)
-        records.append(SegmentRecord(raw["event_id"], raw["type_name"], raw["label"], segment,
-                                     raw["n_segments"]))
+        segment = EventSegment(start=start, dt=event.dt, baselines=tuple(baselines.tolist()),
+                               rssi=event.rssi[start:stop], windows=windows)
+        records.append(SegmentRecord(event.event_id, event.type_name, event.label, segment))
     return records
 
 

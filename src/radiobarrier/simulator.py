@@ -64,7 +64,6 @@ class PassageEvent:
     lane_y: float
     rssi: np.ndarray
     dt: float
-    fingerprint: str
 
     def __post_init__(self) -> None:
         rssi = np.array(self.rssi, dtype=np.float64)
@@ -139,7 +138,6 @@ def simulate_passage(
     seed,
     sim: SimulationConfig = SimulationConfig(),
     event_id: int = 0,
-    fingerprint: str = "",
 ) -> PassageEvent:
     """Drive one vehicle through the array and sample every link.
 
@@ -172,7 +170,6 @@ def simulate_passage(
         lane_y=lane_y,
         rssi=np.maximum(rssi, channel.rssi_floor),
         dt=sim.dt,
-        fingerprint=fingerprint,
     )
 
 
@@ -183,7 +180,7 @@ def _event_rng(seed: int, event_id: int) -> np.random.Generator:
 
 
 def _simulate_event_task(args) -> PassageEvent:
-    layout, channel, patterns, vehicle, sim, seed, event_id, fingerprint = args
+    layout, channel, patterns, vehicle, sim, seed, event_id = args
     rng = _event_rng(seed, event_id)
     lo, hi = sim.speeds_for(vehicle.type_name)
     speed = float(rng.uniform(lo, hi))
@@ -191,10 +188,8 @@ def _simulate_event_task(args) -> PassageEvent:
     jitter_cap = min(sim.lane_jitter, max(0.0, margin - 0.05))
     jitter = float(rng.uniform(-jitter_cap, jitter_cap)) if jitter_cap > 0 else 0.0
     lane_y = margin + jitter
-    return simulate_passage(
-        layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
-        event_id=event_id, fingerprint=fingerprint,
-    )
+    return simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
+                            event_id=event_id)
 
 
 def generate_dataset(
@@ -223,12 +218,11 @@ def generate_dataset(
     if sum(counts.values()) == 0:
         raise ConfigurationError("mix is empty")
 
-    fingerprint = config_fingerprint(layout, channel, patterns, sim)
     tasks = []
     event_id = 1
     for type_name, vehicle in catalog.items():
         for _ in range(counts[type_name]):
-            tasks.append((layout, channel, patterns, vehicle, sim, seed, event_id, fingerprint))
+            tasks.append((layout, channel, patterns, vehicle, sim, seed, event_id))
             event_id += 1
 
     if jobs > 1:
@@ -243,7 +237,7 @@ def generate_dataset(
         "version": FORMAT_VERSION,
         "seed": int(seed),
         "mix": {t: counts[t] for t in catalog if counts[t] > 0},
-        "fingerprint": fingerprint,
+        "fingerprint": config_fingerprint(layout, channel, patterns, sim),
         "dt": sim.dt,
         "link_ids": [l.id for l in layout.links],
         "event_count": len(events),
@@ -256,7 +250,11 @@ def generate_dataset(
 # rendered with 17 significant digits so files reproduce byte-for-byte.
 
 def dumps_compact(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys; a
+    (rows x columns) numpy array is rendered through one row template."""
+    if isinstance(value, np.ndarray):
+        row = "[" + ",".join(["%.17g"] * value.shape[1]) + "]"
+        return ("[" + ",".join([row] * len(value)) + "]") % tuple(value.ravel().tolist())
     if isinstance(value, float):
         return format(value, ".17g")
     if value is None or isinstance(value, (bool, int, str)):
@@ -269,26 +267,20 @@ def dumps_compact(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def write_records(path, header: Mapping, records: Iterable[Tuple[Mapping, np.ndarray]]) -> None:
-    """Write `header`, then one line per (fields, matrix) record.
-
-    Each line is `fields` as `dumps_compact` renders it, closed by the
-    (rows x links) matrix under "values", rendered through one row template.
-    """
-    lines = [dumps_compact(header)]
-    for fields, matrix in records:
-        n_rows, n_cols = matrix.shape
-        row = "[" + ",".join(["%.17g"] * n_cols) + "]"
-        values = ("[" + ",".join([row] * n_rows) + "]") % tuple(matrix.ravel().tolist())
-        lines.append(dumps_compact(fields)[:-1] + ',"values":' + values + "}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
+    """Write `header`, then one line per record, each as `dumps_compact` renders it."""
+    Path(path).write_text("\n".join(map(dumps_compact, [header, *records])) + "\n")
 
 
-def _check_field(where: str, key: str, value, kind: type) -> None:
+def _field(where: str, key: str, value, kind: type, n_links: int = 0):
+    """`value` if it is of type `kind`; an np.ndarray is a finite (rows x n_links) matrix."""
+    if kind is np.ndarray:
+        return finite_array(where, key, value, (None, n_links))
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise InputDataError(f"{where}: {key} must be of type {kind.__name__}, got {value!r:.40}")
     if kind is float and not math.isfinite(value):
         raise InputDataError(f"{where}: {key} is not finite")
+    return value
 
 
 def finite_array(where: str, key: str, value, shape: Tuple[Optional[int], ...]) -> np.ndarray:
@@ -309,9 +301,10 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
     The header must name `format_name` at `version`, list the `link_ids` and
     count the records in `event_count`.  Every line must hold each key of
-    `fields` with a value of its type, and a finite "values" matrix with one
-    column per link.  Returns the header and, per line, its location for
-    messages, its `fields` and its matrix.
+    `fields` with a value of its type; an np.ndarray field is a finite
+    matrix with one column per link.  Keys not in `fields` are ignored.
+    Returns the header and, per line, its location for messages and its
+    `fields`.
     """
     path = Path(path)
     try:
@@ -330,7 +323,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
     link_ids = header.get("link_ids")
     if not isinstance(link_ids, list) or not link_ids:
         raise InputDataError(f"{path}: header lacks the list of link_ids")
-    _check_field(f"{path}: header", "event_count", header.get("event_count"), int)
+    _field(f"{path}: header", "event_count", header.get("event_count"), int)
 
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -343,13 +336,11 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
             raise InputDataError(f"{where}: bad record line: {exc}") from exc
         if not isinstance(raw, dict):
             raise InputDataError(f"{where}: a record line must be a JSON object")
-        missing = [key for key in (*fields, "values") if key not in raw]
+        missing = [key for key in fields if key not in raw]
         if missing:
             raise InputDataError(f"{where}: record line lacks {', '.join(missing)}")
-        for key, kind in fields.items():
-            _check_field(where, key, raw[key], kind)
-        values = finite_array(where, "values", raw["values"], (None, len(link_ids)))
-        records.append((where, {key: raw[key] for key in fields}, values))
+        records.append((where, {key: _field(where, key, raw[key], kind, len(link_ids))
+                                for key, kind in fields.items()}))
     if len(records) != header["event_count"]:
         raise InputDataError(
             f"{path}: header announces {header['event_count']} records, file holds {len(records)}"
@@ -357,19 +348,24 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
     return header, records
 
 
-# Keys of an event line besides its "values" matrix, with their types.
+# Keys of an event line with their types; "values" holds the event's rssi.
 _EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
-                 "true_length": float, "lane_y": float, "dt": float, "fingerprint": str}
+                 "true_length": float, "lane_y": float, "dt": float, "values": np.ndarray}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    write_records(path, dataset.metadata,
-                  (({key: getattr(ev, key) for key in _EVENT_FIELDS}, ev.rssi)
-                   for ev in dataset.events))
+    write_records(path, dataset.metadata, (
+        {key: ev.rssi if key == "values" else getattr(ev, key) for key in _EVENT_FIELDS}
+        for ev in dataset.events))
+
+
+def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...]]:
+    """The header and the events of a dataset file, rejecting any line that does not fit."""
+    header, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
+    return header, tuple(PassageEvent(rssi=rec.pop("values"), **rec) for _, rec in records)
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset file, rejecting any line that does not fit its header."""
-    metadata, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
-    events = tuple(PassageEvent(rssi=values, **fields) for _, fields, values in records)
-    return Dataset(events=events, metadata=metadata)
+    header, events = read_events(path)
+    return Dataset(events=events, metadata=header)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from radiobarrier.cli import main
+from radiobarrier.simulator import dumps_compact
 
 MIX = "passenger car=3,transporter=2,bus=2,truck=3"
 
@@ -52,6 +54,12 @@ def test_manifest_written(workspace):
     assert manifest["seed"] == 21
     assert manifest["outputs"]
     assert "version" in manifest
+
+
+def test_manifest_records_the_argv_main_received(tmp_path):
+    argv = ["generate", "--out", str(tmp_path), "--mix", "truck=1", "--seed", "2"]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "manifest.generate.json").read_text())["argv"] == argv
 
 
 def test_each_command_keeps_its_manifest(tmp_path):
@@ -173,6 +181,28 @@ def test_training_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("options, code, needle", [
+    (["--folds", "0"], 2, "at least 2 folds"),
+    (["--folds", "1"], 2, "at least 2 folds"),
+    (["--algos", "svm", "--gamma", "-1"], 4, "C and gamma must be finite and positive"),
+    (["--algos", "svm", "--gamma", "nan"], 4, "C and gamma must be finite and positive"),
+    (["--algos", "svm", "--gamma", "0"], 4, "C and gamma must be finite and positive"),
+    (["--algos", "svm", "--C", "nan"], 4, "C and gamma must be finite and positive"),
+], ids=["folds_0", "folds_1", "gamma_negative", "gamma_nan", "gamma_0", "C_nan"])
+def test_crossval_rejects_out_of_range_options(workspace, capsys, options, code, needle):
+    assert run(["crossval", "--table", str(workspace / "feat" / "features.csv"), *options]) == code
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["azimuth_beamwidth_deg", "elevation_beamwidth_deg"])
+@pytest.mark.parametrize("command", ["baseline", "generate", "study"])
+def test_zero_beamwidth_exits_2(tmp_path, capsys, command, key):
+    config = tmp_path / "flat.ini"
+    config.write_text(f"[antenna]\n{key} = 0\n")
+    assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "beamwidths must be finite and positive" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert "radiobarrier" in capsys.readouterr().out
@@ -217,18 +247,62 @@ def _edit_record(edit):
     return edit_line
 
 
+@pytest.fixture
+def run_copy(workspace, tmp_path):
+    """The workspace's dataset and segments, copied to the same relative paths under tmp_path."""
+    for name in ("gen/dataset.jsonl", "det/segments.jsonl"):
+        (tmp_path / name).parent.mkdir()
+        shutil.copy(workspace / name, tmp_path / name)
+    return tmp_path
+
+
+def test_features_on_a_moved_run_directory(workspace, run_copy):
+    assert run(["features", "--segments", str(run_copy / "det" / "segments.jsonl"),
+                "--out", str(run_copy / "feat")]) == 0
+    assert (run_copy / "feat" / "features.csv").read_bytes() == \
+        (workspace / "feat" / "features.csv").read_bytes()
+
+
 @pytest.mark.parametrize("index, edit, needle", [
-    (1, _edit_record(lambda r: r.pop("dt")), "dt"),
+    (1, _edit_record(lambda r: r.pop("start_index")), "start_index"),
     (0, lambda line: line[:-1], "header"),
     (1, _edit_record(lambda r: r["windows"].update({"10": [1.0, 1.2]})), "windows"),
-], ids=["line_without_dt", "header_not_json", "window_of_unknown_link"])
-def test_features_on_bad_segments_exits_3(workspace, tmp_path, capsys, index, edit, needle):
-    broken = _edit_line(workspace / "det" / "segments.jsonl", tmp_path / "segments.jsonl",
-                        index, edit)
-    code = run(["features", "--segments", str(broken), "--out", str(tmp_path / "out")])
+    (1, _edit_record(lambda r: r.update(start_index=-1)), "do not fit"),
+    (2, _edit_record(lambda r: r.update(frames=10**6)), "do not fit"),
+    (3, _edit_record(lambda r: r.update(frames=0)), "do not fit"),
+    (1, _edit_record(lambda r: r.update(event_id=999)), "event 999 is not in"),
+], ids=["line_without_start_index", "header_not_json", "window_of_unknown_link",
+        "start_before_the_event", "frames_past_the_event", "no_frames", "unknown_event"])
+def test_features_on_bad_segments_exits_3(run_copy, capsys, index, edit, needle):
+    segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
+                          index, edit)
+    code = run(["features", "--segments", str(segments), "--out", str(run_copy / "out")])
     assert code == 3
     err = capsys.readouterr().err
     assert "input error" in err and needle in err
+
+
+def _edit_one_sample(line):
+    record = json.loads(line)
+    record["values"][120][4] -= 0.5
+    return dumps_compact(record)  # every other byte of the line stays as it was
+
+
+@pytest.mark.parametrize("change, needle", [
+    (lambda gen: (gen / "dataset.jsonl").unlink(), "cannot read"),
+    (lambda gen: _edit_line(gen / "dataset.jsonl", gen / "dataset.jsonl", 1, _edit_one_sample),
+     "SHA-256 differs"),
+    (lambda gen: run(["generate", "--out", str(gen), "--mix", MIX, "--seed", "22"]),
+     "SHA-256 differs"),
+], ids=["dataset_missing", "one_sample_edited", "dataset_of_another_seed"])
+def test_features_on_segments_whose_dataset_changed_exits_3(run_copy, capsys, change, needle):
+    change(run_copy / "gen")
+    code = run(["features", "--segments", str(run_copy / "det" / "segments.jsonl"),
+                "--out", str(run_copy / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and needle in err
+    assert not (run_copy / "out" / "features.csv").exists()
 
 
 def test_features_on_segments_from_other_layout_exits_2(workspace, tmp_path, capsys):
@@ -277,15 +351,19 @@ def mutable_lines(tmp_path_factory):
     assert run(["detect", "--dataset", str(root / "dataset.jsonl"), "--out", str(root)]) == 0
     assert run(["features", "--segments", str(root / "segments.jsonl"),
                 "--out", str(root)]) == 0
-    return {name: (root / name).read_text().splitlines() for name in FUZZED}
+    return {name: (root / name).read_text().splitlines()
+            for name in ("dataset.jsonl", "segments.jsonl", "features.csv")}
 
 
-# File -> the command that reads it and the exit codes it may end with.
-FUZZED = {
-    "dataset.jsonl": (["detect", "--dataset"], (0, 2, 3)),
-    "segments.jsonl": (["features", "--segments"], (0, 2, 3, 4)),
-    "features.csv": (["crossval", "--folds", "2", "--k", "1", "--table"], (0, 2, 3, 4)),
-}
+# (the file mutated, the command and the file it reads, the exit codes it may
+# end with if the mutation changed the file); every other file stays intact.
+FUZZED = [
+    ("dataset.jsonl", ["detect", "--dataset"], "dataset.jsonl", (0, 2, 3)),
+    ("segments.jsonl", ["features", "--segments"], "segments.jsonl", (0, 2, 3, 4)),
+    ("dataset.jsonl", ["features", "--segments"], "segments.jsonl", (3,)),  # hash differs
+    ("features.csv", ["crossval", "--folds", "2", "--k", "1", "--table"], "features.csv",
+     (0, 2, 3, 4)),
+]
 
 
 JSON_VALUES = st.recursive(
@@ -334,16 +412,15 @@ def _mutate(lines, data):
     return out
 
 
-@settings(max_examples=120, deadline=None, database=None, derandomize=True,
+@settings(max_examples=160, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_detect_on_mutated_dataset_exits_cleanly(mutable_lines, capsys, data):
-    name = data.draw(st.sampled_from(sorted(FUZZED)), label="file")
-    command, exits = FUZZED[name]
-    lines = _mutate(mutable_lines[name], data)
+    name, command, target, exits = data.draw(st.sampled_from(FUZZED), label="case")
+    files = dict(mutable_lines, **{name: _mutate(mutable_lines[name], data)})
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
-        path.write_text("\n".join(lines) + "\n")
-        code = run([*command, str(path), "--out", str(Path(tmp) / "out")])
+        for file, lines in files.items():
+            (Path(tmp) / file).write_text("\n".join(lines) + "\n")
+        code = run([*command, str(Path(tmp) / target), "--out", str(Path(tmp) / "out")])
     capsys.readouterr()
-    assert code in exits
+    assert code in (exits if files[name] != mutable_lines[name] else (0,))

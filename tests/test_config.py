@@ -1,12 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
+import radiobarrier
 from radiobarrier.config import (
     default_catalog,
     default_config,
     load_config,
-    load_default_config_file,
     parse_segments,
     resolve_config,
 )
@@ -14,7 +15,7 @@ from radiobarrier.errors import ConfigurationError
 
 
 def test_packaged_ini_matches_builtin_defaults():
-    from_file = load_default_config_file()
+    from_file = load_config(Path(radiobarrier.__file__).parent / "data" / "default.ini")
     builtin = default_config()
     assert from_file.layout_cfg == builtin.layout_cfg
     assert from_file.antenna == builtin.antenna

@@ -1,9 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from radiobarrier import pipeline
 from radiobarrier.errors import ConfigurationError, EstimationError, InputDataError
 from radiobarrier.pipeline import (
     DetectionConfig,
@@ -32,6 +34,8 @@ from radiobarrier.simulator import (
     SimulationConfig,
     baseline_rssi,
     generate_dataset,
+    read_events,
+    save_dataset,
     simulate_passage,
 )
 
@@ -315,21 +319,37 @@ def small_dataset(layout, patterns, app_config, mix=None, seed=5):
                             app_config.sim, seed=seed)
 
 
-def test_segments_round_trip(tmp_path, layout, patterns, app_config):
+def test_segments_round_trip(tmp_path, monkeypatch, layout, patterns, app_config):
     ds = small_dataset(layout, patterns, app_config)
     records, summary = detect_dataset(ds, layout, DET)
     assert summary.events_detected == 4
-    p = tmp_path / "segments.jsonl"
-    save_segments(records, p, layout)
+    (tmp_path / "run").mkdir()
+    save_dataset(ds, tmp_path / "dataset.jsonl")
+    p = tmp_path / "run" / "segments.jsonl"
+    save_segments(records, p, layout, tmp_path / "dataset.jsonl")
+    header = json.loads(p.read_text().splitlines()[0])
+    assert header["dataset"] == "../dataset.jsonl"
+    assert "values" not in p.read_text()
+    read = []  # the dataset load_segments slices the segments from
+
+    def spy(path):
+        read.append(read_events(path))
+        return read[-1]
+
+    monkeypatch.setattr(pipeline, "read_events", spy)
     loaded = load_segments(p, layout)
+    events = {ev.event_id: ev for ev in read[0][1]}
     assert len(loaded) == len(records)
     for a, b in zip(records, loaded):
         assert a.event_id == b.event_id
+        assert (a.type_name, a.label) == (b.type_name, b.label)
         assert a.segment.start == b.segment.start
         assert a.segment.t_start == b.segment.t_start
         assert a.segment.t_end == b.segment.t_end
+        assert a.segment.baselines == b.segment.baselines
         assert np.array_equal(a.segment.rssi, b.segment.rssi)
         assert not b.segment.rssi.flags.writeable
+        assert np.shares_memory(b.segment.rssi, events[b.event_id].rssi)
         assert a.segment.windows == b.segment.windows
     # features computed from loaded segments match the direct path
     direct = featurize_records(records, layout)

@@ -156,7 +156,6 @@ def test_small_mix_counts_and_labels(layout, patterns, app_config):
     assert len(ds.events) == 2
     assert all(ev.label == "passenger_car" for ev in ds.events)
     assert [ev.event_id for ev in ds.events] == [1, 2]
-    assert all(ev.fingerprint == ds.metadata["fingerprint"] for ev in ds.events)
 
 
 def test_empty_mix_rejected(layout, patterns, app_config):
@@ -231,10 +230,26 @@ def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config)
         record = {
             "event_id": ev.event_id, "type_name": ev.type_name, "label": ev.label,
             "true_speed": ev.true_speed, "true_length": ev.true_length,
-            "lane_y": ev.lane_y, "dt": ev.dt, "fingerprint": ev.fingerprint,
-            "values": ev.rssi.tolist(),
+            "lane_y": ev.lane_y, "dt": ev.dt, "values": ev.rssi.tolist(),
         }
         assert line == dumps_compact(record)
+
+
+def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patterns,
+                                                           app_config):
+    # datasets written before the per-line fingerprint was dropped still load
+    ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                          {"van": 1, "truck": 1}, app_config.sim, seed=6)
+    p = tmp_path / "ds.jsonl"
+    save_dataset(ds, p)
+    lines = p.read_text().splitlines()
+    for i in range(1, len(lines)):
+        lines[i] = lines[i].replace('{"dt"', '{"fingerprint":"cdba1a75e9fe6a66","dt"', 1)
+    p.write_text("\n".join(lines) + "\n")
+    loaded = load_dataset(p)
+    assert [ev.event_id for ev in loaded.events] == [1, 2]
+    for a, b in zip(ds.events, loaded.events):
+        assert np.array_equal(a.rssi, b.rssi)
 
 
 def _drop_dt(lines):
