@@ -158,20 +158,12 @@ def _cmd_detect(args) -> int:
 def _cmd_features(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
-    if args.segments:
-        records = load_segments(args.segments, layout)
-        source = args.segments
-    elif args.dataset:
-        dataset = load_dataset(args.dataset)
-        records, _ = detect_dataset(dataset, layout, cfg.detection)
-        source = args.dataset
-    else:
-        raise InputDataError("features needs --dataset or --segments")
+    records = load_segments(args.segments, layout)
     vectors = featurize_records(records, layout, cfg.features)
     out = _out_dir(args)
     target = out / "features.csv"
     save_features_csv(vectors, target)
-    _write_manifest(out, "features", args, [source], [target])
+    _write_manifest(out, "features", args, [args.segments], [target])
     print(f"wrote {len(vectors)} feature rows to {target}")
     return EXIT_OK
 
@@ -300,6 +292,8 @@ def _split_train_test(vectors, test_fraction: float, seed: int):
 
 
 def _cmd_evaluate(args) -> int:
+    if not 0 < args.test_fraction < 1:
+        raise ConfigurationError(f"--test-fraction must lie inside (0, 1), got {args.test_fraction}")
     vectors = load_features_csv(args.table)
     train, test = _split_train_test(vectors, args.test_fraction, args.seed)
     if not train or not test:
@@ -390,21 +384,20 @@ def _cmd_study(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.input)
-    if not path.exists():
-        raise InputDataError(f"{path} does not exist")
-    try:
+    try:  # missing, a directory, not JSON, or JSON that is not a complete results object
         result = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: not a results file: {exc}") from exc
-    kind = result.get("kind")
-    if kind == "crossval":
-        print(render_crossval(result, markdown=args.markdown))
-    elif kind == "evaluate":
-        print(render_evaluation(result, markdown=args.markdown))
-    elif kind == "study":
-        print(render_study(result))
-    else:
-        raise InputDataError(f"{path}: unknown results kind {kind!r}")
+        kind = result.get("kind")
+        if kind == "crossval":
+            table = render_crossval(result, markdown=args.markdown)
+        elif kind == "evaluate":
+            table = render_evaluation(result, markdown=args.markdown)
+        elif kind == "study":
+            table = render_study(result)
+        else:
+            raise InputDataError(f"{path}: unknown results kind {kind!r}")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:
+        raise InputDataError(f"{path}: not a results file: {exc!r}") from exc
+    print(table)
     return EXIT_OK
 
 
@@ -416,10 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, config=True, seed=True):
         if config:
-            p.add_argument("--config", default="default",
-                           help="config file path or 'default' (env RADIOBARRIER_SEED overrides --seed)")
+            p.add_argument("--config", default="default", help="config file path or 'default'")
         if seed:
-            p.add_argument("--seed", type=int, default=_env_seed(0), help="master random seed")
+            p.add_argument("--seed", type=int, default=0, help="master random seed")
 
     p = sub.add_parser("generate", help="simulate a labelled dataset")
     add_common(p)
@@ -441,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="turn segments into a feature table")
     add_common(p, seed=False)
-    p.add_argument("--dataset", help="dataset file (detection runs first)")
-    p.add_argument("--segments", help="segments file from 'detect'")
+    p.add_argument("--segments", required=True, help="segments file from 'detect'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 
@@ -485,18 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     return parser
-
-
-def _env_seed(default: int) -> int:
-    import os
-
-    raw = os.environ.get("RADIOBARRIER_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 def main(argv=None) -> int:

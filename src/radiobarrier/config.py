@@ -1,7 +1,8 @@
 """Configuration file loading and the built-in defaults.
 
-Configs are plain INI text with nested dotted sections; the schema is
-documented in the repository README and mirrored by data/default.ini.
+Configs are plain INI text with nested dotted sections; the schema is the
+SCHEMA table below, documented in the repository README and mirrored key for
+key by data/default.ini.
 Vehicle bodies are comma-separated segment specs of the form
 ``length:top_height:ground_clearance[:gap_after]``.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Tuple
 
@@ -135,16 +136,88 @@ def default_config() -> AppConfig:
     )
 
 
-def _get(cp, section, option, conv, fallback):
-    if not cp.has_option(section, option):
-        return fallback
-    raw = cp.get(section, option)
+def _boolean(text: str) -> bool:
+    """The spellings ConfigParser.getboolean accepts."""
     try:
-        if conv is bool:
-            return cp.getboolean(section, option)
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {option} = {raw!r}: {exc}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+# INI key -> (dataclass field, parser), one table per section.  Defaults live
+# only in the dataclasses; speed_min/speed_max are folded into speed_range.
+SCHEMA = {
+    "layout": {
+        "nodes_per_side": ("nodes_per_side", int),
+        "spacing_m": ("spacing", float),
+        "road_width_m": ("road_width", float),
+        "tx_height_m": ("tx_height", float),
+        "rx_height_m": ("rx_height", float),
+        "links_per_receiver": ("links_per_receiver", lambda text: int(text) or None),  # 0: full mesh
+    },
+    "antenna": {
+        "kind": ("kind", str),
+        "peak_gain_dbi": ("peak_gain", float),
+        "azimuth_beamwidth_deg": ("azimuth_beamwidth", float),
+        "elevation_beamwidth_deg": ("elevation_beamwidth", float),
+        "downtilt_deg": ("downtilt", float),
+    },
+    "channel": {
+        "frequency_hz": ("frequency", float),
+        "tx_power_dbm": ("tx_power", float),
+        "ground_reflection": ("ground_reflection_enabled", _boolean),
+        "reflection_magnitude": ("reflection_magnitude", float),
+        "reflection_phase_deg": ("reflection_phase", lambda text: math.radians(float(text))),
+        "noise_sigma_db": ("noise_sigma", float),
+        "rssi_floor_dbm": ("rssi_floor", float),
+    },
+    "simulation": {
+        "dt_s": ("dt", float),
+        "pre_roll_s": ("pre_roll", float),
+        "post_roll_s": ("post_roll", float),
+        "speed_min_mps": ("speed_min", float),
+        "speed_max_mps": ("speed_max", float),
+        "lane_jitter_m": ("lane_jitter", float),
+    },
+    "detection": {
+        "drop_threshold_db": ("drop_threshold", float),
+        "release_threshold_db": ("release_threshold", float),
+        "min_duration_s": ("min_duration", float),
+        "baseline_window_s": ("baseline_window", float),
+    },
+    "features": {
+        "resample_points": ("resample_points", int),
+        "links_used": ("links_used", str),
+        "include_length": ("include_length", _boolean),
+        "include_rssi": ("include_rssi", _boolean),
+    },
+}
+# The keys of a [vehicle.<type name>] section; the label defaults to the type's.
+VEHICLE_SCHEMA = {
+    "label": ("label", str),
+    "width_m": ("width", float),
+    "segments": ("segments", parse_segments),
+    "speed_min_mps": ("speed_min", float),
+    "speed_max_mps": ("speed_max", float),
+}
+
+
+def _parse_section(cp, section: str, table) -> dict:
+    """The section's values by dataclass field; a key the table lacks is an error."""
+    parsed = {}
+    for key, raw in cp.items(section):
+        if key not in table:
+            raise ConfigurationError(f"[{section}] unknown key {key!r}; known keys: {sorted(table)}")
+        name, parse = table[key]
+        try:
+            parsed[name] = parse(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return parsed
+
+
+def _speed_range(parsed: dict, default: Tuple[float, float]) -> Tuple[float, float]:
+    return parsed.pop("speed_min", default[0]), parsed.pop("speed_max", default[1])
 
 
 def load_config(path) -> AppConfig:
@@ -159,47 +232,14 @@ def load_config(path) -> AppConfig:
         raise ConfigurationError(f"{path}: {exc}") from exc
     d = default_config()
 
-    lpr = _get(cp, "layout", "links_per_receiver", int, 0)
-    layout_cfg = LayoutConfig(
-        nodes_per_side=_get(cp, "layout", "nodes_per_side", int, d.layout_cfg.nodes_per_side),
-        spacing=_get(cp, "layout", "spacing_m", float, d.layout_cfg.spacing),
-        road_width=_get(cp, "layout", "road_width_m", float, d.layout_cfg.road_width),
-        tx_height=_get(cp, "layout", "tx_height_m", float, d.layout_cfg.tx_height),
-        rx_height=_get(cp, "layout", "rx_height_m", float, d.layout_cfg.rx_height),
-        links_per_receiver=lpr if lpr else None,
-    )
-
-    antenna = AntennaConfig(
-        kind=_get(cp, "antenna", "kind", str, d.antenna.kind),
-        peak_gain=_get(cp, "antenna", "peak_gain_dbi", float, d.antenna.peak_gain),
-        azimuth_beamwidth=_get(cp, "antenna", "azimuth_beamwidth_deg", float, d.antenna.azimuth_beamwidth),
-        elevation_beamwidth=_get(cp, "antenna", "elevation_beamwidth_deg", float, d.antenna.elevation_beamwidth),
-        downtilt=_get(cp, "antenna", "downtilt_deg", float, d.antenna.downtilt),
-    )
-
-    try:
-        channel = ChannelConfig(
-            frequency=_get(cp, "channel", "frequency_hz", float, d.channel.frequency),
-            tx_power=_get(cp, "channel", "tx_power_dbm", float, d.channel.tx_power),
-            ground_reflection_enabled=_get(cp, "channel", "ground_reflection", bool,
-                                           d.channel.ground_reflection_enabled),
-            reflection_magnitude=_get(cp, "channel", "reflection_magnitude", float,
-                                      d.channel.reflection_magnitude),
-            reflection_phase=math.radians(
-                _get(cp, "channel", "reflection_phase_deg", float,
-                     math.degrees(d.channel.reflection_phase))
-            ),
-            noise_sigma=_get(cp, "channel", "noise_sigma_db", float, d.channel.noise_sigma),
-            rssi_floor=_get(cp, "channel", "rssi_floor_dbm", float, d.channel.rssi_floor),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
     catalog: Dict[str, VehicleSpec] = {}
     speed_overrides: Dict[str, Tuple[float, float]] = {}
     for section in cp.sections():
-        if not section.startswith("vehicle."):
+        if section in SCHEMA:
             continue
+        if not section.startswith("vehicle."):
+            raise ConfigurationError(f"unknown section [{section}]; known sections: "
+                                     f"{sorted(SCHEMA)} and vehicle.<type name>")
         type_name = section[len("vehicle."):].strip()
         if type_name not in TYPE_LABELS:
             raise ConfigurationError(
@@ -208,59 +248,30 @@ def load_config(path) -> AppConfig:
             )
         if not cp.has_option(section, "segments"):
             raise ConfigurationError(f"[{section}] needs a segments entry")
+        parsed = _parse_section(cp, section, VEHICLE_SCHEMA)
+        if "speed_min" in parsed or "speed_max" in parsed:
+            speed_overrides[type_name] = _speed_range(parsed, d.sim.speed_range)
         try:
-            vehicle = VehicleSpec(
-                type_name=type_name,
-                label=_get(cp, section, "label", str, TYPE_LABELS[type_name]),
-                segments=parse_segments(cp.get(section, "segments")),
-                width=_get(cp, section, "width_m", float, 2.0),
-            )
+            catalog[type_name] = VehicleSpec(type_name, **{"label": TYPE_LABELS[type_name], **parsed})
         except ValueError as exc:
             raise ConfigurationError(f"[{section}]: {exc}") from exc
-        catalog[type_name] = vehicle
-        if cp.has_option(section, "speed_min_mps") or cp.has_option(section, "speed_max_mps"):
-            lo = _get(cp, section, "speed_min_mps", float, d.sim.speed_range[0])
-            hi = _get(cp, section, "speed_max_mps", float, d.sim.speed_range[1])
-            speed_overrides[type_name] = (lo, hi)
-    if not catalog:
-        catalog = default_catalog()
 
-    sim = SimulationConfig(
-        dt=_get(cp, "simulation", "dt_s", float, d.sim.dt),
-        speed_range=(
-            _get(cp, "simulation", "speed_min_mps", float, d.sim.speed_range[0]),
-            _get(cp, "simulation", "speed_max_mps", float, d.sim.speed_range[1]),
-        ),
-        speed_overrides=speed_overrides,
-        lane_jitter=_get(cp, "simulation", "lane_jitter_m", float, d.sim.lane_jitter),
-        seed=_get(cp, "simulation", "seed", int, d.sim.seed),
-        pre_roll=_get(cp, "simulation", "pre_roll_s", float, d.sim.pre_roll),
-        post_roll=_get(cp, "simulation", "post_roll_s", float, d.sim.post_roll),
-    )
-
-    detection = DetectionConfig(
-        drop_threshold=_get(cp, "detection", "drop_threshold_db", float, d.detection.drop_threshold),
-        release_threshold=_get(cp, "detection", "release_threshold_db", float,
-                               d.detection.release_threshold),
-        min_duration=_get(cp, "detection", "min_duration_s", float, d.detection.min_duration),
-        baseline_window=_get(cp, "detection", "baseline_window_s", float, d.detection.baseline_window),
-    )
-
-    features = FeatureConfig(
-        resample_points=_get(cp, "features", "resample_points", int, d.features.resample_points),
-        links_used=_get(cp, "features", "links_used", str, d.features.links_used),
-        include_length=_get(cp, "features", "include_length", bool, d.features.include_length),
-        include_rssi=_get(cp, "features", "include_rssi", bool, d.features.include_rssi),
-    )
-
+    parts = {section: _parse_section(cp, section, table) if cp.has_section(section) else {}
+             for section, table in SCHEMA.items()}
+    sim = parts["simulation"]
+    sim.update(speed_range=_speed_range(sim, d.sim.speed_range), speed_overrides=speed_overrides)
+    try:
+        channel = replace(d.channel, **parts["channel"])
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     return AppConfig(
-        layout_cfg=layout_cfg,
-        antenna=antenna,
+        layout_cfg=replace(d.layout_cfg, **parts["layout"]),
+        antenna=replace(d.antenna, **parts["antenna"]),
         channel=channel,
-        sim=sim,
-        detection=detection,
-        features=features,
-        catalog=catalog,
+        sim=replace(d.sim, **sim),
+        detection=replace(d.detection, **parts["detection"]),
+        features=replace(d.features, **parts["features"]),
+        catalog=catalog or default_catalog(),
     )
 
 

@@ -176,7 +176,7 @@ class VehicleSpec:
     type_name: str
     label: str
     segments: Tuple[BodySegment, ...]
-    width: float  # m across the road
+    width: float = 2.0  # m across the road
 
     def __post_init__(self) -> None:
         if self.type_name not in TYPE_LABELS:

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -31,7 +31,6 @@ class SimulationConfig:
     speed_range: Tuple[float, float] = (5.0, 20.0)  # m/s, default for all types
     speed_overrides: Mapping[str, Tuple[float, float]] = field(default_factory=dict)
     lane_jitter: float = 0.5  # m around the road centre
-    seed: int = 0
     pre_roll: float = 1.0  # s of vehicle-free samples before the passage
     post_roll: float = 1.0  # s after it
 
@@ -79,40 +78,10 @@ class Dataset:
 
 def config_fingerprint(layout: SensorLayout, channel: ChannelConfig,
                        patterns: Mapping[int, AntennaPattern], sim: SimulationConfig) -> str:
-    """Stable hash of everything that shapes a trace, for provenance checks."""
-    blob = json.dumps(
-        {
-            "layout": {
-                "nodes": [(n.id, n.role, n.position) for n in layout.nodes],
-                "links": [(l.id, l.tx_id, l.rx_id, l.kind) for l in layout.links],
-                "road_width": layout.road_width,
-                "array_length": layout.array_length,
-            },
-            "channel": {
-                "frequency": channel.frequency,
-                "tx_power": channel.tx_power,
-                "ground_reflection": channel.ground_reflection_enabled,
-                "reflection_magnitude": channel.reflection_magnitude,
-                "reflection_phase": channel.reflection_phase,
-                "noise_sigma": channel.noise_sigma,
-                "rssi_floor": channel.rssi_floor,
-            },
-            "patterns": {
-                str(node_id): (p.kind, p.peak_gain, p.boresight_azimuth, p.downtilt,
-                               p.azimuth_beamwidth, p.elevation_beamwidth)
-                for node_id, p in sorted(patterns.items())
-            },
-            "sim": {
-                "dt": sim.dt,
-                "speed_range": sim.speed_range,
-                "speed_overrides": {k: list(v) for k, v in sorted(sim.speed_overrides.items())},
-                "lane_jitter": sim.lane_jitter,
-                "pre_roll": sim.pre_roll,
-                "post_roll": sim.post_roll,
-            },
-        },
-        sort_keys=True,
-    )
+    """Stable hash of every field of everything that shapes a trace, for provenance checks."""
+    blob = json.dumps([asdict(layout), asdict(channel),
+                       sorted((node_id, asdict(p)) for node_id, p in patterns.items()),
+                       asdict(sim)], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -199,7 +168,7 @@ def generate_dataset(
     catalog: Mapping[str, VehicleSpec],
     mix: Mapping[str, int],
     sim: SimulationConfig,
-    seed: Optional[int] = None,
+    seed: int,
     jobs: int = 1,
 ) -> Dataset:
     """Simulate `mix[type]` passages per vehicle type into one dataset.
@@ -207,8 +176,6 @@ def generate_dataset(
     Results are byte-identical for any `jobs` value because every event owns
     a seed derived from (seed, event_id).
     """
-    if seed is None:
-        seed = sim.seed
     counts = {t: int(mix.get(t, 0)) for t in catalog}
     unknown = set(mix) - set(catalog)
     if unknown:

@@ -24,7 +24,7 @@ def workspace(tmp_path_factory):
     assert run(["generate", "--out", str(root / "gen"), "--mix", MIX, "--seed", "21"]) == 0
     assert run(["detect", "--dataset", str(root / "gen" / "dataset.jsonl"),
                 "--out", str(root / "det")]) == 0
-    assert run(["features", "--dataset", str(root / "gen" / "dataset.jsonl"),
+    assert run(["features", "--segments", str(root / "det" / "segments.jsonl"),
                 "--out", str(root / "feat")]) == 0
     return root
 
@@ -201,6 +201,45 @@ def test_zero_beamwidth_exits_2(tmp_path, capsys, command, key):
     config.write_text(f"[antenna]\n{key} = 0\n")
     assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "beamwidths must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("[channel]\nnoise_sigma = 9\n", "unknown key 'noise_sigma'"),
+    ("[simulation]\nseed = 5\n", "unknown key 'seed'"),
+    ("[detektion]\ndrop_threshold_db = 7\n", "unknown section [detektion]"),
+], ids=["misspelt_key", "removed_seed_key", "unknown_section"])
+def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
+    config = tmp_path / "typo.ini"
+    config.write_text(text)
+    assert run(["generate", "--config", str(config), "--mix", "truck=1",
+                "--out", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.25"])
+def test_evaluate_rejects_test_fraction_outside_0_1(workspace, capsys, fraction):
+    assert run(["evaluate", "--table", str(workspace / "feat" / "features.csv"),
+                f"--test-fraction={fraction}"]) == 2
+    assert "--test-fraction must lie inside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",
+    '{"kind": "crossval"}',
+    '{"kind": "crossval", "algos": {}}',
+    '{"kind": "evaluate", "columns": ["knn"], "rows": [{"label": "truck"}]}',
+    None,  # a directory
+], ids=["json_list", "crossval_without_algos", "crossval_with_no_algo", "evaluate_row_without_keys",
+        "directory"])
+def test_report_on_a_broken_results_file_exits_3(tmp_path, capsys, content):
+    target = tmp_path / "results.json"
+    if content is None:
+        target.mkdir()
+    else:
+        target.write_text(content)
+    assert run(["report", "--input", str(target)]) == 3
+    assert f"input error: {target}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

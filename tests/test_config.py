@@ -1,3 +1,4 @@
+import configparser
 import math
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import pytest
 
 import radiobarrier
 from radiobarrier.config import (
+    SCHEMA,
+    VEHICLE_SCHEMA,
     default_catalog,
     default_config,
     load_config,
@@ -24,6 +27,17 @@ def test_packaged_ini_matches_builtin_defaults():
     assert from_file.detection == builtin.detection
     assert from_file.features == builtin.features
     assert from_file.catalog == builtin.catalog
+
+
+def test_packaged_ini_has_every_key_of_the_loader_table():
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(Path(radiobarrier.__file__).parent / "data" / "default.ini")
+    fixed = {section: set(cp[section]) for section in cp.sections() if section in SCHEMA}
+    assert fixed == {section: set(table) for section, table in SCHEMA.items()}
+    vehicles = [section for section in cp.sections() if section.startswith("vehicle.")]
+    assert len(vehicles) + len(fixed) == len(cp.sections())
+    for section in vehicles:  # per-type speed ranges are optional and not in the defaults
+        assert set(cp[section]) == set(VEHICLE_SCHEMA) - {"speed_min_mps", "speed_max_mps"}
 
 
 def test_default_catalog_shape():
@@ -94,6 +108,17 @@ speed_max_mps = 8.0
     assert cfg.sim.speeds_for("van") == (3.0, 9.0)
     layout = cfg.build_layout()
     assert len(layout.links) == 4
+
+
+@pytest.mark.parametrize("spelling, value", [
+    ("yes", True), ("On", True), ("1", True), ("no", False), ("OFF", False), ("0", False),
+])
+def test_boolean_keys_take_the_configparser_spellings(tmp_path, spelling, value):
+    p = tmp_path / "flags.ini"
+    p.write_text(f"[channel]\nground_reflection = {spelling}\n[features]\ninclude_rssi = {spelling}\n")
+    cfg = load_config(p)
+    assert cfg.channel.ground_reflection_enabled is value
+    assert cfg.features.include_rssi is value
 
 
 def test_unknown_vehicle_type_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -40,3 +41,13 @@ def test_modules_use_every_name_they_import():
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented API: the example runs as printed, against the top-level names
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    mean, std = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= mean <= 1.0 and std >= 0.0

@@ -1,15 +1,17 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from radiobarrier.errors import ConfigurationError, InputDataError
+from radiobarrier.geometry import LayoutConfig, build_layout
 from radiobarrier.propagation import AntennaPattern, ChannelConfig, fspl
 from radiobarrier.simulator import (
     SimulationConfig,
     baseline_rssi,
+    config_fingerprint,
     dumps_compact,
     generate_dataset,
     load_dataset,
@@ -304,3 +306,40 @@ def test_load_rejects_malformed_lines(tmp_path, layout, patterns, app_config, mu
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputDataError):
         load_dataset(p)
+
+
+# -- config fingerprint ---------------------------------------------------------
+
+def _changed(value):
+    """A valid value different from `value`, for each kind of config field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 1.5 + 0.25
+    if isinstance(value, str):
+        return "omni" if value == "directional" else "directional"
+    if isinstance(value, tuple):
+        return tuple(_changed(v) for v in value)
+    if isinstance(value, dict):
+        return {**value, "truck": (5.0, 10.0)}
+    raise TypeError(f"no changed value for {value!r}")
+
+
+@pytest.mark.parametrize("part, name", [
+    (cls.__name__, f.name)
+    for cls in (ChannelConfig, SimulationConfig, AntennaPattern) for f in fields(cls)
+] + [("SensorLayout", "spacing")])
+def test_fingerprint_changes_with_every_field(layout, patterns, app_config, part, name):
+    parts = {"layout": layout, "channel": app_config.channel, "patterns": patterns,
+             "sim": app_config.sim}
+    before = config_fingerprint(**parts)
+    if part == "SensorLayout":
+        parts["layout"] = build_layout(LayoutConfig(spacing=4.0))
+    elif part == "AntennaPattern":
+        node_id, pattern = next(iter(patterns.items()))
+        parts["patterns"] = {**patterns, node_id: replace(
+            pattern, **{name: _changed(getattr(pattern, name))})}
+    else:
+        key = "channel" if part == "ChannelConfig" else "sim"
+        parts[key] = replace(parts[key], **{name: _changed(getattr(parts[key], name))})
+    assert config_fingerprint(**parts) != before
