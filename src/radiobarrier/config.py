@@ -76,6 +76,14 @@ def build_patterns(layout: SensorLayout, antenna: AntennaConfig) -> Dict[int, An
     return patterns
 
 
+def _finite(text: str) -> float:
+    """The parser of every real-valued key: a float, but not nan or ±inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _segment_from_spec(text: str) -> BodySegment:
     parts = [p.strip() for p in text.split(":")]
     if len(parts) not in (3, 4):
@@ -83,7 +91,7 @@ def _segment_from_spec(text: str) -> BodySegment:
             f"segment spec {text!r} must be length:top:clearance[:gap]"
         )
     try:
-        values = [float(p) for p in parts]
+        values = [_finite(p) for p in parts]
     except ValueError as exc:
         raise ConfigurationError(f"bad number in segment spec {text!r}") from exc
     gap = values[3] if len(values) == 4 else 0.0
@@ -149,41 +157,41 @@ def _boolean(text: str) -> bool:
 SCHEMA = {
     "layout": {
         "nodes_per_side": ("nodes_per_side", int),
-        "spacing_m": ("spacing", float),
-        "road_width_m": ("road_width", float),
-        "tx_height_m": ("tx_height", float),
-        "rx_height_m": ("rx_height", float),
+        "spacing_m": ("spacing", _finite),
+        "road_width_m": ("road_width", _finite),
+        "tx_height_m": ("tx_height", _finite),
+        "rx_height_m": ("rx_height", _finite),
         "links_per_receiver": ("links_per_receiver", lambda text: int(text) or None),  # 0: full mesh
     },
     "antenna": {
         "kind": ("kind", str),
-        "peak_gain_dbi": ("peak_gain", float),
-        "azimuth_beamwidth_deg": ("azimuth_beamwidth", float),
-        "elevation_beamwidth_deg": ("elevation_beamwidth", float),
-        "downtilt_deg": ("downtilt", float),
+        "peak_gain_dbi": ("peak_gain", _finite),
+        "azimuth_beamwidth_deg": ("azimuth_beamwidth", _finite),
+        "elevation_beamwidth_deg": ("elevation_beamwidth", _finite),
+        "downtilt_deg": ("downtilt", _finite),
     },
     "channel": {
-        "frequency_hz": ("frequency", float),
-        "tx_power_dbm": ("tx_power", float),
+        "frequency_hz": ("frequency", _finite),
+        "tx_power_dbm": ("tx_power", _finite),
         "ground_reflection": ("ground_reflection_enabled", _boolean),
-        "reflection_magnitude": ("reflection_magnitude", float),
-        "reflection_phase_deg": ("reflection_phase", lambda text: math.radians(float(text))),
-        "noise_sigma_db": ("noise_sigma", float),
-        "rssi_floor_dbm": ("rssi_floor", float),
+        "reflection_magnitude": ("reflection_magnitude", _finite),
+        "reflection_phase_deg": ("reflection_phase", lambda text: math.radians(_finite(text))),
+        "noise_sigma_db": ("noise_sigma", _finite),
+        "rssi_floor_dbm": ("rssi_floor", _finite),
     },
     "simulation": {
-        "dt_s": ("dt", float),
-        "pre_roll_s": ("pre_roll", float),
-        "post_roll_s": ("post_roll", float),
-        "speed_min_mps": ("speed_min", float),
-        "speed_max_mps": ("speed_max", float),
-        "lane_jitter_m": ("lane_jitter", float),
+        "dt_s": ("dt", _finite),
+        "pre_roll_s": ("pre_roll", _finite),
+        "post_roll_s": ("post_roll", _finite),
+        "speed_min_mps": ("speed_min", _finite),
+        "speed_max_mps": ("speed_max", _finite),
+        "lane_jitter_m": ("lane_jitter", _finite),
     },
     "detection": {
-        "drop_threshold_db": ("drop_threshold", float),
-        "release_threshold_db": ("release_threshold", float),
-        "min_duration_s": ("min_duration", float),
-        "baseline_window_s": ("baseline_window", float),
+        "drop_threshold_db": ("drop_threshold", _finite),
+        "release_threshold_db": ("release_threshold", _finite),
+        "min_duration_s": ("min_duration", _finite),
+        "baseline_window_s": ("baseline_window", _finite),
     },
     "features": {
         "resample_points": ("resample_points", int),
@@ -195,10 +203,10 @@ SCHEMA = {
 # The keys of a [vehicle.<type name>] section; the label defaults to the type's.
 VEHICLE_SCHEMA = {
     "label": ("label", str),
-    "width_m": ("width", float),
+    "width_m": ("width", _finite),
     "segments": ("segments", parse_segments),
-    "speed_min_mps": ("speed_min", float),
-    "speed_max_mps": ("speed_max", float),
+    "speed_min_mps": ("speed_min", _finite),
+    "speed_max_mps": ("speed_max", _finite),
 }
 
 
@@ -225,11 +233,14 @@ def load_config(path) -> AppConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(path.read_text())
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    if cp.defaults():
+        raise ConfigurationError(f"[DEFAULT] unknown keys {sorted(cp.defaults())}; "
+                                 "each key belongs in the section it configures")
     d = default_config()
 
     catalog: Dict[str, VehicleSpec] = {}

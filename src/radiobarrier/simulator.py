@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -23,6 +23,10 @@ from .propagation import AntennaPattern, ChannelConfig, LinkContext, build_link_
 
 FORMAT_NAME = "radiobarrier-dataset"
 FORMAT_VERSION = 1
+# Datasets hold RSSI in whole-dB steps, as a 2.4 GHz radio reports it.  The
+# step also makes the bytes independent of the CPU's SIMD level: the exact
+# channel model differs in the last bits between ufunc implementations.
+RSSI_STEP_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def config_fingerprint(layout: SensorLayout, channel: ChannelConfig,
     """Stable hash of every field of everything that shapes a trace, for provenance checks."""
     blob = json.dumps([asdict(layout), asdict(channel),
                        sorted((node_id, asdict(p)) for node_id, p in patterns.items()),
-                       asdict(sim)], sort_keys=True)
+                       asdict(sim), RSSI_STEP_DB], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -157,8 +161,9 @@ def _simulate_event_task(args) -> PassageEvent:
     jitter_cap = min(sim.lane_jitter, max(0.0, margin - 0.05))
     jitter = float(rng.uniform(-jitter_cap, jitter_cap)) if jitter_cap > 0 else 0.0
     lane_y = margin + jitter
-    return simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
-                            event_id=event_id)
+    event = simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
+                             event_id=event_id)
+    return replace(event, rssi=np.round(event.rssi / RSSI_STEP_DB) * RSSI_STEP_DB)
 
 
 def generate_dataset(
@@ -171,7 +176,8 @@ def generate_dataset(
     seed: int,
     jobs: int = 1,
 ) -> Dataset:
-    """Simulate `mix[type]` passages per vehicle type into one dataset.
+    """Simulate `mix[type]` passages per vehicle type into one dataset, with
+    every RSSI sample rounded to a multiple of RSSI_STEP_DB.
 
     Results are byte-identical for any `jobs` value because every event owns
     a seed derived from (seed, event_id).

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import radiobarrier
 from radiobarrier.cli import main
+from radiobarrier.geometry import TYPE_LABELS
 from radiobarrier.simulator import dumps_compact
 
 MIX = "passenger car=3,transporter=2,bus=2,truck=3"
@@ -46,6 +52,51 @@ def test_generate_jobs_flag_is_byte_identical(tmp_path):
         assert code == 0
     assert (tmp_path / "serial" / "dataset.jsonl").read_bytes() == \
         (tmp_path / "parallel" / "dataset.jsonl").read_bytes()
+
+
+_ENABLED_SIMD_TARGETS = """
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(target for target in __cpu_dispatch__ if __cpu_features__.get(target)))
+"""
+_CHAIN = """
+import sys
+from radiobarrier.cli import main
+out, mix = sys.argv[1:]
+for argv in (["generate", "--out", out, "--mix", mix, "--seed", "42"],
+             ["detect", "--dataset", out + "/dataset.jsonl", "--out", out],
+             ["features", "--segments", out + "/segments.jsonl", "--out", out]):
+    if main(argv) != 0:
+        sys.exit(argv[0] + " failed")
+"""
+
+
+def _python(code, *args, disabled=""):
+    """Run `code` in a fresh interpreter with numpy's SIMD targets `disabled`."""
+    src = str(Path(radiobarrier.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_outputs_do_not_depend_on_the_simd_level(tmp_path):
+    targets = _python(_ENABLED_SIMD_TARGETS).split()
+    if not targets:
+        pytest.skip("this CPU enables none of numpy's run-time SIMD dispatch targets")
+    disabled = " ".join(targets)
+    assert _python(_ENABLED_SIMD_TARGETS, disabled=disabled).split() == []
+    mix = ",".join(f"{type_name}=2" for type_name in TYPE_LABELS)
+    hashes = {}
+    for name, off in (("all_targets", ""), ("baseline_only", disabled)):
+        _python(_CHAIN, str(tmp_path / name), mix, disabled=off)
+        hashes[name] = {f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                        for f in ("dataset.jsonl", "segments.jsonl", "features.csv")}
+    assert hashes["all_targets"] == hashes["baseline_only"]
 
 
 def test_manifest_written(workspace):
@@ -203,18 +254,39 @@ def test_zero_beamwidth_exits_2(tmp_path, capsys, command, key):
     assert "beamwidths must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, needle", [
-    ("[channel]\nnoise_sigma = 9\n", "unknown key 'noise_sigma'"),
-    ("[simulation]\nseed = 5\n", "unknown key 'seed'"),
-    ("[detektion]\ndrop_threshold_db = 7\n", "unknown section [detektion]"),
-], ids=["misspelt_key", "removed_seed_key", "unknown_section"])
-def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
+def _generate_exits_2(tmp_path, capsys, text, needle):
     config = tmp_path / "typo.ini"
     config.write_text(text)
     assert run(["generate", "--config", str(config), "--mix", "truck=1",
                 "--out", str(tmp_path / "out")]) == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("[channel]\nnoise_sigma = 9\n", "unknown key 'noise_sigma'"),
+    ("[simulation]\nseed = 5\n", "unknown key 'seed'"),
+    ("[detektion]\ndrop_threshold_db = 7\n", "unknown section [detektion]"),
+    ("[DEFAULT]\nfoo = 1\n", "[DEFAULT] unknown keys ['foo']"),
+], ids=["misspelt_key", "removed_seed_key", "unknown_section", "default_section_key"])
+def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
+    _generate_exits_2(tmp_path, capsys, text, needle)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("[simulation]\ndt_s = inf\n", "dt_s = 'inf': not a finite number"),
+    ("[simulation]\ndt_s = nan\n", "dt_s = 'nan': not a finite number"),
+    ("[channel]\nnoise_sigma_db = nan\n", "noise_sigma_db = 'nan': not a finite number"),
+    ("[channel]\nreflection_phase_deg = -inf\n", "reflection_phase_deg = '-inf': not a finite"),
+    ("[layout]\nspacing_m = inf\n", "spacing_m = 'inf': not a finite number"),
+    ("[vehicle.truck]\nsegments = 6:3.8:0.45\nspeed_max_mps = inf\n",
+     "speed_max_mps = 'inf': not a finite number"),
+    ("[vehicle.truck]\nsegments = inf:3.8:0.45\n", "bad number in segment spec 'inf:3.8:0.45'"),
+    ("[layout]\nspacing_m = 5%\n", "spacing_m = '5%'"),
+], ids=["dt_inf", "dt_nan", "noise_nan", "phase_in_degrees", "layout_key", "vehicle_key",
+        "segment_spec", "percent_sign"])
+def test_unusable_config_values_exit_2(tmp_path, capsys, text, needle):
+    _generate_exits_2(tmp_path, capsys, text, needle)
 
 
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.25"])

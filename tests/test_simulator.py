@@ -5,11 +5,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from radiobarrier import simulator
 from radiobarrier.errors import ConfigurationError, InputDataError
 from radiobarrier.geometry import LayoutConfig, build_layout
 from radiobarrier.propagation import AntennaPattern, ChannelConfig, fspl
 from radiobarrier.simulator import (
+    RSSI_STEP_DB,
     SimulationConfig,
+    _event_rng,
     baseline_rssi,
     config_fingerprint,
     dumps_compact,
@@ -167,6 +170,22 @@ def test_empty_mix_rejected(layout, patterns, app_config):
     with pytest.raises(ConfigurationError):
         generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                          {"hovercraft": 3}, app_config.sim, seed=1)
+
+
+def test_dataset_rssi_is_whole_steps_of_the_exact_trace(layout, patterns, app_config):
+    car = app_config.catalog["passenger car"]
+    ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                          {"passenger car": 1, "truck": 1}, app_config.sim, seed=5)
+    for ev in ds.events:
+        assert (np.mod(ev.rssi, RSSI_STEP_DB) == 0).all()
+    # the same event from simulate_passage, after the event's speed and lane draws
+    rng = _event_rng(5, 1)
+    rng.uniform(size=2)
+    first = ds.events[0]
+    exact = simulate_passage(layout, app_config.channel, patterns, car, first.true_speed,
+                             first.lane_y, rng, app_config.sim, event_id=1)
+    assert not (np.mod(exact.rssi, RSSI_STEP_DB) == 0).any()
+    assert np.abs(first.rssi - exact.rssi).max() <= RSSI_STEP_DB / 2
 
 
 def test_same_seed_reproduces_bytes(tmp_path, layout, patterns, app_config):
@@ -343,3 +362,10 @@ def test_fingerprint_changes_with_every_field(layout, patterns, app_config, part
         key = "channel" if part == "ChannelConfig" else "sim"
         parts[key] = replace(parts[key], **{name: _changed(getattr(parts[key], name))})
     assert config_fingerprint(**parts) != before
+
+
+def test_fingerprint_changes_with_the_rssi_step(layout, patterns, app_config, monkeypatch):
+    parts = (layout, app_config.channel, patterns, app_config.sim)
+    before = config_fingerprint(*parts)
+    monkeypatch.setattr(simulator, "RSSI_STEP_DB", 0.5)
+    assert config_fingerprint(*parts) != before
