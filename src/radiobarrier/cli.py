@@ -49,6 +49,10 @@ EXIT_INPUT = 3
 EXIT_TRAINING = 4
 
 
+class _UsageError(Exception):
+    """A command line that names an output it cannot write (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
@@ -73,10 +77,28 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, *names) -> Path:
+    """The --out directory, made if missing; a usage error when it cannot be one, or when
+    one of the files `names` or the command's manifest is a directory there."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under one, or no permission
+        raise _UsageError(f"--out {out} cannot be a directory: {exc.strerror}") from exc
+    for name in (*names, f"manifest.{args.command}.json"):
+        if (out / name).is_dir():
+            raise _UsageError(f"--out {out}: cannot write {out / name}, it is a directory")
     return out
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _parse_mix(text: str) -> dict:
@@ -108,7 +130,7 @@ def _cmd_generate(args) -> int:
         layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
         seed=args.seed, jobs=args.jobs,
     )
-    out = _out_dir(args)
+    out = _out_dir(args, "dataset.jsonl")
     target = out / "dataset.jsonl"
     save_dataset(dataset, target)
     _write_manifest(out, "generate", args, [], [target])
@@ -131,7 +153,7 @@ def _cmd_baseline(args) -> int:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args, "baseline.txt")
         target = out / "baseline.txt"
         target.write_text(table + "\n")
         _write_manifest(out, "baseline", args, [], [target])
@@ -143,7 +165,7 @@ def _cmd_detect(args) -> int:
     layout = cfg.build_layout()
     dataset = load_dataset(args.dataset)
     records, summary = detect_dataset(dataset, layout, cfg.detection)
-    out = _out_dir(args)
+    out = _out_dir(args, "segments.jsonl")
     target = out / "segments.jsonl"
     save_segments(records, target, layout, args.dataset)
     _write_manifest(out, "detect", args, [args.dataset], [target])
@@ -160,7 +182,7 @@ def _cmd_features(args) -> int:
     layout = cfg.build_layout()
     records = load_segments(args.segments, layout)
     vectors = featurize_records(records, layout, cfg.features)
-    out = _out_dir(args)
+    out = _out_dir(args, "features.csv")
     target = out / "features.csv"
     save_features_csv(vectors, target)
     _write_manifest(out, "features", args, [args.segments], [target])
@@ -267,7 +289,7 @@ def _cmd_crossval(args) -> int:
         }
     print(render_crossval(result))
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args, "crossval.json")
         target = out / "crossval.json"
         target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         _write_manifest(out, "crossval", args, [args.table], [target])
@@ -337,7 +359,7 @@ def _cmd_evaluate(args) -> int:
     }
     print(render_evaluation(result))
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args, "evaluation.json")
         target = out / "evaluation.json"
         target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         _write_manifest(out, "evaluate", args, [args.table], [target])
@@ -369,7 +391,7 @@ def _cmd_study(args) -> int:
     }
     print(render_study(result))
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args, "study.json", "study_drops.csv")
         target = out / "study.json"
         target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         drops_csv = out / "study_drops.csv"
@@ -417,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mix", help="per-type event counts, e.g. 'passenger car=50,truck=50'")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (same output for any value)")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="parallel workers, at least 1 (same output for any value)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("baseline", help="print the vehicle-free per-link RSSI table")
@@ -488,6 +511,9 @@ def main(argv=None) -> int:
     args.argv = argv  # what the manifest records
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,6 +7,7 @@ be simulated in any order or in parallel.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from .geometry import Pose, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig, LinkContext, build_link_context, noiseless_rssi
 
 FORMAT_NAME = "radiobarrier-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Datasets hold RSSI in whole-dB steps, as a 2.4 GHz radio reports it.  The
 # step also makes the bytes independent of the CPU's SIMD level: the exact
 # channel model differs in the last bits between ufunc implementations.
@@ -220,14 +221,43 @@ def generate_dataset(
 
 # ---------------------------------------------------------------------------
 # Serialization: one header line, then one record per line.  Floats are
-# rendered with 17 significant digits so files reproduce byte-for-byte.
+# rendered with 17 significant digits so files reproduce byte-for-byte; an
+# RSSI matrix is one string, the standard base64 of its samples as
+# little-endian int16 counts of RSSI_STEP_DB in row-major order.
+
+_SAMPLE = np.dtype("<i2")
+
+
+def _encode_samples(rssi: np.ndarray) -> str:
+    counts = rssi / RSSI_STEP_DB
+    whole = np.round(counts)
+    bad = (counts != whole) | (whole < np.iinfo(_SAMPLE).min) | (whole > np.iinfo(_SAMPLE).max)
+    if bad.any():
+        raise ConfigurationError(
+            f"a dataset stores each RSSI sample as an int16 count of {RSSI_STEP_DB} dB steps, "
+            f"which {float(rssi[bad][0])!r} dB is not")
+    return base64.b64encode(whole.astype(_SAMPLE).tobytes()).decode("ascii")
+
+
+def _decode_samples(where: str, key: str, value, shape: Tuple[int, int]) -> np.ndarray:
+    if not isinstance(value, str):
+        raise InputDataError(f"{where}: {key} must be a base64 string, got {value!r:.40}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # outside the alphabet, bad padding, or not ASCII
+        raise InputDataError(f"{where}: {key} is not base64: {exc}") from exc
+    frames, links = shape
+    if frames < 1 or len(raw) != frames * links * _SAMPLE.itemsize:
+        raise InputDataError(f"{where}: {key} holds {len(raw)} bytes, not the samples of "
+                             f"{frames} frames x {links} links")
+    return (np.frombuffer(raw, _SAMPLE) * RSSI_STEP_DB).reshape(shape)
+
 
 def dumps_compact(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys; a
-    (rows x columns) numpy array is rendered through one row template."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys; a numpy
+    array of RSSI samples is rendered as one base64 string of int16 step counts."""
     if isinstance(value, np.ndarray):
-        row = "[" + ",".join(["%.17g"] * value.shape[1]) + "]"
-        return ("[" + ",".join([row] * len(value)) + "]") % tuple(value.ravel().tolist())
+        return '"' + _encode_samples(value) + '"'
     if isinstance(value, float):
         return format(value, ".17g")
     if value is None or isinstance(value, (bool, int, str)):
@@ -245,10 +275,11 @@ def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
     Path(path).write_text("\n".join(map(dumps_compact, [header, *records])) + "\n")
 
 
-def _field(where: str, key: str, value, kind: type, n_links: int = 0):
-    """`value` if it is of type `kind`; an np.ndarray is a finite (rows x n_links) matrix."""
+def _field(where: str, key: str, value, kind: type, shape: Tuple[int, int] = (0, 0)):
+    """`value` if it is of type `kind`; an np.ndarray is decoded from base64 to a `shape`
+    matrix of RSSI samples."""
     if kind is np.ndarray:
-        return finite_array(where, key, value, (None, n_links))
+        return _decode_samples(where, key, value, shape)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise InputDataError(f"{where}: {key} must be of type {kind.__name__}, got {value!r:.40}")
     if kind is float and not math.isfinite(value):
@@ -274,8 +305,9 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
     The header must name `format_name` at `version`, list the `link_ids` and
     count the records in `event_count`.  Every line must hold each key of
-    `fields` with a value of its type; an np.ndarray field is a finite
-    matrix with one column per link.  Keys not in `fields` are ignored.
+    `fields` with a value of its type; an np.ndarray field is the base64
+    string `dumps_compact` writes for a matrix with the line's `frames` rows
+    and one column per link.  Keys not in `fields` are ignored.
     Returns the header and, per line, its location for messages and its
     `fields`.
     """
@@ -312,8 +344,10 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         missing = [key for key in fields if key not in raw]
         if missing:
             raise InputDataError(f"{where}: record line lacks {', '.join(missing)}")
-        records.append((where, {key: _field(where, key, raw[key], kind, len(link_ids))
-                                for key, kind in fields.items()}))
+        record = {}
+        for key, kind in fields.items():  # "frames" is read before the matrix it sizes
+            record[key] = _field(where, key, raw[key], kind, (record.get("frames"), len(link_ids)))
+        records.append((where, record))
     if len(records) != header["event_count"]:
         raise InputDataError(
             f"{path}: header announces {header['event_count']} records, file holds {len(records)}"
@@ -321,21 +355,30 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
     return header, records
 
 
-# Keys of an event line with their types; "values" holds the event's rssi.
+# Keys of an event line with their types; "values" holds the event's rssi
+# and "frames" its row count.
 _EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
-                 "true_length": float, "lane_y": float, "dt": float, "values": np.ndarray}
+                 "true_length": float, "lane_y": float, "dt": float, "frames": int,
+                 "values": np.ndarray}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write `dataset`; a sample that is not a whole int16 count of RSSI_STEP_DB raises
+    ConfigurationError and leaves no file."""
     write_records(path, dataset.metadata, (
-        {key: ev.rssi if key == "values" else getattr(ev, key) for key in _EVENT_FIELDS}
+        {**{key: getattr(ev, key) for key in _EVENT_FIELDS if key not in ("frames", "values")},
+         "frames": len(ev.rssi), "values": ev.rssi}
         for ev in dataset.events))
 
 
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...]]:
     """The header and the events of a dataset file, rejecting any line that does not fit."""
     header, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
-    return header, tuple(PassageEvent(rssi=rec.pop("values"), **rec) for _, rec in records)
+    events = []
+    for _, rec in records:
+        del rec["frames"]  # the row count of "values", checked by read_records
+        events.append(PassageEvent(rssi=rec.pop("values"), **rec))
+    return header, tuple(events)
 
 
 def load_dataset(path) -> Dataset:

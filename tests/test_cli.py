@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -205,6 +207,13 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_generate_refuses_jobs_below_1(tmp_path, capsys, jobs):
+    assert run(["generate", "--out", str(tmp_path), "--mix", "truck=1", "--jobs", jobs]) == 1
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = run(["generate", "--config", str(tmp_path / "missing.ini"),
                 "--out", str(tmp_path / "out")])
@@ -283,8 +292,9 @@ def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
      "speed_max_mps = 'inf': not a finite number"),
     ("[vehicle.truck]\nsegments = inf:3.8:0.45\n", "bad number in segment spec 'inf:3.8:0.45'"),
     ("[layout]\nspacing_m = 5%\n", "spacing_m = '5%'"),
+    ("[channel]\ntx_power_dbm = 40000\n", "as an int16 count of 1.0 dB steps"),
 ], ids=["dt_inf", "dt_nan", "noise_nan", "phase_in_degrees", "layout_key", "vehicle_key",
-        "segment_spec", "percent_sign"])
+        "segment_spec", "percent_sign", "rssi_beyond_int16"])
 def test_unusable_config_values_exit_2(tmp_path, capsys, text, needle):
     _generate_exits_2(tmp_path, capsys, text, needle)
 
@@ -393,9 +403,20 @@ def test_features_on_bad_segments_exits_3(run_copy, capsys, index, edit, needle)
     assert "input error" in err and needle in err
 
 
+def _counts(record):
+    """The RSSI step counts of a dataset line, as a writable flat int16 array."""
+    return np.frombuffer(base64.b64decode(record["values"]), "<i2").copy()
+
+
+def _encode(counts):
+    return base64.b64encode(counts.astype("<i2").tobytes()).decode("ascii")
+
+
 def _edit_one_sample(line):
     record = json.loads(line)
-    record["values"][120][4] -= 0.5
+    counts = _counts(record)
+    counts[120 * 9 + 4] -= 1
+    record["values"] = _encode(counts)
     return dumps_compact(record)  # every other byte of the line stays as it was
 
 
@@ -414,6 +435,25 @@ def test_features_on_segments_whose_dataset_changed_exits_3(run_copy, capsys, ch
     err = capsys.readouterr().err
     assert "input error" in err and needle in err
     assert not (run_copy / "out" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("argv, out, directory", [
+    (["generate", "--mix", "truck=1"], "gen/dataset.jsonl", None),
+    (["detect", "--dataset", "gen/dataset.jsonl"], "gen/dataset.jsonl", None),
+    (["generate", "--mix", "truck=1"], "gen/dataset.jsonl/run", None),
+    (["generate", "--mix", "truck=1"], "run", "run/dataset.jsonl"),
+    (["detect", "--dataset", "gen/dataset.jsonl"], "run", "run/manifest.detect.json"),
+], ids=["generate_into_a_file", "detect_into_its_dataset", "under_a_file",
+        "output_is_a_directory", "manifest_is_a_directory"])
+def test_unusable_out_exits_1(workspace, run_copy, capsys, argv, out, directory):
+    if directory:
+        (run_copy / directory).mkdir(parents=True)
+    argv = [str(run_copy / a) if a.endswith(".jsonl") else a for a in argv]
+    assert run([*argv, "--out", str(run_copy / out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --out {run_copy / out}" in err and str(run_copy / (directory or out)) in err
+    assert (run_copy / "gen" / "dataset.jsonl").read_bytes() == \
+        (workspace / "gen" / "dataset.jsonl").read_bytes()
 
 
 def test_features_on_segments_from_other_layout_exits_2(workspace, tmp_path, capsys):
@@ -507,12 +547,13 @@ def _mutate(lines, data):
     else:
         record = json.loads(out[i])
         if kind == "cell" and "values" in record:
-            row = record["values"][data.draw(st.integers(0, len(record["values"]) - 1))]
-            col = data.draw(st.integers(0, len(row) - 1))
+            counts = _counts(record)
+            col = data.draw(st.integers(0, len(counts) - 1))
             if data.draw(st.booleans(), label="delete cell"):
-                del row[col]
+                counts = np.delete(counts, col)
             else:
-                row[col] = data.draw(JSON_VALUES)
+                counts[col] = data.draw(st.integers(-2**15, 2**15 - 1))
+            record["values"] = _encode(counts)
         else:
             key = data.draw(st.sampled_from(sorted(record)))
             if kind == "del_key":

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import fields, replace
@@ -240,6 +241,16 @@ def test_dataset_round_trip(tmp_path, layout, patterns, app_config):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def _encode(counts):
+    """Standard base64 of little-endian int16 RSSI step counts, as a dataset line stores them."""
+    return base64.b64encode(np.asarray(counts).astype("<i2").tobytes()).decode("ascii")
+
+
+def _counts(record):
+    """The RSSI step counts of a dataset line, as a writable flat int16 array."""
+    return np.frombuffer(base64.b64decode(record["values"]), "<i2").copy()
+
+
 def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config):
     ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                           {"van": 1, "truck": 1}, app_config.sim, seed=6)
@@ -247,13 +258,25 @@ def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config)
     save_dataset(ds, p)
     lines = p.read_text().splitlines()
     assert lines[0] == dumps_compact(ds.metadata)
+    assert json.loads(lines[0])["version"] == 2
     for ev, line in zip(ds.events, lines[1:]):
         record = {
             "event_id": ev.event_id, "type_name": ev.type_name, "label": ev.label,
             "true_speed": ev.true_speed, "true_length": ev.true_length,
-            "lane_y": ev.lane_y, "dt": ev.dt, "values": ev.rssi.tolist(),
+            "lane_y": ev.lane_y, "dt": ev.dt, "frames": len(ev.rssi),
+            "values": _encode(ev.rssi / RSSI_STEP_DB),
         }
         assert line == dumps_compact(record)
+
+
+def test_save_refuses_samples_that_are_not_whole_steps(tmp_path, layout, patterns, app_config):
+    car = app_config.catalog["passenger car"]
+    exact = simulate_passage(layout, app_config.channel, patterns, car, 10.0,
+                             centered_lane(layout, car), 1, app_config.sim, event_id=1)
+    p = tmp_path / "ds.jsonl"
+    with pytest.raises(ConfigurationError, match="int16 count"):
+        save_dataset(simulator.Dataset(events=(exact,), metadata={}), p)
+    assert not p.exists()
 
 
 def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patterns,
@@ -280,21 +303,51 @@ def _drop_dt(lines):
 
 
 def _ragged(lines):
+    # one sample short: a byte count that does not fit frames x links
     record = json.loads(lines[1])
-    record["values"][3] = record["values"][3][:-1]
+    record["values"] = _encode(_counts(record)[:-1])
     lines[1] = json.dumps(record)
 
 
 def _narrow(lines):
+    # one link short on every frame: only `frames` tells it from fewer frames of 9 links
     record = json.loads(lines[2])
-    record["values"] = [row[:-1] for row in record["values"]]
+    record["values"] = _encode(_counts(record).reshape(record["frames"], -1)[:, :-1])
     lines[2] = json.dumps(record)
 
 
 def _not_finite(lines):
+    # only a version-1 list of numbers can hold a NaN sample, and a list is refused
     record = json.loads(lines[1])
-    record["values"][5][2] = float("nan")
+    values = (_counts(record).reshape(record["frames"], -1) * RSSI_STEP_DB).tolist()
+    values[5][2] = float("nan")
+    record["values"] = values
     lines[1] = json.dumps(record)
+
+
+def _outside_alphabet(lines):
+    # a lenient decoder would skip the "*" and load the samples
+    record = json.loads(lines[1])
+    record["values"] = record["values"][:40] + "*" + record["values"][40:]
+    lines[1] = json.dumps(record)
+
+
+def _frames_disagree(lines):
+    record = json.loads(lines[2])
+    record["frames"] += 1
+    lines[2] = json.dumps(record)
+
+
+def _no_frames(lines):
+    record = json.loads(lines[1])
+    record["frames"], record["values"] = 0, ""
+    lines[1] = json.dumps(record)
+
+
+def _version_1_header(lines):
+    header = json.loads(lines[0])
+    header["version"] = 1
+    lines[0] = json.dumps(header)
 
 
 def _infinite_speed(lines):
@@ -314,7 +367,8 @@ def _string_dt(lines):
 
 
 @pytest.mark.parametrize("mutate", [_drop_dt, _ragged, _narrow, _not_finite, _infinite_speed,
-                                    _short_by_one, _string_dt])
+                                    _short_by_one, _string_dt, _outside_alphabet,
+                                    _frames_disagree, _no_frames, _version_1_header])
 def test_load_rejects_malformed_lines(tmp_path, layout, patterns, app_config, mutate):
     ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                           {"passenger car": 2}, app_config.sim, seed=2)
