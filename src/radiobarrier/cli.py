@@ -91,14 +91,17 @@ def _out_dir(args, *names) -> Path:
     return out
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _at_least(minimum: int):
+    """An argparse type for whole numbers of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _parse_mix(text: str) -> dict:
@@ -111,6 +114,8 @@ def _parse_mix(text: str) -> dict:
             raise ConfigurationError(f"mix entry {part!r} must look like 'type=count'")
         name, _, count = part.partition("=")
         name = name.strip()
+        if name in mix:
+            raise ConfigurationError(f"mix names {name!r} twice")
         try:
             mix[name] = int(count)
         except ValueError:
@@ -277,6 +282,8 @@ def _cmd_crossval(args) -> int:
     y = np.array([fv.label for fv in vectors])
     ids = [fv.event_id for fv in vectors]
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ConfigurationError(f"--algos {args.algos!r} names no algorithm")
     result = {"kind": "crossval", "feature_set": args.feature_set,
               "folds": args.folds, "seed": args.seed, "algos": {}}
     for algo in algos:
@@ -433,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", default="default", help="config file path or 'default'")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="master random seed")
+            p.add_argument("--seed", type=_at_least(0), default=0,
+                           help="master random seed, at least 0")
 
     p = sub.add_parser("generate", help="simulate a labelled dataset")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mix", help="per-type event counts, e.g. 'passenger car=50,truck=50'")
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel workers, at least 1 (same output for any value)")
     p.set_defaults(func=_cmd_generate)
 

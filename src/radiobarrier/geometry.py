@@ -1,4 +1,4 @@
-"""Sensor array geometry, radio links, vehicle body models and occlusions.
+"""Sensor array geometry, radio links, vehicle body models and their placement.
 
 Coordinates: x runs along the road, y across it (transmitters at y = 0,
 receivers at y = road_width), z is height above the street surface.
@@ -9,10 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .propagation import fresnel_v
 
 Point = Tuple[float, float, float]
 
@@ -208,21 +205,6 @@ class Pose:
             raise ValueError("heading must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class ObstructionParams:
-    """Knife-edge parameters of one body segment where a path crosses it.
-
-    `mask` marks the crossing points of the grid; the other fields hold one
-    value per marked point (plain floats when every input is a scalar).
-    """
-
-    mask: np.ndarray
-    v_top: np.ndarray
-    v_bottom: Optional[np.ndarray]  # absent when the body has no ground clearance
-    d1: np.ndarray
-    d2: np.ndarray
-
-
 def segment_x_intervals(vehicle: VehicleSpec, pose: Pose) -> Tuple[Tuple[float, float], ...]:
     """Along-road interval occupied by each body segment, nose first."""
     out = []
@@ -237,71 +219,3 @@ def segment_x_intervals(vehicle: VehicleSpec, pose: Pose) -> Tuple[Tuple[float, 
         out.append((lo, hi))
     return tuple(out)
 
-
-def occlusion_params(
-    vehicle: VehicleSpec,
-    pose: Pose,
-    path,
-    wavelength: float,
-) -> Tuple[ObstructionParams, ...]:
-    """Knife-edge parameters for every body segment the path crosses.
-
-    The path is cut against each segment's x-y rectangle; at the midpoint of
-    the crossing the top edge yields v_top and, for bodies with ground
-    clearance, the bottom edge yields v_bottom (path above the clearance
-    gives positive v_bottom, a path slipping underneath gives negative).
-    The nose position and the path coordinates may be arrays that broadcast
-    together (say nose positions x paths); each segment's x-interval is
-    affine in the nose position, so the whole grid is cut at once and only
-    the crossing points are evaluated.  An empty tuple means the vehicle
-    intersects the path nowhere on the grid.
-    """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    (x1, y1, z1), (x2, y2, z2) = path
-    if np.any(np.equal(y1, y2)):
-        raise ValueError("path endpoints must lie on opposite road sides")
-
-    total = np.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
-    inv_dy = 1.0 / (y2 - y1)
-    sy_a = (pose.lane_y - y1) * inv_dy
-    sy_b = (pose.lane_y + vehicle.width - y1) * inv_dy
-    sy_lo, sy_hi = np.minimum(sy_a, sy_b), np.maximum(sy_a, sy_b)
-
-    dx = x2 - x1
-    vertical = np.equal(dx, 0.0)
-    step = np.where(vertical, 1.0, dx)
-    dz = z2 - z1
-    results = []
-    for seg, (bx0, bx1) in zip(vehicle.segments, segment_x_intervals(vehicle, pose)):
-        sa = (bx0 - x1) / step
-        sb = (bx1 - x1) / step
-        # a path at constant x lies within the segment's x-range whole or not at all
-        sx_lo = np.where(vertical, np.where(sa <= 0.0, -np.inf, np.inf), np.minimum(sa, sb))
-        sx_hi = np.where(vertical, np.where(sb >= 0.0, np.inf, -np.inf), np.maximum(sa, sb))
-        s_lo = np.maximum(np.maximum(sy_lo, sx_lo), 0.0)
-        s_hi = np.minimum(np.minimum(sy_hi, sx_hi), 1.0)
-        mask = s_hi > s_lo
-        if not mask.any():
-            continue
-        crossing = mask if mask.ndim else ()
-        s_lo, s_hi, length, z_start, rise = (
-            np.broadcast_to(a, mask.shape)[crossing] for a in (s_lo, s_hi, total, z1, dz)
-        )
-        s_mid = 0.5 * (s_lo + s_hi)
-        d1 = s_mid * length
-        d2 = length - d1
-        # Each edge is evaluated at its most obstructing point of the
-        # crossing: the top edge where the path runs lowest, the bottom
-        # edge where it runs highest.  For level paths both coincide.
-        z_a = z_start + s_lo * rise
-        z_b = z_start + s_hi * rise
-        z_min, z_max = np.minimum(z_a, z_b), np.maximum(z_a, z_b)
-        v_top = fresnel_v(seg.top_height - z_min, d1, d2, wavelength)
-        v_bottom = (
-            fresnel_v(z_max - seg.ground_clearance, d1, d2, wavelength)
-            if seg.ground_clearance > 0
-            else None
-        )
-        results.append(ObstructionParams(mask, v_top, v_bottom, d1, d2))
-    return tuple(results)

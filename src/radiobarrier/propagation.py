@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # circular at runtime: geometry imports fresnel_v from here
-    from .geometry import Pose, RadioLink, VehicleSpec
+from .geometry import Point, Pose, RadioLink, VehicleSpec, segment_x_intervals
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-Point = Tuple[float, float, float]
 
 
 def wavelength(frequency: float) -> float:
@@ -151,7 +148,91 @@ def gain_toward(pattern: AntennaPattern, origin: Point, target: Point) -> float:
     return antenna_gain(pattern, d_az, d_el)
 
 
-def obstruction_loss(vehicle: "VehicleSpec", pose: "Pose", path, lam: float):
+@dataclass(frozen=True)
+class ObstructionParams:
+    """Knife-edge parameters of one body segment where a path crosses it.
+
+    `mask` marks the crossing points of the grid; the other fields hold one
+    value per marked point (plain floats when every input is a scalar).
+    """
+
+    mask: np.ndarray
+    v_top: np.ndarray
+    v_bottom: Optional[np.ndarray]  # absent when the body has no ground clearance
+    d1: np.ndarray
+    d2: np.ndarray
+
+
+def occlusion_params(
+    vehicle: VehicleSpec,
+    pose: Pose,
+    path,
+    wavelength: float,
+) -> Tuple[ObstructionParams, ...]:
+    """Knife-edge parameters for every body segment the path crosses.
+
+    The path is cut against each segment's x-y rectangle; at the midpoint of
+    the crossing the top edge yields v_top and, for bodies with ground
+    clearance, the bottom edge yields v_bottom (path above the clearance
+    gives positive v_bottom, a path slipping underneath gives negative).
+    The nose position and the path coordinates may be arrays that broadcast
+    together (say nose positions x paths); each segment's x-interval is
+    affine in the nose position, so the whole grid is cut at once and only
+    the crossing points are evaluated.  An empty tuple means the vehicle
+    intersects the path nowhere on the grid.
+    """
+    if wavelength <= 0:
+        raise ValueError("wavelength must be positive")
+    (x1, y1, z1), (x2, y2, z2) = path
+    if np.any(np.equal(y1, y2)):
+        raise ValueError("path endpoints must lie on opposite road sides")
+
+    total = np.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
+    inv_dy = 1.0 / (y2 - y1)
+    sy_a = (pose.lane_y - y1) * inv_dy
+    sy_b = (pose.lane_y + vehicle.width - y1) * inv_dy
+    sy_lo, sy_hi = np.minimum(sy_a, sy_b), np.maximum(sy_a, sy_b)
+
+    dx = x2 - x1
+    vertical = np.equal(dx, 0.0)
+    step = np.where(vertical, 1.0, dx)
+    dz = z2 - z1
+    results = []
+    for seg, (bx0, bx1) in zip(vehicle.segments, segment_x_intervals(vehicle, pose)):
+        sa = (bx0 - x1) / step
+        sb = (bx1 - x1) / step
+        # a path at constant x lies within the segment's x-range whole or not at all
+        sx_lo = np.where(vertical, np.where(sa <= 0.0, -np.inf, np.inf), np.minimum(sa, sb))
+        sx_hi = np.where(vertical, np.where(sb >= 0.0, np.inf, -np.inf), np.maximum(sa, sb))
+        s_lo = np.maximum(np.maximum(sy_lo, sx_lo), 0.0)
+        s_hi = np.minimum(np.minimum(sy_hi, sx_hi), 1.0)
+        mask = s_hi > s_lo
+        if not mask.any():
+            continue
+        crossing = mask if mask.ndim else ()
+        s_lo, s_hi, length, z_start, rise = (
+            np.broadcast_to(a, mask.shape)[crossing] for a in (s_lo, s_hi, total, z1, dz)
+        )
+        s_mid = 0.5 * (s_lo + s_hi)
+        d1 = s_mid * length
+        d2 = length - d1
+        # Each edge is evaluated at its most obstructing point of the
+        # crossing: the top edge where the path runs lowest, the bottom
+        # edge where it runs highest.  For level paths both coincide.
+        z_a = z_start + s_lo * rise
+        z_b = z_start + s_hi * rise
+        z_min, z_max = np.minimum(z_a, z_b), np.maximum(z_a, z_b)
+        v_top = fresnel_v(seg.top_height - z_min, d1, d2, wavelength)
+        v_bottom = (
+            fresnel_v(z_max - seg.ground_clearance, d1, d2, wavelength)
+            if seg.ground_clearance > 0
+            else None
+        )
+        results.append(ObstructionParams(mask, v_top, v_bottom, d1, d2))
+    return tuple(results)
+
+
+def obstruction_loss(vehicle: VehicleSpec, pose: Pose, path, lam: float):
     """Total knife-edge loss in dB a vehicle inflicts on a path.
 
     Losses of intersected body segments cascade additively in dB.  For a
@@ -160,8 +241,6 @@ def obstruction_loss(vehicle: "VehicleSpec", pose: "Pose", path, lam: float):
     The nose position and the path coordinates may be arrays; the result
     has their broadcast shape (a float when all are scalars).
     """
-    from .geometry import occlusion_params  # deferred to avoid an import cycle
-
     shape = np.broadcast_shapes(np.shape(pose.front_x), *(np.shape(c) for end in path for c in end))
     total = np.zeros(shape)
     for obs in occlusion_params(vehicle, pose, path, lam):
@@ -172,130 +251,116 @@ def obstruction_loss(vehicle: "VehicleSpec", pose: "Pose", path, lam: float):
     return total[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkContext:
-    """Per-link constants precomputed from layout, channel and patterns."""
+    """Constants of a sequence of links under one channel, one entry per link.
 
-    path: Tuple[Point, Point]
+    `ends` holds the end points of every path the model traces as a
+    (2 ends, 3 coords, paths) array: the direct path of each link, then the
+    first and then the second leg of each ground bounce, in link order.
+    """
+
     lam: float
-    base_db: float  # tx power + gains - fspl(d_dir)
-    clear_db: float  # noiseless vehicle-free value
-    a_r0: float  # |gamma| * d_dir / d_refl, before obstruction
-    phase: float  # rad
-    sub_paths: Tuple[Tuple[Point, Point], ...]  # ground-bounce legs, if the ray reflects
+    ends: np.ndarray
+    bounces: np.ndarray  # bool per link: its ray also reflects off the ground
+    base_db: np.ndarray  # tx power + gains - fspl(d_dir)
+    a_r0: np.ndarray  # |gamma| * d_dir / d_refl, before obstruction; 0 without a bounce
+    phase: np.ndarray  # rad
+    noise_sigma: float
+    rssi_floor: float
 
 
 def build_link_context(
-    link: "RadioLink",
+    links: Sequence[RadioLink],
     channel: ChannelConfig,
     patterns: Mapping[int, AntennaPattern],
 ) -> LinkContext:
-    p_tx, p_rx = link.endpoints
-    if p_tx == p_rx:
-        raise ValueError("link endpoints coincide")
-    d_dir = math.dist(p_tx, p_rx)
+    """The context of `links`, in their order, under `channel` and the nodes' `patterns`."""
     lam = wavelength(channel.frequency)
-    gains = gain_toward(patterns[link.tx_id], p_tx, p_rx) + gain_toward(
-        patterns[link.rx_id], p_rx, p_tx
-    )
-    base_db = channel.tx_power + gains - fspl(d_dir, channel.frequency)
-
-    reflection = (
-        channel.ground_reflection_enabled
-        and channel.reflection_magnitude > 0.0
-        and p_tx[2] > 0.0
-        and p_rx[2] > 0.0
-    )
-    if reflection:
-        image = (p_rx[0], p_rx[1], -p_rx[2])
-        d_refl = math.dist(p_tx, image)
-        s = p_tx[2] / (p_tx[2] + p_rx[2])  # fraction of tx->image where z = 0
-        bounce = (
-            p_tx[0] + s * (image[0] - p_tx[0]),
-            p_tx[1] + s * (image[1] - p_tx[1]),
-            0.0,
+    reflecting = channel.ground_reflection_enabled and channel.reflection_magnitude > 0.0
+    direct, legs, rows = [], [], []
+    for link in links:
+        p_tx, p_rx = link.endpoints
+        if p_tx == p_rx:
+            raise ValueError("link endpoints coincide")
+        d_dir = math.dist(p_tx, p_rx)
+        gains = gain_toward(patterns[link.tx_id], p_tx, p_rx) + gain_toward(
+            patterns[link.rx_id], p_rx, p_tx
         )
-        a_r0 = channel.reflection_magnitude * d_dir / d_refl
-        phase = channel.reflection_phase - 2.0 * math.pi * (d_refl - d_dir) / lam
-        sub_paths: Tuple[Tuple[Point, Point], ...] = ((p_tx, bounce), (bounce, p_rx))
-        amp = math.hypot(1.0 + a_r0 * math.cos(phase), a_r0 * math.sin(phase))
-        clear_db = base_db + 20.0 * math.log10(amp)
-    else:
-        a_r0 = 0.0
-        phase = 0.0
-        sub_paths = ()
-        clear_db = base_db
-
+        base_db = channel.tx_power + gains - fspl(d_dir, channel.frequency)
+        bounces = reflecting and p_tx[2] > 0.0 and p_rx[2] > 0.0
+        a_r0 = phase = 0.0
+        if bounces:
+            image = (p_rx[0], p_rx[1], -p_rx[2])
+            d_refl = math.dist(p_tx, image)
+            s = p_tx[2] / (p_tx[2] + p_rx[2])  # fraction of tx->image where z = 0
+            bounce = (
+                p_tx[0] + s * (image[0] - p_tx[0]),
+                p_tx[1] + s * (image[1] - p_tx[1]),
+                0.0,
+            )
+            a_r0 = channel.reflection_magnitude * d_dir / d_refl
+            phase = channel.reflection_phase - 2.0 * math.pi * (d_refl - d_dir) / lam
+            legs.append(((p_tx, bounce), (bounce, p_rx)))
+        direct.append((p_tx, p_rx))
+        rows.append((bounces, base_db, a_r0, phase))
+    paths = direct + [leg[0] for leg in legs] + [leg[1] for leg in legs]
+    bounces, base_db, a_r0, phase = (np.array(column) for column in zip(*rows))
     return LinkContext(
-        path=(p_tx, p_rx),
         lam=lam,
+        ends=np.moveaxis(np.array(paths, dtype=float), 0, -1),
+        bounces=bounces,
         base_db=base_db,
-        clear_db=clear_db,
         a_r0=a_r0,
         phase=phase,
-        sub_paths=sub_paths,
+        noise_sigma=channel.noise_sigma,
+        rssi_floor=channel.rssi_floor,
     )
 
 
-def noiseless_rssi(ctx: Union[LinkContext, Sequence[LinkContext]],
-                   vehicle: Optional["VehicleSpec"], pose: Optional["Pose"]):
-    """Noise-free RSSI with an optional vehicle in the scene.
+def noiseless_rssi(ctx: LinkContext, vehicle: Optional[VehicleSpec] = None,
+                   pose: Optional[Pose] = None) -> np.ndarray:
+    """Noise-free RSSI of every link of `ctx`, with the link axis last.
 
-    `ctx` is one link's context, or a sequence of contexts of one channel
-    evaluated together with the link axis last.  `pose.front_x` may be an
-    array of nose positions: every path of every link is then evaluated at
-    every position in one pass.  One context and a scalar position give a
-    float.
+    Without a vehicle the result has one value per link.  `pose.front_x` may
+    be an array of nose positions: every path of every link is then
+    evaluated at every position in one pass.
     """
-    links = (ctx,) if isinstance(ctx, LinkContext) else tuple(ctx)
-    rssi = np.array([c.clear_db for c in links])
-    if vehicle is not None and pose is not None:
-        bounces = np.array([bool(c.sub_paths) for c in links])
-        legs = [c.sub_paths for c in links if c.sub_paths]
-        paths = [c.path for c in links] + [leg[0] for leg in legs] + [leg[1] for leg in legs]
-        ends = np.moveaxis(np.array(paths, dtype=float), 0, -1)  # (2 ends, 3 coords, paths)
+    n = len(ctx.base_db)
+    loss_direct = loss_refl = np.zeros(n)
+    if vehicle is not None:
         nose = replace(pose, front_x=np.asarray(pose.front_x)[..., None])
-        loss = obstruction_loss(vehicle, nose, ends, links[0].lam)
-        n, m = len(links), len(legs)
+        loss = obstruction_loss(vehicle, nose, ctx.ends, ctx.lam)
+        m = (loss.shape[-1] - n) // 2  # bounces
         loss_direct = loss[..., :n]
         loss_refl = np.zeros_like(loss_direct)
-        loss_refl[..., bounces] = loss[..., n:n + m] + loss[..., n + m:]
+        loss_refl[..., ctx.bounces] = loss[..., n:n + m] + loss[..., n + m:]
+    a_d = 10.0 ** (-loss_direct / 20.0)
+    a_r = ctx.a_r0 * 10.0 ** (-loss_refl / 20.0)
+    amp = np.hypot(a_d + a_r * np.cos(ctx.phase), a_r * np.sin(ctx.phase))
+    level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
+    np.log10(amp, out=level, where=amp > 0.0)
+    return ctx.base_db + 20.0 * level
 
-        # Where nothing obstructs a link the vehicle-free value holds exactly.
-        rssi = np.broadcast_to(rssi, loss_direct.shape).copy()
-        hit = (loss_direct > 0.0) | (loss_refl > 0.0)
-        j = np.nonzero(hit)[-1]  # link of each obstructed sample
-        base_db, a_r0, cos_phase, sin_phase = np.array(
-            [(c.base_db, c.a_r0, math.cos(c.phase), math.sin(c.phase)) for c in links]
-        ).T[:, j]
-        a_d = 10.0 ** (-loss_direct[hit] / 20.0)
-        a_r = a_r0 * 10.0 ** (-loss_refl[hit] / 20.0)
-        amp = np.hypot(a_d + a_r * cos_phase, a_r * sin_phase)
-        level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
-        np.log10(amp, out=level, where=amp > 0.0)
-        rssi[hit] = base_db + 20.0 * level
-    if isinstance(ctx, LinkContext):
-        rssi = rssi[..., 0]
-    return rssi[()]
+
+def received_rssi(ctx: LinkContext, rssi, rng=None) -> np.ndarray:
+    """What a receiver reports for the noise-free `rssi`: Gaussian noise of the
+    channel's sigma, drawn from the caller's generator (required when sigma > 0),
+    then the floor."""
+    if ctx.noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("a random generator is required when noise_sigma > 0")
+        rssi = rssi + rng.normal(0.0, ctx.noise_sigma, size=np.shape(rssi))
+    return np.maximum(rssi, ctx.rssi_floor)
 
 
 def link_rssi(
-    link: "RadioLink",
+    link: RadioLink,
     channel: ChannelConfig,
     patterns: Mapping[int, AntennaPattern],
-    scene: Optional[Tuple["VehicleSpec", "Pose"]] = None,
+    scene: Optional[Tuple[VehicleSpec, Pose]] = None,
     rng=None,
 ) -> float:
-    """RSSI in dBm on one link for the given scene state.
-
-    Noise is drawn from the caller-provided generator; a generator is
-    required whenever the channel's noise sigma is positive.
-    """
-    ctx = build_link_context(link, channel, patterns)
-    vehicle, pose = scene if scene is not None else (None, None)
-    value = noiseless_rssi(ctx, vehicle, pose)
-    if channel.noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("a random generator is required when noise_sigma > 0")
-        value += rng.normal(0.0, channel.noise_sigma)
-    return max(value, channel.rssi_floor)
+    """RSSI in dBm on one link for the given scene state; noise as in `received_rssi`."""
+    ctx = build_link_context((link,), channel, patterns)
+    return float(received_rssi(ctx, noiseless_rssi(ctx, *(scene or ())), rng)[0])

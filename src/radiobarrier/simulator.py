@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 from .geometry import Pose, SensorLayout, VehicleSpec
-from .propagation import AntennaPattern, ChannelConfig, LinkContext, build_link_context, noiseless_rssi
+from .propagation import (AntennaPattern, ChannelConfig, build_link_context, noiseless_rssi,
+                          received_rssi)
 
 FORMAT_NAME = "radiobarrier-dataset"
 FORMAT_VERSION = 2
@@ -90,16 +91,11 @@ def config_fingerprint(layout: SensorLayout, channel: ChannelConfig,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _link_contexts(layout: SensorLayout, channel: ChannelConfig,
-                   patterns: Mapping[int, AntennaPattern]) -> Tuple[LinkContext, ...]:
-    return tuple(build_link_context(link, channel, patterns) for link in layout.links)
-
-
 def baseline_rssi(layout: SensorLayout, channel: ChannelConfig,
                   patterns: Mapping[int, AntennaPattern]) -> Tuple[float, ...]:
     """Noiseless vehicle-free RSSI per link, in link order."""
-    return tuple(max(ctx.clear_db, channel.rssi_floor)
-                 for ctx in _link_contexts(layout, channel, patterns))
+    ctx = build_link_context(layout.links, replace(channel, noise_sigma=0.0), patterns)
+    return tuple(received_rssi(ctx, noiseless_rssi(ctx)).tolist())
 
 
 def simulate_passage(
@@ -131,9 +127,8 @@ def simulate_passage(
     n_frames = int(math.ceil(total_time / sim.dt)) + 1
     start_x = -sim.pre_roll * speed
     nose = Pose(front_x=start_x + speed * (np.arange(n_frames) * sim.dt), lane_y=lane_y)
-    rssi = noiseless_rssi(_link_contexts(layout, channel, patterns), vehicle, nose)
-    if channel.noise_sigma > 0:
-        rssi += np.random.default_rng(seed).normal(0.0, channel.noise_sigma, size=rssi.shape)
+    ctx = build_link_context(layout.links, channel, patterns)
+    rssi = received_rssi(ctx, noiseless_rssi(ctx, vehicle, nose), np.random.default_rng(seed))
 
     return PassageEvent(
         event_id=event_id,
@@ -142,7 +137,7 @@ def simulate_passage(
         true_speed=speed,
         true_length=vehicle.total_length,
         lane_y=lane_y,
-        rssi=np.maximum(rssi, channel.rssi_floor),
+        rssi=rssi,
         dt=sim.dt,
     )
 
@@ -221,9 +216,10 @@ def generate_dataset(
 
 # ---------------------------------------------------------------------------
 # Serialization: one header line, then one record per line.  Floats are
-# rendered with 17 significant digits so files reproduce byte-for-byte; an
-# RSSI matrix is one string, the standard base64 of its samples as
-# little-endian int16 counts of RSSI_STEP_DB in row-major order.
+# spelled as Python's repr, the shortest string that reads back to the same
+# float, so files reproduce byte-for-byte; an RSSI matrix is one string, the
+# standard base64 of its samples as little-endian int16 counts of
+# RSSI_STEP_DB in row-major order.
 
 _SAMPLE = np.dtype("<i2")
 
@@ -239,9 +235,7 @@ def _encode_samples(rssi: np.ndarray) -> str:
     return base64.b64encode(whole.astype(_SAMPLE).tobytes()).decode("ascii")
 
 
-def _decode_samples(where: str, key: str, value, shape: Tuple[int, int]) -> np.ndarray:
-    if not isinstance(value, str):
-        raise InputDataError(f"{where}: {key} must be a base64 string, got {value!r:.40}")
+def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) -> np.ndarray:
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:  # outside the alphabet, bad padding, or not ASCII
@@ -254,20 +248,8 @@ def _decode_samples(where: str, key: str, value, shape: Tuple[int, int]) -> np.n
 
 
 def dumps_compact(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys; a numpy
-    array of RSSI samples is rendered as one base64 string of int16 step counts."""
-    if isinstance(value, np.ndarray):
-        return '"' + _encode_samples(value) + '"'
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None or isinstance(value, (bool, int, str)):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(dumps_compact(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + dumps_compact(v) for k, v in items) + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    """Deterministic JSON: sorted keys, no spaces, floats as their repr, no NaN or infinity."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
@@ -275,11 +257,8 @@ def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
     Path(path).write_text("\n".join(map(dumps_compact, [header, *records])) + "\n")
 
 
-def _field(where: str, key: str, value, kind: type, shape: Tuple[int, int] = (0, 0)):
-    """`value` if it is of type `kind`; an np.ndarray is decoded from base64 to a `shape`
-    matrix of RSSI samples."""
-    if kind is np.ndarray:
-        return _decode_samples(where, key, value, shape)
+def _field(where: str, key: str, value, kind: type):
+    """`value` if it is of type `kind`."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise InputDataError(f"{where}: {key} must be of type {kind.__name__}, got {value!r:.40}")
     if kind is float and not math.isfinite(value):
@@ -305,9 +284,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
     The header must name `format_name` at `version`, list the `link_ids` and
     count the records in `event_count`.  Every line must hold each key of
-    `fields` with a value of its type; an np.ndarray field is the base64
-    string `dumps_compact` writes for a matrix with the line's `frames` rows
-    and one column per link.  Keys not in `fields` are ignored.
+    `fields` with a value of its type.  Keys not in `fields` are ignored.
     Returns the header and, per line, its location for messages and its
     `fields`.
     """
@@ -344,10 +321,8 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         missing = [key for key in fields if key not in raw]
         if missing:
             raise InputDataError(f"{where}: record line lacks {', '.join(missing)}")
-        record = {}
-        for key, kind in fields.items():  # "frames" is read before the matrix it sizes
-            record[key] = _field(where, key, raw[key], kind, (record.get("frames"), len(link_ids)))
-        records.append((where, record))
+        records.append((where, {key: _field(where, key, raw[key], kind)
+                                for key, kind in fields.items()}))
     if len(records) != header["event_count"]:
         raise InputDataError(
             f"{path}: header announces {header['event_count']} records, file holds {len(records)}"
@@ -356,10 +331,10 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
 
 # Keys of an event line with their types; "values" holds the event's rssi
-# and "frames" its row count.
+# in base64 and "frames" its row count.
 _EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
                  "true_length": float, "lane_y": float, "dt": float, "frames": int,
-                 "values": np.ndarray}
+                 "values": str}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -367,7 +342,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     ConfigurationError and leaves no file."""
     write_records(path, dataset.metadata, (
         {**{key: getattr(ev, key) for key in _EVENT_FIELDS if key not in ("frames", "values")},
-         "frames": len(ev.rssi), "values": ev.rssi}
+         "frames": len(ev.rssi), "values": _encode_samples(ev.rssi)}
         for ev in dataset.events))
 
 
@@ -375,9 +350,10 @@ def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...]]:
     """The header and the events of a dataset file, rejecting any line that does not fit."""
     header, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
     events = []
-    for _, rec in records:
-        del rec["frames"]  # the row count of "values", checked by read_records
-        events.append(PassageEvent(rssi=rec.pop("values"), **rec))
+    for where, rec in records:
+        shape = (rec.pop("frames"), len(header["link_ids"]))
+        events.append(PassageEvent(rssi=_decode_samples(where, "values", rec.pop("values"), shape),
+                                   **rec))
     return header, tuple(events)
 
 

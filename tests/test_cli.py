@@ -214,6 +214,33 @@ def test_generate_refuses_jobs_below_1(tmp_path, capsys, jobs):
     assert not (tmp_path / "dataset.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["generate", "--mix", "truck=1"], "-1"),
+    (["study", "--mix", "truck=1"], "-1"),
+    (["crossval", "--table", "{table}"], "-3"),
+    (["evaluate", "--table", "{table}"], "-2"),
+], ids=["generate", "study", "crossval", "evaluate"])
+def test_negative_seed_exits_1(workspace, tmp_path, capsys, argv, seed):
+    table = str(workspace / "feat" / "features.csv")
+    argv = [arg.format(table=table) for arg in argv]
+    assert run([*argv, "--out", str(tmp_path), "--seed", seed]) == 1
+    assert f"argument --seed: must be at least 0, got {seed}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "study"])
+@pytest.mark.parametrize("mix, needle", [
+    ("truck=1,truck=2", "mix names 'truck' twice"),
+    ("truck=1, truck =1", "mix names 'truck' twice"),
+    ("truck", "must look like 'type=count'"),
+    ("truck=two", "bad count in mix entry"),
+], ids=["twice", "twice_spaced", "no_count", "bad_count"])
+def test_malformed_mix_exits_2(tmp_path, capsys, command, mix, needle):
+    assert run([command, "--out", str(tmp_path), "--mix", mix]) == 2
+    assert needle in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = run(["generate", "--config", str(tmp_path / "missing.ini"),
                 "--out", str(tmp_path / "out")])
@@ -248,7 +275,8 @@ def test_training_error_exit_code(tmp_path, capsys):
     (["--algos", "svm", "--gamma", "nan"], 4, "C and gamma must be finite and positive"),
     (["--algos", "svm", "--gamma", "0"], 4, "C and gamma must be finite and positive"),
     (["--algos", "svm", "--C", "nan"], 4, "C and gamma must be finite and positive"),
-], ids=["folds_0", "folds_1", "gamma_negative", "gamma_nan", "gamma_0", "C_nan"])
+    (["--algos", ","], 2, "names no algorithm"),
+], ids=["folds_0", "folds_1", "gamma_negative", "gamma_nan", "gamma_0", "C_nan", "algos_none"])
 def test_crossval_rejects_out_of_range_options(workspace, capsys, options, code, needle):
     assert run(["crossval", "--table", str(workspace / "feat" / "features.csv"), *options]) == code
     assert needle in capsys.readouterr().err

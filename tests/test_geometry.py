@@ -10,10 +10,9 @@ from radiobarrier.geometry import (
     Pose,
     VehicleSpec,
     build_layout,
-    occlusion_params,
     segment_x_intervals,
 )
-from radiobarrier.propagation import fresnel_v
+from radiobarrier.propagation import fresnel_v, occlusion_params
 
 
 def make_vehicle(length=4.5, top=1.5, clearance=0.15, width=1.8, gap=0.0, trailer=None):

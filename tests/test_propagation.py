@@ -292,13 +292,13 @@ def test_trace_smooth_inside_trough():
     chan = ChannelConfig(noise_sigma=0.0)
     patterns = {1: OMNI, 2: OMNI}
     link = simple_link(z=0.6)
-    ctx = build_link_context(link, chan, patterns)
+    ctx = build_link_context((link,), chan, patterns)
     car = VehicleSpec("passenger car", "passenger_car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
     dt, speed = 0.01, 30.0
     values = []
     for i in range(120):
         pose = Pose(front_x=-3.0 + speed * i * dt, lane_y=2.6)
-        values.append(noiseless_rssi(ctx, car, pose))
+        values.append(noiseless_rssi(ctx, car, pose)[0])
     deltas = np.abs(np.diff(values))
     jumps = int((deltas >= 3.0).sum())
     assert jumps <= 2  # one entry, one exit
@@ -311,21 +311,24 @@ def test_trace_smooth_inside_trough():
 @pytest.mark.parametrize("layout_name", ["layout", "signature_layout"])
 def test_whole_trace_matches_frame_by_frame(request, app_config, quiet_channel,
                                             layout_name, heading, reflection):
-    # one call over every nose position and link equals one scalar call per
-    # position and link, for every catalog vehicle and both driving directions
+    # one call over every nose position and link equals one call per position
+    # on a one-link context per link, for every catalog vehicle and both
+    # driving directions
     layout = request.getfixturevalue(layout_name)
     patterns = app_config.build_patterns(layout)
     chan = replace(quiet_channel, ground_reflection_enabled=reflection)
-    contexts = [build_link_context(link, chan, patterns) for link in layout.links]
+    ctx = build_link_context(layout.links, chan, patterns)
+    singles = [build_link_context((link,), chan, patterns) for link in layout.links]
     for vehicle in app_config.catalog.values():
         lane = (layout.road_width - vehicle.width) / 2.0
         span = layout.array_length + vehicle.total_length + 2.0
         lo = -2.0 if heading == 1 else -vehicle.total_length - 2.0
         xs = np.arange(lo, lo + span + 2.0, 0.23)
-        trace = noiseless_rssi(contexts, vehicle, Pose(xs, lane, heading))
-        assert trace.shape == (len(xs), len(contexts))
+        trace = noiseless_rssi(ctx, vehicle, Pose(xs, lane, heading))
+        assert trace.shape == (len(xs), len(layout.links))
         frame_by_frame = np.array([
-            [noiseless_rssi(ctx, vehicle, Pose(float(x), lane, heading)) for ctx in contexts]
+            [noiseless_rssi(single, vehicle, Pose(float(x), lane, heading))[0]
+             for single in singles]
             for x in xs
         ])
         assert np.abs(trace - frame_by_frame).max() <= 1e-9
