@@ -186,12 +186,12 @@ def _cmd_features(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     records = load_segments(args.segments, layout)
-    vectors = featurize_records(records, layout, cfg.features)
+    table = featurize_records(records, layout, cfg.features)
     out = _out_dir(args, "features.csv")
     target = out / "features.csv"
-    save_features_csv(vectors, target)
+    save_features_csv(table, target)
     _write_manifest(out, "features", args, [args.segments], [target])
-    print(f"wrote {len(vectors)} feature rows to {target}")
+    print(f"wrote {len(table)} feature rows to {target}")
     return EXIT_OK
 
 
@@ -277,17 +277,16 @@ def _render_table(header, rows, markdown: bool) -> str:
 
 
 def _cmd_crossval(args) -> int:
-    vectors = load_features_csv(args.table)
-    X = feature_matrix(vectors, args.feature_set)
-    y = np.array([fv.label for fv in vectors])
-    ids = [fv.event_id for fv in vectors]
+    table = load_features_csv(args.table)
+    X = feature_matrix(table, args.feature_set)
+    y = np.array(table.labels)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ConfigurationError(f"--algos {args.algos!r} names no algorithm")
     result = {"kind": "crossval", "feature_set": args.feature_set,
               "folds": args.folds, "seed": args.seed, "algos": {}}
     for algo in algos:
-        cv = cross_validate(X, y, ids, _make_factory(algo, args),
+        cv = cross_validate(X, y, table.event_ids, _make_factory(algo, args),
                             folds=args.folds, seed=args.seed)
         result["algos"][algo] = {
             "fold_accuracies": list(cv.fold_accuracies),
@@ -303,42 +302,35 @@ def _cmd_crossval(args) -> int:
     return EXIT_OK
 
 
-def _split_train_test(vectors, test_fraction: float, seed: int):
+def _split_train_test(table, test_fraction: float, seed: int):
+    """Row indices of a train/test split stratified by label, each in event-id order."""
     rng = np.random.default_rng(seed)
-    by_label = {}
-    ordered = sorted(vectors, key=lambda fv: fv.event_id)
-    for i, fv in enumerate(ordered):
-        by_label.setdefault(fv.label, []).append(i)
-    test_idx = set()
-    for label in sorted(by_label):
-        idxs = np.array(by_label[label])
+    order = np.argsort(table.event_ids, kind="stable")
+    labels = np.array(table.labels)[order]
+    test = np.zeros(len(order), dtype=bool)
+    for label in sorted(set(table.labels)):
+        idxs = np.flatnonzero(labels == label)
         rng.shuffle(idxs)
-        n_test = max(1, int(round(test_fraction * len(idxs))))
-        test_idx.update(int(i) for i in idxs[:n_test])
-    train = [fv for i, fv in enumerate(ordered) if i not in test_idx]
-    test = [fv for i, fv in enumerate(ordered) if i in test_idx]
-    return train, test
+        test[idxs[:max(1, int(round(test_fraction * len(idxs))))]] = True
+    return order[~test], order[test]
 
 
 def _cmd_evaluate(args) -> int:
     if not 0 < args.test_fraction < 1:
         raise ConfigurationError(f"--test-fraction must lie inside (0, 1), got {args.test_fraction}")
-    vectors = load_features_csv(args.table)
-    train, test = _split_train_test(vectors, args.test_fraction, args.seed)
-    if not train or not test:
+    table = load_features_csv(args.table)
+    train, test = _split_train_test(table, args.test_fraction, args.seed)
+    if not train.size or not test.size:
         raise InputDataError("train/test split left an empty side")
-    X_train = feature_matrix(train, args.feature_set)
-    X_test = feature_matrix(test, args.feature_set)
-    y_train = np.array([fv.label for fv in train])
-    y_test = np.array([fv.label for fv in test])
-    type_names = [fv.type_name for fv in test]
+    X, y = feature_matrix(table, args.feature_set), np.array(table.labels)
+    type_names = [table.type_names[i] for i in test]
 
     algos = ["length"] if args.feature_set == "length" else ["knn", "svm"]
     reports = {}
     for algo in algos:
         model = _make_factory(algo, args)()
-        model.fit(X_train, y_train)
-        reports[algo] = evaluate_predictions(y_test, model.predict(X_test), type_names)
+        model.fit(X[train], y[train])
+        reports[algo] = evaluate_predictions(y[test], model.predict(X[test]), type_names)
 
     first = reports[algos[0]]
     rows = []

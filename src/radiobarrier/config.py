@@ -196,7 +196,6 @@ SCHEMA = {
     "features": {
         "resample_points": ("resample_points", int),
         "links_used": ("links_used", str),
-        "include_length": ("include_length", _boolean),
         "include_rssi": ("include_rssi", _boolean),
     },
 }

@@ -1,4 +1,4 @@
-"""From raw RSSI streams to detected passages, estimates and feature vectors.
+"""From raw RSSI streams to detected passages, estimates and a feature table.
 
 Detection is threshold-with-hysteresis against a rolling per-link baseline:
 a segment opens when any link falls drop_threshold below its baseline and
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -176,15 +177,12 @@ def _build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment
     levels = np.array(baselines)
     dropped = frames <= levels - cfg.drop_threshold
     held = frames <= levels - cfg.release_threshold  # true wherever dropped is
-    windows = []
-    for j, link in enumerate(layout.links):
-        onsets = np.flatnonzero(dropped[:, j])
-        if onsets.size:
-            last = int(np.flatnonzero(held[:, j])[-1])
-            windows.append(LinkWindow(link.id, (start + int(onsets[0])) * dt,
-                                      (start + last) * dt + dt))
-    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames,
-                        windows=tuple(windows))
+    # per link: the first dropped frame and the last held one
+    first, last = dropped.argmax(axis=0), len(frames) - 1 - held[::-1].argmax(axis=0)
+    windows = tuple(LinkWindow(layout.links[j].id, (start + int(first[j])) * dt,
+                               (start + int(last[j])) * dt + dt)
+                    for j in np.flatnonzero(dropped.any(axis=0)))
+    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames, windows=windows)
 
 
 def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
@@ -229,18 +227,20 @@ def estimate_length(segment: EventSegment, speed: float, layout: SensorLayout) -
     return speed * sum(durations) / len(durations)
 
 
-def drop_magnitude(trace: Sequence[float], baseline: float) -> float:
-    """Depth of the deepest dip below baseline, in dB, clamped at 0."""
-    if len(trace) == 0:
+def drop_magnitude(trace, baseline) -> float:
+    """Depth of the deepest dip below baseline, in dB, clamped at 0; of the deepest
+    over all links for a (frames x links) trace and one baseline per link."""
+    trace = np.asarray(trace, dtype=np.float64)
+    if trace.size == 0:
         raise InputDataError("empty trace slice")
-    return max(0.0, baseline - float(np.min(trace)))
+    return max(0.0, float(np.max(np.asarray(baseline) - trace.min(axis=0))))
 
 
 def event_drop_magnitude(segment: EventSegment, layout: SensorLayout,
                          links_used: str = "direct") -> float:
     """Per-event drop: largest per-link drop over the cross-street links."""
     indices = _link_indices(layout, links_used)
-    return max(drop_magnitude(segment.rssi[:, j], segment.baselines[j]) for j in indices)
+    return drop_magnitude(segment.rssi[:, indices], np.array(segment.baselines)[indices])
 
 
 def _link_indices(layout: SensorLayout, links_used: str) -> List[int]:
@@ -255,35 +255,42 @@ def _link_indices(layout: SensorLayout, links_used: str) -> List[int]:
 class FeatureConfig:
     resample_points: int = 32
     links_used: str = "all"  # 'all' | 'direct'
-    include_length: bool = True
-    include_rssi: bool = True
+    include_rssi: bool = True  # the drop profile columns f_0, f_1, ...
 
     def __post_init__(self) -> None:
         if self.resample_points < 2:
             raise ConfigurationError("resample_points must be at least 2")
-        if not (self.include_length or self.include_rssi):
-            raise ConfigurationError("at least one feature family must be enabled")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    event_id: int
-    type_name: str
-    label: str
-    est_speed: float
-    est_length: float
-    drop_magnitude: float
-    rssi_profile: Tuple[float, ...]
+# The columns of every feature table ahead of its drop profile f_0, f_1, ...
+SCALAR_COLUMNS = ("est_speed", "est_length", "drop_magnitude")
 
 
-def feature_dimension(cfg: FeatureConfig, layout: SensorLayout) -> int:
-    """Classifier input width implied by a feature configuration."""
-    dim = 0
-    if cfg.include_rssi:
-        dim += cfg.resample_points * len(_link_indices(layout, cfg.links_used))
-    if cfg.include_length:
-        dim += 1
-    return dim
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Per detected passage, its event's id, type name and label and a row of
+    `values`, a read-only float64 (events x columns) array whose columns are
+    `columns`: SCALAR_COLUMNS, then the drop profile f_0 .. f_{D-1}.  `source`
+    names the table in messages."""
+
+    event_ids: Tuple[int, ...]
+    type_names: Tuple[str, ...]
+    labels: Tuple[str, ...]
+    values: np.ndarray
+    source: str = "feature table"
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=np.float64).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.event_ids)
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        profile = self.values.shape[1] - len(SCALAR_COLUMNS)
+        return SCALAR_COLUMNS + tuple(f"f_{i}" for i in range(profile))
 
 
 def extract_features(
@@ -292,36 +299,26 @@ def extract_features(
     length: float,
     cfg: FeatureConfig,
     layout: SensorLayout,
-    *,
-    event_id: int = 0,
-    type_name: str = "",
-    label: str = "",
-) -> FeatureVector:
-    """Resample per-link drop profiles onto a fixed grid and attach scalars.
+) -> np.ndarray:
+    """One feature-table row: speed, length, drop magnitude, then the drop profile.
 
-    Each link's baseline-relative drop series is linearly interpolated onto
-    resample_points equally spaced instants of [t_start, t_end] and the links
-    are concatenated in id order, so the dimensionality depends only on the
-    configuration, never on the segment duration.
+    Each profiled link's baseline-relative drop series is linearly
+    interpolated onto resample_points equally spaced instants of
+    [t_start, t_end] and the links are concatenated in layout order, so the
+    width depends only on the configuration, never on the segment duration.
     """
     if segment.t_end <= segment.t_start:
         raise InputDataError("degenerate zero-duration segment")
-    profile: List[float] = []
-    if cfg.include_rssi:
-        grid = np.linspace(segment.t_start, segment.t_end, cfg.resample_points)
-        times = (segment.start + np.arange(len(segment.rssi), dtype=np.float64)) * segment.dt
-        for j in _link_indices(layout, cfg.links_used):
-            drops = np.maximum(0.0, segment.baselines[j] - segment.rssi[:, j])
-            profile.extend(float(x) for x in np.interp(grid, times, drops))
-    return FeatureVector(
-        event_id=event_id,
-        type_name=type_name,
-        label=label,
-        est_speed=speed,
-        est_length=length,
-        drop_magnitude=event_drop_magnitude(segment, layout),
-        rssi_profile=tuple(profile),
-    )
+    links = _link_indices(layout, cfg.links_used) if cfg.include_rssi else []
+    row = np.empty(len(SCALAR_COLUMNS) + cfg.resample_points * len(links))
+    row[:len(SCALAR_COLUMNS)] = speed, length, event_drop_magnitude(segment, layout)
+    drops = np.maximum(0.0, np.array(segment.baselines) - segment.rssi)
+    grid = np.linspace(segment.t_start, segment.t_end, cfg.resample_points)
+    times = (segment.start + np.arange(len(segment.rssi), dtype=np.float64)) * segment.dt
+    profile = row[len(SCALAR_COLUMNS):].reshape(len(links), cfg.resample_points)
+    for out, j in zip(profile, links):
+        out[:] = np.interp(grid, times, drops[:, j])
+    return row
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,7 @@ def featurize_dataset(
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
     feat_cfg: FeatureConfig = FeatureConfig(),
-) -> Tuple[List[FeatureVector], DetectionSummary]:
+) -> Tuple[FeatureTable, DetectionSummary]:
     records, summary = detect_dataset(dataset, layout, det_cfg)
     return featurize_records(records, layout, feat_cfg), summary
 
@@ -459,45 +456,44 @@ def featurize_records(
     records: Sequence[SegmentRecord],
     layout: SensorLayout,
     feat_cfg: FeatureConfig = FeatureConfig(),
-) -> List[FeatureVector]:
-    vectors = []
+) -> FeatureTable:
+    """The feature table of `records`, one row per record in their order."""
+    rows = []
     for rec in records:
         speed = estimate_speed(rec.segment, layout)
         length = estimate_length(rec.segment, speed, layout)
-        vectors.append(
-            extract_features(
-                rec.segment, speed, length, feat_cfg, layout,
-                event_id=rec.event_id, type_name=rec.type_name, label=rec.label,
-            )
-        )
-    return vectors
+        rows.append(extract_features(rec.segment, speed, length, feat_cfg, layout))
+    values = np.array(rows) if rows else np.empty((0, len(SCALAR_COLUMNS)))
+    return FeatureTable(tuple(rec.event_id for rec in records),
+                        tuple(rec.type_name for rec in records),
+                        tuple(rec.label for rec in records), values)
 
 
 # ---------------------------------------------------------------------------
-# Feature table I/O: comma-separated text with one row per event.
+# Feature table I/O: comma-separated text with one row per event, CRLF line
+# ends as csv.writer makes them, floats spelled as format(x, ".17g").
 
-def save_features_csv(vectors: Sequence[FeatureVector], path) -> None:
-    path = Path(path)
-    dim = len(vectors[0].rssi_profile) if vectors else 0
-    header = ["event_id", "type_name", "label", "est_speed", "est_length", "drop_magnitude"]
-    header += [f"f_{i}" for i in range(dim)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for fv in vectors:
-            row = [
-                fv.event_id,
-                fv.type_name,
-                fv.label,
-                format(fv.est_speed, ".17g"),
-                format(fv.est_length, ".17g"),
-                format(fv.drop_magnitude, ".17g"),
-            ]
-            row += [format(x, ".17g") for x in fv.rssi_profile]
-            writer.writerow(row)
+_TEXT_COLUMNS = ("event_id", "type_name", "label")
 
 
-def load_features_csv(path) -> List[FeatureVector]:
+def _csv_cells(cells) -> str:
+    """`cells` as csv.writer spells them within a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)  # the row's own "\r\n" decides what gets quoted
+    return buf.getvalue()[:-2]
+
+
+def save_features_csv(table: FeatureTable, path) -> None:
+    """Write `table` with one row per event, as load_features_csv reads it."""
+    names = {pair: _csv_cells(pair) for pair in set(zip(table.type_names, table.labels))}
+    row = ",".join(["%s", "%s"] + ["%.17g"] * len(table.columns)) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(_TEXT_COLUMNS + table.columns) + "\r\n")
+        fh.writelines(row % (event_id, names[pair], *values.tolist()) for event_id, pair, values
+                      in zip(table.event_ids, zip(table.type_names, table.labels), table.values))
+
+
+def load_features_csv(path) -> FeatureTable:
     """Read a non-empty feature table, rejecting any row that does not fit its header."""
     path = Path(path)
     try:
@@ -506,39 +502,46 @@ def load_features_csv(path) -> List[FeatureVector]:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputDataError(f"cannot read feature table {path}: {exc}") from exc
     header = rows[0] if rows else []
-    expected = ["event_id", "type_name", "label", "est_speed", "est_length", "drop_magnitude"]
-    if header[: len(expected)] != expected:
-        raise InputDataError(f"{path} is not a feature table")
-    vectors = []
+    leading = _TEXT_COLUMNS + SCALAR_COLUMNS
+    if header != [*leading, *(f"f_{i}" for i in range(len(header) - len(leading)))]:
+        raise InputDataError(f"{path} is not a feature table: its header is not "
+                             f"{','.join(leading)} and then f_0, f_1, ... in order")
+    event_ids, values, linenos = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        where = f"{path}:{lineno}"
         if len(row) != len(header):
-            raise InputDataError(f"{where}: {len(row)} cells under a {len(header)}-column header")
+            raise InputDataError(
+                f"{path}:{lineno}: {len(row)} cells under a {len(header)}-column header")
         try:
-            event_id = int(row[0])
-            numbers = [float(x) for x in row[3:]]
+            event_ids.append(int(row[0]))
+            values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
         except ValueError as exc:
-            raise InputDataError(f"{where}: {exc}") from None
-        if not all(math.isfinite(x) for x in numbers):
-            raise InputDataError(f"{where}: a feature is not finite")
-        speed, length, drop, *profile = numbers
-        vectors.append(FeatureVector(event_id, row[1], row[2], speed, length, drop, tuple(profile)))
-    if not vectors:
+            raise InputDataError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+    if not values:
         raise InputDataError(f"feature table {path} has no rows")
-    return vectors
+    values = np.array(values)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise InputDataError(f"{path}:{linenos[np.argmin(finite)]}: a feature is not finite")
+    return FeatureTable(tuple(event_ids), tuple(rows[n - 1][1] for n in linenos),
+                        tuple(rows[n - 1][2] for n in linenos), values, source=str(path))
 
 
-def feature_matrix(vectors: Sequence[FeatureVector], feature_set: str) -> np.ndarray:
-    """Assemble the classifier input for one of the three feature sets."""
-    if feature_set == "length":
-        return np.array([[fv.est_length] for fv in vectors])
-    if feature_set == "rssi":
-        return np.array([fv.rssi_profile for fv in vectors])
-    if feature_set == "both":
-        return np.array([list(fv.rssi_profile) + [fv.est_length] for fv in vectors])
-    raise ConfigurationError(f"unknown feature set {feature_set!r}")
+def feature_matrix(table: FeatureTable, feature_set: str) -> np.ndarray:
+    """The classifier input for one of the three feature sets, a selection of the
+    table's columns: est_length, the drop profile, or the profile then est_length."""
+    length = [SCALAR_COLUMNS.index("est_length")]
+    profile = list(range(len(SCALAR_COLUMNS), len(table.columns)))
+    columns = {"length": length, "rssi": profile, "both": profile + length}.get(feature_set)
+    if columns is None:
+        raise ConfigurationError(f"unknown feature set {feature_set!r}")
+    if feature_set != "length" and not profile:
+        raise InputDataError(f"{table.source} has no drop profile columns f_0, f_1, ..., "
+                             f"as a table written with include_rssi = false; feature set "
+                             f"{feature_set!r} needs them")
+    return table.values[:, columns]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 from .geometry import Pose, SensorLayout, VehicleSpec
-from .propagation import (AntennaPattern, ChannelConfig, build_link_context, noiseless_rssi,
-                          received_rssi)
+from .propagation import (AntennaPattern, ChannelConfig, LinkContext, build_link_context,
+                          noiseless_rssi, received_rssi)
 
 FORMAT_NAME = "radiobarrier-dataset"
 FORMAT_VERSION = 2
@@ -108,12 +108,15 @@ def simulate_passage(
     seed,
     sim: SimulationConfig = SimulationConfig(),
     event_id: int = 0,
+    ctx: Optional[LinkContext] = None,
 ) -> PassageEvent:
     """Drive one vehicle through the array and sample every link.
 
     The nose starts pre_roll seconds before the first post and the run ends
     post_roll seconds after the tail clears the last post.  `seed` is
     anything numpy's default_rng accepts, including an existing generator.
+    `ctx` is the context of layout.links under channel and patterns, built
+    here when not given.
     """
     if speed <= 0:
         raise ConfigurationError("speed must be positive")
@@ -127,7 +130,8 @@ def simulate_passage(
     n_frames = int(math.ceil(total_time / sim.dt)) + 1
     start_x = -sim.pre_roll * speed
     nose = Pose(front_x=start_x + speed * (np.arange(n_frames) * sim.dt), lane_y=lane_y)
-    ctx = build_link_context(layout.links, channel, patterns)
+    if ctx is None:
+        ctx = build_link_context(layout.links, channel, patterns)
     rssi = received_rssi(ctx, noiseless_rssi(ctx, vehicle, nose), np.random.default_rng(seed))
 
     return PassageEvent(
@@ -149,7 +153,7 @@ def _event_rng(seed: int, event_id: int) -> np.random.Generator:
 
 
 def _simulate_event_task(args) -> PassageEvent:
-    layout, channel, patterns, vehicle, sim, seed, event_id = args
+    layout, channel, patterns, ctx, vehicle, sim, seed, event_id = args
     rng = _event_rng(seed, event_id)
     lo, hi = sim.speeds_for(vehicle.type_name)
     speed = float(rng.uniform(lo, hi))
@@ -158,7 +162,7 @@ def _simulate_event_task(args) -> PassageEvent:
     jitter = float(rng.uniform(-jitter_cap, jitter_cap)) if jitter_cap > 0 else 0.0
     lane_y = margin + jitter
     event = simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
-                             event_id=event_id)
+                             event_id=event_id, ctx=ctx)
     return replace(event, rssi=np.round(event.rssi / RSSI_STEP_DB) * RSSI_STEP_DB)
 
 
@@ -187,11 +191,12 @@ def generate_dataset(
     if sum(counts.values()) == 0:
         raise ConfigurationError("mix is empty")
 
+    ctx = build_link_context(layout.links, channel, patterns)  # shared by every event
     tasks = []
     event_id = 1
     for type_name, vehicle in catalog.items():
         for _ in range(counts[type_name]):
-            tasks.append((layout, channel, patterns, vehicle, sim, seed, event_id))
+            tasks.append((layout, channel, patterns, ctx, vehicle, sim, seed, event_id))
             event_id += 1
 
     if jobs > 1:

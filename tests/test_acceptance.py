@@ -65,13 +65,13 @@ def bench(cfg):
     mix = {t: 50 for t in cfg.catalog}
     dataset = generate_dataset(layout, cfg.channel, patterns, cfg.catalog, mix,
                                cfg.sim, seed=BENCH_SEED)
-    vectors, summary = featurize_dataset(dataset, layout, cfg.detection, cfg.features)
+    table, summary = featurize_dataset(dataset, layout, cfg.detection, cfg.features)
     return {
         "layout": layout,
         "patterns": patterns,
         "mix": mix,
         "dataset": dataset,
-        "vectors": vectors,
+        "table": table,
         "summary": summary,
     }
 
@@ -146,12 +146,12 @@ def test_criterion_5_end_to_end_benchmark(bench):
         summary.detection_rate >= 0.99 and summary.spurious_segments == 0
     )
 
-    vectors = bench["vectors"]
-    y = np.array([fv.label for fv in vectors])
-    ids = [fv.event_id for fv in vectors]
+    table = bench["table"]
+    y = np.array(table.labels)
+    ids = table.event_ids
     acc = {}
     for feature_set in ("length", "rssi", "both"):
-        X = feature_matrix(vectors, feature_set)
+        X = feature_matrix(table, feature_set)
         if feature_set == "length":
             acc[("threshold", feature_set)] = cross_validate(
                 X, y, ids, lambda: LengthThresholdClassifier(), folds=5, seed=7).mean
@@ -255,10 +255,10 @@ def test_criterion_8_estimator_accuracy(cfg):
 
 
 def test_criterion_9_learner_properties(bench, cfg, tmp_path):
-    vectors = bench["vectors"]
-    X = feature_matrix(vectors, "both")
-    y = np.array([fv.label for fv in vectors])
-    ids = [fv.event_id for fv in vectors]
+    table = bench["table"]
+    X = feature_matrix(table, "both")
+    y = np.array(table.labels)
+    ids = table.event_ids
 
     # k = 1 training accuracy
     knn1 = KnnClassifier(k=1).fit(X, y)

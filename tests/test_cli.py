@@ -518,6 +518,46 @@ def test_crossval_on_bad_feature_row_exits_3(workspace, tmp_path, capsys, edit):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda line: line.replace("f_0,f_1,", "f_1,f_0,"),
+    lambda line: line.replace(",f_3,", ",g_3,"),
+], ids=["profile_columns_swapped", "profile_column_renamed"])
+def test_crossval_on_bad_profile_header_exits_3(workspace, tmp_path, capsys, edit):
+    broken = _edit_line(workspace / "feat" / "features.csv", tmp_path / "features.csv", 0, edit)
+    assert run(["crossval", "--table", str(broken)]) == 3
+    assert "is not a feature table" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def length_only_table(workspace, tmp_path_factory):
+    """The workspace's segments featurized with include_rssi = false: no f_ columns."""
+    root = tmp_path_factory.mktemp("length_only")
+    (root / "config.ini").write_text("[features]\ninclude_rssi = false\n")
+    assert run(["features", "--config", str(root / "config.ini"),
+                "--segments", str(workspace / "det" / "segments.jsonl"), "--out", str(root)]) == 0
+    return root / "features.csv"
+
+
+def test_length_only_table_serves_the_length_set(length_only_table, capsys):
+    header = length_only_table.read_text().splitlines()[0]
+    assert header == "event_id,type_name,label,est_speed,est_length,drop_magnitude"
+    assert run(["crossval", "--table", str(length_only_table), "--features", "length",
+                "--algos", "knn,svm,length"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossval", "--features", "rssi", "--algos", "svm"],
+    ["crossval", "--features", "rssi", "--algos", "knn"],
+    ["crossval", "--features", "both"],
+    ["evaluate", "--features", "rssi"],
+], ids=["crossval_rssi_svm", "crossval_rssi_knn", "crossval_both", "evaluate_rssi"])
+def test_profile_feature_sets_on_a_length_only_table_exit_3(length_only_table, capsys, argv):
+    assert run([*argv, "--table", str(length_only_table)]) == 3
+    err = capsys.readouterr().err
+    assert str(length_only_table) in err and "no drop profile columns" in err
+
+
 @pytest.fixture(scope="module")
 def mutable_lines(tmp_path_factory):
     """The lines of a 4-event dataset and of its segments and feature table.

@@ -3,6 +3,8 @@
 `reference_detect_events` is that loop, kept verbatim as the oracle: it takes
 a `statistics.median` over one deque per link on every frame.  The detector
 must give equal segments (start, bit-identical baselines, samples, windows).
+`reference_build_segment` is the per-link loop that found each segment's
+windows before they were found for all links at once.
 """
 import math
 import statistics
@@ -17,8 +19,24 @@ from hypothesis import strategies as st
 from radiobarrier.config import default_config
 from radiobarrier.errors import ConfigurationError, InputDataError
 from radiobarrier.geometry import SensorLayout
-from radiobarrier.pipeline import DetectionConfig, EventSegment, _build_segment, detect_events
+from radiobarrier.pipeline import DetectionConfig, EventSegment, LinkWindow, detect_events
 from radiobarrier.simulator import generate_dataset
+
+
+def reference_build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment:
+    frames = rssi[start:end + 1]
+    levels = np.array(baselines)
+    dropped = frames <= levels - cfg.drop_threshold
+    held = frames <= levels - cfg.release_threshold  # true wherever dropped is
+    windows = []
+    for j, link in enumerate(layout.links):
+        onsets = np.flatnonzero(dropped[:, j])
+        if onsets.size:
+            last = int(np.flatnonzero(held[:, j])[-1])
+            windows.append(LinkWindow(link.id, (start + int(onsets[0])) * dt,
+                                      (start + last) * dt + dt))
+    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames,
+                        windows=tuple(windows))
 
 
 def reference_detect_events(
@@ -55,7 +73,8 @@ def reference_detect_events(
 
     def close(end_index: int) -> None:
         nonlocal open_start, open_baselines
-        seg = _build_segment(rssi, open_start, end_index, dt, open_baselines, layout, cfg)
+        seg = reference_build_segment(rssi, open_start, end_index, dt, open_baselines, layout,
+                                      cfg)
         if seg.t_end - seg.t_start >= cfg.min_duration:
             segments.append(seg)
         open_start = None

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -6,11 +7,14 @@ import numpy as np
 import pytest
 
 from radiobarrier import pipeline
+from radiobarrier.config import load_config
 from radiobarrier.errors import ConfigurationError, EstimationError, InputDataError
 from radiobarrier.pipeline import (
     DetectionConfig,
     EventSegment,
     FeatureConfig,
+    SCALAR_COLUMNS,
+    FeatureTable,
     LinkWindow,
     dataset_drop_stats,
     detect_dataset,
@@ -20,7 +24,6 @@ from radiobarrier.pipeline import (
     estimate_speed,
     event_drop_magnitude,
     extract_features,
-    feature_dimension,
     feature_matrix,
     featurize_dataset,
     featurize_records,
@@ -40,6 +43,11 @@ from radiobarrier.simulator import (
 )
 
 DET = DetectionConfig()
+
+
+def table_fields(table):
+    """What a feature table holds besides its source, each float as its bytes."""
+    return table.event_ids, table.type_names, table.labels, table.columns, table.values.tobytes()
 
 
 def centered_lane(layout, vehicle):
@@ -244,6 +252,16 @@ def test_drop_magnitude_empty_rejected():
         drop_magnitude([], -54.5)
 
 
+def test_drop_magnitude_of_many_links_is_the_deepest_link_drop():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        trace = rng.normal(-60.0, 6.0, size=(30, 9)).round(1)
+        baselines = rng.normal(-60.0, 3.0, size=9).round(1)
+        # the per-link loop the array form replaced
+        deepest = max(max(0.0, b - float(np.min(trace[:, j]))) for j, b in enumerate(baselines))
+        assert drop_magnitude(trace, baselines) == deepest
+
+
 # -- features ---------------------------------------------------------------------
 
 def test_resample_constant_drop(layout):
@@ -255,10 +273,11 @@ def test_resample_constant_drop(layout):
         windows=(LinkWindow(1, 0.0, (n - 1) * 0.01),),
     )
     assert seg.t_start == 0.0 and seg.t_end == (n - 1) * 0.01
-    fv = extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
-    assert len(fv.rssi_profile) == 9 * 32
-    assert all(x == pytest.approx(10.0) for x in fv.rssi_profile)
-    assert fv.drop_magnitude == pytest.approx(10.0)
+    row = extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
+    profile = row[len(SCALAR_COLUMNS):]
+    assert len(profile) == 9 * 32
+    assert all(x == pytest.approx(10.0) for x in profile)
+    assert row[SCALAR_COLUMNS.index("drop_magnitude")] == pytest.approx(10.0)
 
 
 def test_resample_two_points_are_endpoints(layout):
@@ -271,13 +290,12 @@ def test_resample_two_points_are_endpoints(layout):
     )
     assert seg.t_start == 0.0 and seg.t_end == 0.03
     cfg = FeatureConfig(resample_points=2)
-    fv = extract_features(seg, 10.0, 4.5, cfg, layout)
-    per_link = fv.rssi_profile[:2]
+    row = extract_features(seg, 10.0, 4.5, cfg, layout)
+    per_link = tuple(row[len(SCALAR_COLUMNS):][:2])
     assert per_link == (pytest.approx(1.0), pytest.approx(2.0))
 
 
 def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
-    assert feature_dimension(FeatureConfig(), layout) == 9 * 32 + 1
     car = app_config.catalog["passenger car"]
     rows = []
     for speed in (6.0, 18.0):  # very different durations
@@ -286,17 +304,43 @@ def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
         v = estimate_speed(seg, layout)
         L = estimate_length(seg, v, layout)
         rows.append(extract_features(seg, v, L, FeatureConfig(), layout))
-    assert len(rows[0].rssi_profile) == len(rows[1].rssi_profile) == 288
-    X = feature_matrix(rows, "both")
+    table = FeatureTable((1, 2), ("passenger car",) * 2, ("passenger_car",) * 2, np.array(rows))
+    assert feature_matrix(table, "both").shape[1] == 9 * 32 + 1
+    assert table.columns[len(SCALAR_COLUMNS):] == tuple(f"f_{i}" for i in range(288))
+    X = feature_matrix(table, "both")
     assert X.shape == (2, 289)
-    assert feature_matrix(rows, "length").shape == (2, 1)
+    assert feature_matrix(table, "length").shape == (2, 1)
 
 
-def test_feature_config_validation():
+def test_feature_config_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         FeatureConfig(resample_points=1)
+    # est_length is in every table: there is no key that turns it off
+    p = tmp_path / "no_features.ini"
+    p.write_text("[features]\ninclude_length = false\ninclude_rssi = false\n")
     with pytest.raises(ConfigurationError):
-        FeatureConfig(include_length=False, include_rssi=False)
+        load_config(p)
+
+
+def test_feature_matrix_selects_columns():
+    values = np.arange(12.0).reshape(2, 6)  # three scalars, then f_0 .. f_2
+    table = FeatureTable((4, 3), ("bus", "van"), ("truck", "passenger_car"), values)
+    assert table.columns == SCALAR_COLUMNS + ("f_0", "f_1", "f_2")
+    assert len(table) == 2 and not table.values.flags.writeable
+    assert feature_matrix(table, "length").tolist() == [[1.0], [7.0]]
+    assert feature_matrix(table, "rssi").tolist() == [[3.0, 4.0, 5.0], [9.0, 10.0, 11.0]]
+    assert feature_matrix(table, "both").tolist() == [[3.0, 4.0, 5.0, 1.0],
+                                                      [9.0, 10.0, 11.0, 7.0]]
+    with pytest.raises(ConfigurationError):
+        feature_matrix(table, "speed")
+
+
+def test_feature_matrix_without_profile_columns_names_the_table():
+    table = FeatureTable((1,), ("bus",), ("truck",), [[10.0, 12.0, 8.0]], source="t.csv")
+    assert feature_matrix(table, "length").tolist() == [[12.0]]
+    for feature_set in ("rssi", "both"):
+        with pytest.raises(InputDataError, match="t.csv"):
+            feature_matrix(table, feature_set)
 
 
 def test_degenerate_segment_rejected(layout):
@@ -354,17 +398,32 @@ def test_segments_round_trip(tmp_path, monkeypatch, layout, patterns, app_config
     # features computed from loaded segments match the direct path
     direct = featurize_records(records, layout)
     via_file = featurize_records(loaded, layout)
-    for x, y in zip(direct, via_file):
-        assert x == y
+    assert table_fields(direct) == table_fields(via_file)
 
 
 def test_features_csv_round_trip(tmp_path, layout, patterns, app_config):
     ds = small_dataset(layout, patterns, app_config)
-    vectors, _ = featurize_dataset(ds, layout, DET, FeatureConfig())
+    table, _ = featurize_dataset(ds, layout, DET, FeatureConfig())
     p = tmp_path / "features.csv"
-    save_features_csv(vectors, p)
+    save_features_csv(table, p)
     loaded = load_features_csv(p)
-    assert loaded == vectors
+    assert table_fields(loaded) == table_fields(table)
+    assert loaded.source == str(p)
+
+
+def test_features_csv_is_what_csv_writer_makes(tmp_path):
+    names = ("plain", 'say "hi", twice', "two\nlines")
+    values = [[0.1, -0.0, 0.0, 5e-324], [1e300, 0.1, -1.5, 0.0], [2.0 / 3.0, 0.0, -0.0, 7.0]]
+    table = FeatureTable((7, 8, 9), names, names, values)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    save_features_csv(table, ours)
+    with theirs.open("w", newline="") as fh:  # csv.writer with every float as '.17g'
+        writer = csv.writer(fh)
+        writer.writerow(("event_id", "type_name", "label") + table.columns)
+        writer.writerows((i, n, n, *(format(x, ".17g") for x in row))
+                         for i, n, row in zip(table.event_ids, names, table.values))
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert table_fields(load_features_csv(ours)) == table_fields(table)
 
 
 # -- reflection study -----------------------------------------------------------------
