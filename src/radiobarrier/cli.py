@@ -36,11 +36,11 @@ from .pipeline import (
     featurize_records,
     load_features_csv,
     load_segments,
+    reflection_study,
     save_features_csv,
     save_segments,
 )
 from .simulator import baseline_rssi, generate_dataset, load_dataset, save_dataset
-from .pipeline import reflection_study
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,33 +61,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list, outputs: list) -> None:
-    manifest = {
-        "command": command,
-        "argv": args.argv,
-        "config": getattr(args, "config", None),
-        "seed": getattr(args, "seed", None),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    path = out_dir / f"manifest.{command}.json"  # one per command: a shared --out keeps all
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, sort_keys=True, indent=1) + "\n")
 
 
-def _out_dir(args, *names) -> Path:
-    """The --out directory, made if missing; a usage error when it cannot be one, or when
-    one of the files `names` or the command's manifest is a directory there."""
+def _write_outputs(args, inputs: list, writers: dict) -> Path:
+    """Write each file `name` of `writers` into the --out directory through
+    `writers[name](path)`, then the command's manifest; returns the directory.
+
+    The directory is made if missing.  A usage error, before anything is
+    written, when it cannot be one, or when one of the files or the manifest
+    is a directory there.
+    """
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, a path under one, or no permission
         raise _UsageError(f"--out {out} cannot be a directory: {exc.strerror}") from exc
-    for name in (*names, f"manifest.{args.command}.json"):
-        if (out / name).is_dir():
-            raise _UsageError(f"--out {out}: cannot write {out / name}, it is a directory")
+    targets = [out / name for name in writers]
+    manifest = out / f"manifest.{args.command}.json"  # one per command: a shared --out keeps all
+    for path in (*targets, manifest):
+        if path.is_dir():
+            raise _UsageError(f"--out {out}: cannot write {path}, it is a directory")
+    for path, write in zip(targets, writers.values()):
+        write(path)
+    _write_json(manifest, {
+        "command": args.command,
+        "argv": args.argv,
+        "config": getattr(args, "config", None),
+        "seed": getattr(args, "seed", None),
+        "inputs": [str(p) for p in inputs],
+        "outputs": [str(p) for p in targets],
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+    })
     return out
 
 
@@ -135,11 +142,8 @@ def _cmd_generate(args) -> int:
         layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
         seed=args.seed, jobs=args.jobs,
     )
-    out = _out_dir(args, "dataset.jsonl")
-    target = out / "dataset.jsonl"
-    save_dataset(dataset, target)
-    _write_manifest(out, "generate", args, [], [target])
-    print(f"wrote {len(dataset.events)} events to {target}")
+    out = _write_outputs(args, [], {"dataset.jsonl": lambda path: save_dataset(dataset, path)})
+    print(f"wrote {len(dataset.events)} events to {out / 'dataset.jsonl'}")
     return EXIT_OK
 
 
@@ -158,10 +162,7 @@ def _cmd_baseline(args) -> int:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        out = _out_dir(args, "baseline.txt")
-        target = out / "baseline.txt"
-        target.write_text(table + "\n")
-        _write_manifest(out, "baseline", args, [], [target])
+        _write_outputs(args, [], {"baseline.txt": lambda path: path.write_text(table + "\n")})
     return EXIT_OK
 
 
@@ -170,14 +171,12 @@ def _cmd_detect(args) -> int:
     layout = cfg.build_layout()
     dataset = load_dataset(args.dataset)
     records, summary = detect_dataset(dataset, layout, cfg.detection)
-    out = _out_dir(args, "segments.jsonl")
-    target = out / "segments.jsonl"
-    save_segments(records, target, layout, args.dataset)
-    _write_manifest(out, "detect", args, [args.dataset], [target])
+    out = _write_outputs(args, [args.dataset], {
+        "segments.jsonl": lambda path: save_segments(records, path, layout, args.dataset)})
     print(
         f"detected {summary.events_detected}/{summary.events_total} passages "
         f"({summary.segments_total} segments, {summary.spurious_segments} spurious); "
-        f"wrote {target}"
+        f"wrote {out / 'segments.jsonl'}"
     )
     return EXIT_OK
 
@@ -187,11 +186,9 @@ def _cmd_features(args) -> int:
     layout = cfg.build_layout()
     records = load_segments(args.segments, layout)
     table = featurize_records(records, layout, cfg.features)
-    out = _out_dir(args, "features.csv")
-    target = out / "features.csv"
-    save_features_csv(table, target)
-    _write_manifest(out, "features", args, [args.segments], [target])
-    print(f"wrote {len(table)} feature rows to {target}")
+    out = _write_outputs(args, [args.segments],
+                         {"features.csv": lambda path: save_features_csv(table, path)})
+    print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
     return EXIT_OK
 
 
@@ -295,10 +292,8 @@ def _cmd_crossval(args) -> int:
         }
     print(render_crossval(result))
     if args.out:
-        out = _out_dir(args, "crossval.json")
-        target = out / "crossval.json"
-        target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-        _write_manifest(out, "crossval", args, [args.table], [target])
+        _write_outputs(args, [args.table],
+                       {"crossval.json": lambda path: _write_json(path, result)})
     return EXIT_OK
 
 
@@ -325,43 +320,17 @@ def _cmd_evaluate(args) -> int:
     X, y = feature_matrix(table, args.feature_set), np.array(table.labels)
     type_names = [table.type_names[i] for i in test]
 
-    algos = ["length"] if args.feature_set == "length" else ["knn", "svm"]
-    reports = {}
-    for algo in algos:
+    predictions = {}
+    for algo in ["length"] if args.feature_set == "length" else ["knn", "svm"]:
         model = _make_factory(algo, args)()
         model.fit(X[train], y[train])
-        reports[algo] = evaluate_predictions(y[test], model.predict(X[test]), type_names)
-
-    first = reports[algos[0]]
-    rows = []
-    for tr in first.per_type:
-        rows.append(
-            {
-                "label": tr.label,
-                "type_name": tr.type_name,
-                "samples": tr.count,
-                "rates": {
-                    a: next(t.rate for t in reports[a].per_type if t.type_name == tr.type_name)
-                    for a in algos
-                },
-            }
-        )
-    result = {
-        "kind": "evaluate",
-        "feature_set": args.feature_set,
-        "columns": algos,
-        "rows": rows,
-        "overall": {
-            "samples": first.total,
-            "rates": {a: reports[a].overall_rate for a in algos},
-        },
-    }
+        predictions[algo] = model.predict(X[test])
+    result = {"kind": "evaluate", "feature_set": args.feature_set,
+              **evaluate_predictions(y[test], predictions, type_names)}
     print(render_evaluation(result))
     if args.out:
-        out = _out_dir(args, "evaluation.json")
-        target = out / "evaluation.json"
-        target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-        _write_manifest(out, "evaluate", args, [args.table], [target])
+        _write_outputs(args, [args.table],
+                       {"evaluation.json": lambda path: _write_json(path, result)})
     return EXIT_OK
 
 
@@ -370,36 +339,18 @@ def _cmd_study(args) -> int:
     layout = cfg.build_layout()
     patterns = cfg.build_patterns(layout)
     mix = _parse_mix(args.mix) if args.mix else {t: 20 for t in cfg.catalog}
-    study = reflection_study(
+    result = {"kind": "study", **reflection_study(
         layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
         seed=args.seed, det_cfg=cfg.detection,
-    )
-    result = {
-        "kind": "study",
-        "variants": {
-            variant: {
-                label: {
-                    "count": s.count, "mean": s.mean, "std": s.std,
-                    "min": s.min, "max": s.max,
-                }
-                for label, s in stats.items()
-            }
-            for variant, stats in study.stats.items()
-        },
-        "gaps": study.gaps,
-    }
+    )}
+    drops = result.pop("drops")
     print(render_study(result))
     if args.out:
-        out = _out_dir(args, "study.json", "study_drops.csv")
-        target = out / "study.json"
-        target.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-        drops_csv = out / "study_drops.csv"
-        with drops_csv.open("w") as fh:
-            fh.write("variant,event_id,label,drop_db\n")
-            for variant, drops in study.drops.items():
-                for event_id, label, drop in drops:
-                    fh.write(f"{variant},{event_id},{label},{format(drop, '.17g')}\n")
-        _write_manifest(out, "study", args, [], [target, drops_csv])
+        drops_csv = "variant,event_id,label,drop_db\n" + "".join(
+            f"{variant},{event_id},{label},{format(drop, '.17g')}\n"
+            for variant, events in drops.items() for event_id, label, drop in events)
+        _write_outputs(args, [], {"study.json": lambda path: _write_json(path, result),
+                                  "study_drops.csv": lambda path: path.write_text(drops_csv)})
     return EXIT_OK
 
 
@@ -460,31 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("crossval", help="k-fold cross-validation on a feature table")
-    add_common(p, config=False)
-    p.add_argument("--table", required=True, help="feature table from 'features'")
-    p.add_argument("--features", dest="feature_set",
-                   choices=["length", "rssi", "both"], default="both")
+    def add_learning(name, help):
+        p = sub.add_parser(name, help=help)
+        add_common(p, config=False)
+        p.add_argument("--table", required=True, help="feature table from 'features'")
+        p.add_argument("--features", dest="feature_set",
+                       choices=["length", "rssi", "both"], default="both")
+        p.add_argument("--k", type=int, default=3, help="k for k-NN")
+        p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
+        p.add_argument("--C", type=float, default=10.0)
+        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--out", help="optional output directory")
+        return p
+
+    p = add_learning("crossval", "k-fold cross-validation on a feature table")
     p.add_argument("--algos", default="knn,svm", help="comma list of knn,svm,length")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--k", type=int, default=3, help="k for k-NN")
-    p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
-    p.add_argument("--C", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--out", help="optional output directory")
     p.set_defaults(func=_cmd_crossval)
 
-    p = sub.add_parser("evaluate", help="train/test split recognition-rate report")
-    add_common(p, config=False)
-    p.add_argument("--table", required=True, help="feature table from 'features'")
-    p.add_argument("--features", dest="feature_set",
-                   choices=["length", "rssi", "both"], default="both")
+    p = add_learning("evaluate", "train/test split recognition-rate report")
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--kernel", choices=["linear", "rbf"], default="rbf")
-    p.add_argument("--C", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--out", help="optional output directory")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("study", help="ground-reflection drop comparison (on vs off)")

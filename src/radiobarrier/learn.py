@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -344,69 +344,37 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 # Evaluation reports
 
-@dataclass(frozen=True)
-class TypeResult:
-    type_name: str
-    label: str
-    count: int
-    correct: int
-
-    @property
-    def rate(self) -> float:
-        return self.correct / self.count if self.count else 0.0
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    labels: Tuple[str, ...]
-    confusion: Dict[str, Dict[str, int]]  # true label -> predicted label -> count
-    per_type: Tuple[TypeResult, ...]
-    total: int
-    correct: int
-
-    @property
-    def overall_rate(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
-
 def format_percent(fraction: float) -> str:
     """Render a fraction as a percentage with two decimals, e.g. '98.68%'."""
     return f"{fraction * 100.0:.2f}%"
 
 
-def evaluate_predictions(y_true, y_pred, type_names) -> EvaluationReport:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    type_names = list(type_names)
+def evaluate_predictions(y_true, predictions: Mapping[str, Sequence], type_names) -> dict:
+    """Per-type and overall recognition rates of each algorithm's predictions of `y_true`.
+
+    Returns the record ``evaluation.json`` holds: ``columns`` names the
+    algorithms of `predictions` in order; each of ``rows`` gives a vehicle
+    type (in first-seen order), its label, its ``samples`` and the fraction
+    of them each algorithm got right in ``rates``; ``overall`` does the same
+    for the whole test set.
+    """
+    y_true, type_names = np.asarray(y_true), np.asarray(type_names)
     if len(y_true) == 0:
         raise InputDataError("empty test set")
-    if not len(y_true) == len(y_pred) == len(type_names):
+    if any(len(y) != len(y_true) for y in (type_names, *predictions.values())):
         raise InputDataError("labels, predictions and type names must align")
-
-    labels = tuple(sorted(set(y_true.tolist()) | set(y_pred.tolist())))
-    confusion: Dict[str, Dict[str, int]] = {t: {p: 0 for p in labels} for t in labels}
-    for t, p in zip(y_true, y_pred):
-        confusion[t][p] += 1
-
-    per_type = []
-    seen = []
-    for name in type_names:
-        if name not in seen:
-            seen.append(name)
-    for name in seen:
-        idx = [i for i, t in enumerate(type_names) if t == name]
-        correct = int(sum(y_true[i] == y_pred[i] for i in idx))
-        per_type.append(TypeResult(name, str(y_true[idx[0]]), len(idx), correct))
-
-    total = len(y_true)
-    correct = int((y_true == y_pred).sum())
-    return EvaluationReport(
-        labels=labels,
-        confusion=confusion,
-        per_type=tuple(per_type),
-        total=total,
-        correct=correct,
-    )
+    correct = {algo: np.asarray(y_pred) == y_true for algo, y_pred in predictions.items()}
+    rows = []
+    for name in dict.fromkeys(type_names.tolist()):
+        mask = type_names == name
+        count = int(mask.sum())
+        rows.append({"label": str(y_true[mask][0]), "type_name": name, "samples": count,
+                     "rates": {algo: int(hits[mask].sum()) / count
+                               for algo, hits in correct.items()}})
+    return {"columns": list(predictions), "rows": rows,
+            "overall": {"samples": len(y_true),
+                        "rates": {algo: int(hits.sum()) / len(y_true)
+                                  for algo, hits in correct.items()}}}
 
 
 # ---------------------------------------------------------------------------

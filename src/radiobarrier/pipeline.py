@@ -506,7 +506,7 @@ def load_features_csv(path) -> FeatureTable:
     if header != [*leading, *(f"f_{i}" for i in range(len(header) - len(leading)))]:
         raise InputDataError(f"{path} is not a feature table: its header is not "
                              f"{','.join(leading)} and then f_0, f_1, ... in order")
-    event_ids, values, linenos = [], [], []
+    first_line, values = {}, []  # first_line: event id -> its line, in row order
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -514,18 +514,21 @@ def load_features_csv(path) -> FeatureTable:
             raise InputDataError(
                 f"{path}:{lineno}: {len(row)} cells under a {len(header)}-column header")
         try:
-            event_ids.append(int(row[0]))
+            event_id = int(row[0])
             values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
         except ValueError as exc:
             raise InputDataError(f"{path}:{lineno}: {exc}") from None
-        linenos.append(lineno)
+        if first_line.setdefault(event_id, lineno) != lineno:
+            raise InputDataError(
+                f"{path}:{lineno}: event_id {event_id} repeats line {first_line[event_id]}")
+    event_ids, linenos = tuple(first_line), list(first_line.values())
     if not values:
         raise InputDataError(f"feature table {path} has no rows")
     values = np.array(values)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise InputDataError(f"{path}:{linenos[np.argmin(finite)]}: a feature is not finite")
-    return FeatureTable(tuple(event_ids), tuple(rows[n - 1][1] for n in linenos),
+    return FeatureTable(event_ids, tuple(rows[n - 1][1] for n in linenos),
                         tuple(rows[n - 1][2] for n in linenos), values, source=str(path))
 
 
@@ -547,30 +550,14 @@ def feature_matrix(table: FeatureTable, feature_set: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Ground-reflection study: per-class drop statistics with reflection on/off.
 
-@dataclass(frozen=True)
-class ClassDropStats:
-    label: str
-    count: int
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    stats: Dict[str, Dict[str, ClassDropStats]]  # variant -> label -> stats
-    gaps: Dict[str, float]  # variant -> mean(passenger_car) - mean(truck)
-    drops: Dict[str, List[Tuple[int, str, float]]]  # variant -> (event, label, drop)
-
-
 def dataset_drop_stats(
     dataset: Dataset,
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
     links_used: str = "direct",
-) -> Tuple[Dict[str, ClassDropStats], List[Tuple[int, str, float]]]:
-    """Per-class drop magnitude statistics over the selected links."""
+) -> Tuple[Dict[str, Dict[str, float]], List[Tuple[int, str, float]]]:
+    """Per label, the count, mean, std, min and max of the detected events' drop
+    magnitudes over the selected links; and per event, (event id, label, drop)."""
     records, _ = detect_dataset(dataset, layout, det_cfg)
     drops = [(r.event_id, r.label, event_drop_magnitude(r.segment, layout, links_used))
              for r in records]
@@ -580,14 +567,13 @@ def dataset_drop_stats(
     stats = {}
     for label in LABELS:
         values = [d for _, lab, d in drops if lab == label]
-        stats[label] = ClassDropStats(
-            label=label,
-            count=len(values),
-            mean=float(np.mean(values)),
-            std=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-            min=float(np.min(values)),
-            max=float(np.max(values)),
-        )
+        stats[label] = {
+            "count": len(values),
+            "mean": float(np.mean(values)),
+            "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
+            "min": float(np.min(values)),
+            "max": float(np.max(values)),
+        }
     return stats, drops
 
 
@@ -601,20 +587,20 @@ def reflection_study(
     seed: int,
     det_cfg: DetectionConfig = DetectionConfig(),
     links_used: str = "direct",
-) -> StudyResult:
+) -> dict:
     """Compare per-class drop magnitudes with the ground bounce on and off.
 
     Both variants are generated from the same seed so they differ only in
-    the reflected ray.
+    the reflected ray.  Returns the record ``study.json`` holds, keyed by
+    variant "on" and "off": ``variants``, the `dataset_drop_stats` of each
+    label, and ``gaps``, the mean passenger_car drop minus the mean truck
+    drop; plus ``drops``, each variant's per-event drops.
     """
-    stats: Dict[str, Dict[str, ClassDropStats]] = {}
-    gaps: Dict[str, float] = {}
-    drops: Dict[str, List[Tuple[int, str, float]]] = {}
+    study = {"variants": {}, "gaps": {}, "drops": {}}
     for variant, enabled in (("on", True), ("off", False)):
         chan = replace(channel, ground_reflection_enabled=enabled)
         dataset = generate_dataset(layout, chan, patterns, catalog, mix, sim, seed=seed)
-        variant_stats, variant_drops = dataset_drop_stats(dataset, layout, det_cfg, links_used)
-        stats[variant] = variant_stats
-        drops[variant] = variant_drops
-        gaps[variant] = variant_stats["passenger_car"].mean - variant_stats["truck"].mean
-    return StudyResult(stats=stats, gaps=gaps, drops=drops)
+        stats, study["drops"][variant] = dataset_drop_stats(dataset, layout, det_cfg, links_used)
+        study["variants"][variant] = stats
+        study["gaps"][variant] = stats["passenger_car"]["mean"] - stats["truck"]["mean"]
+    return study

@@ -289,9 +289,9 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
     The header must name `format_name` at `version`, list the `link_ids` and
     count the records in `event_count`.  Every line must hold each key of
-    `fields` with a value of its type.  Keys not in `fields` are ignored.
-    Returns the header and, per line, its location for messages and its
-    `fields`.
+    `fields`, which include "event_id", with a value of its type, and no two
+    lines the same event_id.  Keys not in `fields` are ignored.  Returns the
+    header and, per line, its location for messages and its `fields`.
     """
     path = Path(path)
     try:
@@ -312,7 +312,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         raise InputDataError(f"{path}: header lacks the list of link_ids")
     _field(f"{path}: header", "event_count", header.get("event_count"), int)
 
-    records = []
+    records, first_line = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -328,6 +328,9 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
             raise InputDataError(f"{where}: record line lacks {', '.join(missing)}")
         records.append((where, {key: _field(where, key, raw[key], kind)
                                 for key, kind in fields.items()}))
+        event_id = raw["event_id"]
+        if first_line.setdefault(event_id, lineno) != lineno:
+            raise InputDataError(f"{where}: event_id {event_id} repeats line {first_line[event_id]}")
     if len(records) != header["event_count"]:
         raise InputDataError(
             f"{path}: header announces {header['event_count']} records, file holds {len(records)}"

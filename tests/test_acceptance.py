@@ -128,7 +128,8 @@ def test_criterion_4_success_rate_arithmetic():
     rates = {}
     for correct in (225, 227):
         pred = np.array(["truck"] * correct + ["passenger_car"] * (228 - correct))
-        rates[correct] = format_percent(evaluate_predictions(y, pred, ["truck"] * 228).overall_rate)
+        overall = evaluate_predictions(y, {"svm": pred}, ["truck"] * 228)["overall"]
+        rates[correct] = format_percent(overall["rates"]["svm"])
     ok = rates[225] == "98.68%" and rates[227] == "99.56%"
     report(4, ok, f"225/228 -> {rates[225]}, 227/228 -> {rates[227]}")
     assert ok
@@ -189,8 +190,8 @@ def test_criterion_6_ground_reflection_gap(cfg):
     mix = {t: 20 for t in cfg.catalog}
     study = reflection_study(layout, cfg.channel, patterns, cfg.catalog, mix,
                              cfg.sim, seed=BENCH_SEED, det_cfg=cfg.detection)
-    gap_on = study.gaps["on"]
-    gap_off = study.gaps["off"]
+    gap_on = study["gaps"]["on"]
+    gap_off = study["gaps"]["off"]
     ok = gap_on >= 4.0 and gap_off < gap_on
     report(6, ok, f"car-truck drop gap: reflection on {gap_on:+.2f} dB, off {gap_off:+.2f} dB")
     assert gap_on >= 4.0

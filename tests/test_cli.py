@@ -177,16 +177,42 @@ def test_evaluate_length_feature_set(workspace, capsys):
     assert "Rec. rate" in out
 
 
+def _cells(text, markdown):
+    """The rows of cells of a text table and of its markdown rendering; the text is cut at
+    the column widths of the markdown's separator line."""
+    lines = markdown.splitlines()
+    widths = [len(dashes) - 2 for dashes in lines[1].strip("|").split("|")]
+    starts = np.cumsum([0] + [w + 2 for w in widths])
+    text_rows = [[line[a:a + w].strip() for a, w in zip(starts, widths)]
+                 for line in text.splitlines()]
+    markdown_rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                     for line in lines[:1] + lines[2:]]
+    return text_rows, markdown_rows
+
+
 def test_report_renders_saved_results(workspace, tmp_path, capsys):
-    run(["crossval", "--table", str(workspace / "feat" / "features.csv"),
-         "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert run(["report", "--input", str(tmp_path / "crossval.json")]) == 0
-    plain = capsys.readouterr().out
-    assert "Training set" in plain
-    assert run(["report", "--input", str(tmp_path / "crossval.json"), "--markdown"]) == 0
-    md = capsys.readouterr().out
-    assert md.startswith("|")
+    table = ["--table", str(workspace / "feat" / "features.csv")]
+    for i, (argv, name) in enumerate([
+        (["crossval", *table], "crossval.json"),
+        (["evaluate", *table, "--test-fraction", "0.4"], "evaluation.json"),
+        (["evaluate", *table, "--test-fraction", "0.4", "--features", "length"],
+         "evaluation.json"),
+        (["study", "--mix", "passenger car=2,truck=2"], "study.json"),
+    ]):
+        assert run([*argv, "--seed", "3", "--out", str(tmp_path / str(i))]) == 0
+        printed = capsys.readouterr().out
+        saved = str(tmp_path / str(i) / name)
+        assert run(["report", "--input", saved]) == 0
+        assert capsys.readouterr().out == printed
+        assert run(["report", "--input", saved, "--markdown"]) == 0
+        markdown = capsys.readouterr().out
+        if name == "study.json":  # a list per variant, not a table: the same in both modes
+            assert markdown == printed
+        else:
+            assert markdown.startswith("| ")
+            text_rows, markdown_rows = _cells(printed, markdown)
+            assert text_rows == markdown_rows
+            assert len(text_rows) == len(printed.splitlines()) >= 3
 
 
 def test_study_outputs(tmp_path, capsys):
@@ -482,6 +508,28 @@ def test_unusable_out_exits_1(workspace, run_copy, capsys, argv, out, directory)
     assert f"error: --out {run_copy / out}" in err and str(run_copy / (directory or out)) in err
     assert (run_copy / "gen" / "dataset.jsonl").read_bytes() == \
         (workspace / "gen" / "dataset.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("gen/dataset.jsonl", ["detect", "--dataset"]),
+    ("det/segments.jsonl", ["features", "--segments"]),
+], ids=["dataset", "segments"])
+def test_a_repeated_event_id_exits_3(run_copy, capsys, name, argv):
+    path = run_copy / name
+    first = json.loads(path.read_text().splitlines()[1])["event_id"]
+    _edit_line(path, path, 2, _edit_record(lambda r: r.update(event_id=first)))
+    assert run([*argv, str(path), "--out", str(run_copy / "out")]) == 3
+    assert f"input error: {path}:3: event_id {first} repeats line 2\n" in capsys.readouterr().err
+    assert not (run_copy / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["crossval", "evaluate"])
+def test_a_feature_table_with_a_repeated_event_id_exits_3(workspace, tmp_path, capsys, command):
+    table = workspace / "feat" / "features.csv"
+    first = table.read_text().splitlines()[1].split(",")[0]
+    broken = _edit_line(table, tmp_path / "features.csv", 2, _set_cell(0, first))
+    assert run([command, "--table", str(broken)]) == 3
+    assert capsys.readouterr().err == f"input error: {broken}:3: event_id {first} repeats line 2\n"
 
 
 def test_features_on_segments_from_other_layout_exits_2(workspace, tmp_path, capsys):

@@ -276,45 +276,73 @@ def test_evaluate_rounding_of_totals():
     y_true = np.array(["truck"] * 228)
     for correct, expected in [(225, "98.68%"), (227, "99.56%")]:
         y_pred = np.array(["truck"] * correct + ["passenger_car"] * (228 - correct))
-        report = evaluate_predictions(y_true, y_pred, ["truck"] * 228)
-        assert format_percent(report.overall_rate) == expected
+        report = evaluate_predictions(y_true, {"svm": y_pred}, ["truck"] * 228)
+        assert format_percent(report["overall"]["rates"]["svm"]) == expected
 
 
 def test_evaluate_all_correct():
     y = np.array(["passenger_car", "truck", "truck"])
-    report = evaluate_predictions(y, y, ["van", "bus", "truck"])
-    assert report.overall_rate == 1.0
-    assert all(t.rate == 1.0 for t in report.per_type)
-    assert format_percent(report.overall_rate) == "100.00%"
-
-
-def test_confusion_trace_equals_overall():
-    rng = np.random.default_rng(9)
-    y_true = np.array(rng.choice(["passenger_car", "truck"], size=60))
-    y_pred = np.array(rng.choice(["passenger_car", "truck"], size=60))
-    types = rng.choice(["van", "bus"], size=60)
-    report = evaluate_predictions(y_true, y_pred, types)
-    trace = sum(report.confusion[lab][lab] for lab in report.labels)
-    total = sum(sum(row.values()) for row in report.confusion.values())
-    assert trace == report.correct
-    assert total == report.total
-    assert report.overall_rate == trace / total
+    report = evaluate_predictions(y, {"knn": y}, ["van", "bus", "truck"])
+    assert report["overall"]["rates"]["knn"] == 1.0
+    assert all(row["rates"]["knn"] == 1.0 for row in report["rows"])
+    assert format_percent(report["overall"]["rates"]["knn"]) == "100.00%"
 
 
 def test_evaluate_counts_sum_to_total():
     y_true = np.array(["passenger_car"] * 5 + ["truck"] * 3)
     y_pred = y_true.copy()
     types = ["van"] * 2 + ["passenger car"] * 3 + ["truck"] * 3
-    report = evaluate_predictions(y_true, y_pred, types)
-    assert sum(t.count for t in report.per_type) == report.total == 8
+    report = evaluate_predictions(y_true, {"knn": y_pred}, types)
+    assert sum(row["samples"] for row in report["rows"]) == report["overall"]["samples"] == 8
+
+    # the overall rate is the fraction of matching labels, and the per-type hits add up to it
+    rng = np.random.default_rng(9)
+    y_true = np.array(rng.choice(["passenger_car", "truck"], size=60))
+    y_pred = np.array(rng.choice(["passenger_car", "truck"], size=60))
+    types = rng.choice(["van", "bus"], size=60)
+    report = evaluate_predictions(y_true, {"svm": y_pred}, types)
+    matches = sum(t == p for t, p in zip(y_true, y_pred))
+    assert report["overall"]["samples"] == 60
+    assert report["overall"]["rates"]["svm"] == matches / 60
+    assert sum(round(row["rates"]["svm"] * row["samples"]) for row in report["rows"]) == matches
+
+
+def test_evaluate_rows_every_algorithm_per_type_in_first_seen_order():
+    y_true = np.array(["truck", "passenger_car", "truck", "passenger_car", "truck"])
+    types = ["bus", "van", "truck", "van", "bus"]
+    predictions = {"svm": np.array(["truck", "truck", "truck", "passenger_car", "truck"]),
+                   "knn": np.array(["passenger_car", "passenger_car", "truck", "passenger_car",
+                                    "truck"])}
+    assert evaluate_predictions(y_true, predictions, types) == {
+        "columns": ["svm", "knn"],
+        "rows": [
+            {"label": "truck", "type_name": "bus", "samples": 2,
+             "rates": {"svm": 1.0, "knn": 0.5}},
+            {"label": "passenger_car", "type_name": "van", "samples": 2,
+             "rates": {"svm": 0.5, "knn": 1.0}},
+            {"label": "truck", "type_name": "truck", "samples": 1,
+             "rates": {"svm": 1.0, "knn": 1.0}},
+        ],
+        "overall": {"samples": 5, "rates": {"svm": 0.8, "knn": 0.8}},
+    }
+
+
+@pytest.mark.parametrize("y_pred, types", [
+    (["truck"], ["bus", "bus"]),
+    (["truck", "truck"], ["bus"]),
+], ids=["predictions_too_short", "type_names_too_short"])
+def test_evaluate_rejects_misaligned_inputs(y_pred, types):
+    with pytest.raises(InputDataError, match="must align"):
+        evaluate_predictions(np.array(["truck", "truck"]), {"svm": np.array(y_pred)}, types)
 
 
 def test_evaluate_with_model():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array(["passenger_car"] * 2 + ["truck"] * 2)
     model = KnnClassifier(k=1).fit(X, y)
-    report = evaluate_predictions(y, model.predict(X), ["van", "van", "truck", "truck"])
-    assert report.overall_rate == 1.0
+    report = evaluate_predictions(y, {"knn": model.predict(X)},
+                                  ["van", "van", "truck", "truck"])
+    assert report["overall"]["rates"]["knn"] == 1.0
 
 
 # -- mean / std ---------------------------------------------------------------------

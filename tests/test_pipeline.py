@@ -432,14 +432,15 @@ def test_reflection_study_gap(layout, patterns, app_config):
     mix = {t: 4 for t in app_config.catalog}
     study = reflection_study(layout, app_config.channel, patterns, app_config.catalog,
                              mix, app_config.sim, seed=42, det_cfg=DET)
-    assert study.gaps["on"] >= 4.0
-    assert study.gaps["off"] < study.gaps["on"]
+    assert study["gaps"]["on"] >= 4.0
+    assert study["gaps"]["off"] < study["gaps"]["on"]
     expected_counts = {"passenger_car": 16, "truck": 8}
     for variant in ("on", "off"):
         for label in ("passenger_car", "truck"):
-            s = study.stats[variant][label]
-            assert s.count == expected_counts[label]
-            assert s.min <= s.mean <= s.max
+            s = study["variants"][variant][label]
+            assert s["count"] == expected_counts[label]
+            assert s["min"] <= s["mean"] <= s["max"]
+            assert sum(lab == label for _, lab, _ in study["drops"][variant]) == s["count"]
 
 
 def test_single_class_study_rejected(layout, patterns, app_config):
