@@ -245,19 +245,22 @@ def render_evaluation(result: dict, markdown: bool = False) -> str:
     return _render_table(header, rows, markdown)
 
 
-def render_study(result: dict) -> str:
-    lines = []
+def render_study(result: dict, markdown: bool = False) -> str:
+    """Drop statistics per label for each ground-reflection variant, with the label gap."""
+    blocks = []
     for variant in ("on", "off"):
-        stats = result["variants"][variant]
-        lines.append(f"Ground reflection {variant}:")
-        lines.append(f"  {'Label':15} {'Events':>6} {'Mean':>7} {'Std':>7} {'Min':>7} {'Max':>7}")
-        for label, s in stats.items():
-            lines.append(
-                f"  {label:15} {s['count']:>6} {s['mean']:7.2f} {s['std']:7.2f} "
-                f"{s['min']:7.2f} {s['max']:7.2f}"
-            )
-        lines.append(f"  Gap (passenger_car - truck): {result['gaps'][variant]:+.2f} dB")
-    return "\n".join(lines)
+        rows = [[label, str(s["count"]), *(f"{s[k]:.2f}" for k in ("mean", "std", "min", "max"))]
+                for label, s in result["variants"][variant].items()]
+        gap = f"Gap (passenger_car - truck): {result['gaps'][variant]:+.2f} dB"
+        header = ["Label", "Events", "Mean", "Std", "Min", "Max"]
+        if markdown:
+            table = _render_table(header, rows, True)
+            blocks.append(f"Ground reflection {variant}:\n\n{table}\n\n{gap}")
+        else:
+            lines = [f"  {r[0]:15} {r[1]:>6} " + " ".join(f"{v:>7}" for v in r[2:])
+                     for r in [header, *rows]]
+            blocks.append("\n".join([f"Ground reflection {variant}:", *lines, f"  {gap}"]))
+    return ("\n\n" if markdown else "\n").join(blocks)
 
 
 def _render_table(header, rows, markdown: bool) -> str:
@@ -364,7 +367,7 @@ def _cmd_report(args) -> int:
         elif kind == "evaluate":
             table = render_evaluation(result, markdown=args.markdown)
         elif kind == "study":
-            table = render_study(result)
+            table = render_study(result, markdown=args.markdown)
         else:
             raise InputDataError(f"{path}: unknown results kind {kind!r}")
     except (OSError, ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:

@@ -163,13 +163,20 @@ def _find_onset(rssi, start, quiet, drop):
         candidates = np.flatnonzero((values <= stream.max(axis=0) - drop).any(axis=1))
         for c_lo, c_hi in _blocks(0, len(candidates), 4):
             ks = candidates[c_lo:c_hi]
-            medians = np.median(behind[ks], axis=-1)
+            medians = _median(behind[ks])
             hits = np.flatnonzero((values[ks] <= medians - drop).any(axis=1))
             if hits.size:
                 k = int(ks[hits[0]])
                 return lo + k, medians[hits[0]], stream[k:k + window]
         quiet = stream[-window:]
     return None
+
+
+def _median(windows: np.ndarray) -> np.ndarray:
+    """np.median over the last axis, bit for bit: np.mean of the middle one or two values."""
+    n = windows.shape[-1]
+    part = np.partition(windows, (n // 2 - 1, n // 2), axis=-1)[..., (n - 1) // 2:n // 2 + 1]
+    return part.sum(axis=-1) / (2 - n % 2)
 
 
 def _build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment:

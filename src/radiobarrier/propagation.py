@@ -15,7 +15,7 @@ cheaper of the over-the-top and under-the-body detours wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import Point, Pose, RadioLink, VehicleSpec, segment_x_intervals
 
 SPEED_OF_LIGHT = 299_792_458.0
+PAIR_CHUNK = 8192  # (frame, path) pairs per obstruction_loss call: bounds its temporaries
 
 
 def wavelength(frequency: float) -> float:
@@ -318,29 +319,73 @@ def build_link_context(
     )
 
 
-def noiseless_rssi(ctx: LinkContext, vehicle: Optional[VehicleSpec] = None,
-                   pose: Optional[Pose] = None) -> np.ndarray:
-    """Noise-free RSSI of every link of `ctx`, with the link axis last.
-
-    Without a vehicle the result has one value per link.  `pose.front_x` may
-    be an array of nose positions: every path of every link is then
-    evaluated at every position in one pass.
+def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames, lane_y,
+                 dt: float, heading: int = 1) -> np.ndarray:
+    """Knife-edge loss on each path of `ctx` (columns) in every frame of a few passages
+    of `vehicle` (rows, stacked in order).  In frame i of passage b the nose is at
+    start_x[b] + speed[b] * (i * dt) and the near side at lane_y[b].  The frames in which
+    the body can reach a path's stretch of the lane are one range per passage and path,
+    found in closed form with a frame of margin; obstruction_loss runs on those only.
     """
+    start_x, speed, lane_y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                                   for a in (start_x, speed, lane_y)))
+    frames = np.broadcast_to(np.asarray(frames, dtype=np.intp), start_x.shape)
+    (x1, y1, _), (x2, y2, _) = ctx.ends
+    inv_dy = 1.0 / (y2 - y1)  # the band as path fractions, computed as occlusion_params does
+    band = np.clip(np.sort([(lane_y[:, None] - y1) * inv_dy,
+                            (lane_y[:, None] + vehicle.width - y1) * inv_dy], axis=0), 0.0, 1.0)
+    x_lo, x_hi = np.sort(x1 + (x2 - x1) * band, axis=0)
+    backs, fronts = zip(*segment_x_intervals(vehicle, Pose(0.0, 0.0, heading)))
+    # the frames whose nose lies in [x_lo - body front, x_hi - body back]
+    i_lo, i_hi = np.sort((np.array([x_lo - max(fronts), x_hi - min(backs)]) - start_x[:, None])
+                         / (speed * dt)[:, None], axis=0)
+    first = np.clip(np.ceil(i_lo) - 1.0, 0.0, frames[:, None])
+    stop = np.clip(np.floor(i_hi) + 2.0, first, frames[:, None])
+    count = np.where(band[1] > band[0], stop - first, 0.0).astype(np.intp).ravel()
+
+    # one (passage, path, frame) triple per frame of every range
+    passage, path = (np.repeat(index.ravel(), count) for index in np.indices(band[0].shape))
+    frame = (np.repeat(first.ravel().astype(np.intp) - np.cumsum(count) + count, count)
+             + np.arange(count.sum()))
+    loss = np.zeros((int(frames.sum()), ctx.ends.shape[-1]))
+    cell = (np.cumsum(frames)[passage] - frames[passage] + frame) * loss.shape[1] + path
+    for at in (slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(cell), PAIR_CHUNK)):
+        b = passage[at]
+        nose = Pose(start_x[b] + speed[b] * (frame[at] * dt), lane_y[b], heading)
+        ends = np.take(ctx.ends, path[at], axis=-1)
+        loss.reshape(-1)[cell[at]] = obstruction_loss(vehicle, nose, ends, ctx.lam)
+    return loss
+
+
+def path_rssi(ctx: LinkContext, loss: np.ndarray) -> np.ndarray:
+    """Noise-free RSSI of every link of `ctx`, one row per row of `loss`, which holds the
+    knife-edge loss on each path of `ctx`; a row without loss is the vehicle-free level."""
     n = len(ctx.base_db)
-    loss_direct = loss_refl = np.zeros(n)
-    if vehicle is not None:
-        nose = replace(pose, front_x=np.asarray(pose.front_x)[..., None])
-        loss = obstruction_loss(vehicle, nose, ctx.ends, ctx.lam)
-        m = (loss.shape[-1] - n) // 2  # bounces
-        loss_direct = loss[..., :n]
-        loss_refl = np.zeros_like(loss_direct)
-        loss_refl[..., ctx.bounces] = loss[..., n:n + m] + loss[..., n + m:]
-    a_d = 10.0 ** (-loss_direct / 20.0)
-    a_r = ctx.a_r0 * 10.0 ** (-loss_refl / 20.0)
+    m = (loss.shape[1] - n) // 2  # bounces
+    touched = loss.any(axis=1)
+    hit = np.concatenate([np.zeros((1, loss.shape[1])), loss[touched]])
+    loss_refl = np.zeros((len(hit), n))
+    loss_refl[:, ctx.bounces] = hit[:, n:n + m] + hit[:, n + m:]
+    # 10 ** (-loss / 20), which is exactly 1 where the loss is 0
+    a_d, a_r = (np.power(10.0, -x / 20.0, out=np.ones(x.shape), where=x > 0.0)
+                for x in (hit[:, :n], loss_refl))
+    a_r *= ctx.a_r0
     amp = np.hypot(a_d + a_r * np.cos(ctx.phase), a_r * np.sin(ctx.phase))
     level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
     np.log10(amp, out=level, where=amp > 0.0)
-    return ctx.base_db + 20.0 * level
+    levels = ctx.base_db + 20.0 * level  # the vehicle-free level, then each touched row
+    return levels[np.where(touched, np.cumsum(touched), 0)]
+
+
+def noiseless_rssi(ctx: LinkContext, vehicle: Optional[VehicleSpec] = None,
+                   pose: Optional[Pose] = None) -> np.ndarray:
+    """Noise-free RSSI of every link of `ctx`, with the link axis last: one value per link
+    without a vehicle, else per nose position of `pose`, each a passage of one frame."""
+    if vehicle is None:
+        return path_rssi(ctx, np.zeros((1, ctx.ends.shape[-1])))[0]
+    nose = np.asarray(pose.front_x, dtype=float)
+    loss = passage_loss(ctx, vehicle, nose.ravel(), 1.0, 1, pose.lane_y, 1.0, pose.heading)
+    return path_rssi(ctx, loss).reshape(nose.shape + (-1,))
 
 
 def received_rssi(ctx: LinkContext, rssi, rng=None) -> np.ndarray:

@@ -12,16 +12,18 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, InputDataError
-from .geometry import Pose, SensorLayout, VehicleSpec
+from .geometry import SensorLayout, VehicleSpec
 from .propagation import (AntennaPattern, ChannelConfig, LinkContext, build_link_context,
-                          noiseless_rssi, received_rssi)
+                          noiseless_rssi, passage_loss, path_rssi, received_rssi)
 
 FORMAT_NAME = "radiobarrier-dataset"
 FORMAT_VERSION = 2
@@ -29,6 +31,7 @@ FORMAT_VERSION = 2
 # step also makes the bytes independent of the CPU's SIMD level: the exact
 # channel model differs in the last bits between ufunc implementations.
 RSSI_STEP_DB = 1.0
+BATCH_FRAMES = 4096  # frames of one vehicle type per kernel call, a few passages
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,10 @@ def baseline_rssi(layout: SensorLayout, channel: ChannelConfig,
     return tuple(received_rssi(ctx, noiseless_rssi(ctx)).tolist())
 
 
-def simulate_passage(
-    layout: SensorLayout,
-    channel: ChannelConfig,
-    patterns: Mapping[int, AntennaPattern],
-    vehicle: VehicleSpec,
-    speed: float,
-    lane_y: float,
-    seed,
-    sim: SimulationConfig = SimulationConfig(),
-    event_id: int = 0,
-    ctx: Optional[LinkContext] = None,
-) -> PassageEvent:
+def simulate_passage(layout: SensorLayout, channel: ChannelConfig,
+                     patterns: Mapping[int, AntennaPattern], vehicle: VehicleSpec, speed: float,
+                     lane_y: float, seed, sim: SimulationConfig = SimulationConfig(),
+                     event_id: int = 0, ctx: Optional[LinkContext] = None) -> PassageEvent:
     """Drive one vehicle through the array and sample every link.
 
     The nose starts pre_roll seconds before the first post and the run ends
@@ -118,32 +113,41 @@ def simulate_passage(
     `ctx` is the context of layout.links under channel and patterns, built
     here when not given.
     """
-    if speed <= 0:
-        raise ConfigurationError("speed must be positive")
-    if not (0.0 < lane_y and lane_y + vehicle.width < layout.road_width):
-        raise ConfigurationError(
-            f"vehicle of width {vehicle.width} m at lane_y={lane_y} m does not fit the "
-            f"{layout.road_width} m road"
-        )
-
-    total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
-    n_frames = int(math.ceil(total_time / sim.dt)) + 1
-    start_x = -sim.pre_roll * speed
-    nose = Pose(front_x=start_x + speed * (np.arange(n_frames) * sim.dt), lane_y=lane_y)
     if ctx is None:
         ctx = build_link_context(layout.links, channel, patterns)
-    rssi = received_rssi(ctx, noiseless_rssi(ctx, vehicle, nose), np.random.default_rng(seed))
+    draw = (event_id, speed, lane_y, np.random.default_rng(seed))
+    return _simulate_passages(layout, ctx, vehicle, sim, [draw])[0]
 
-    return PassageEvent(
-        event_id=event_id,
-        type_name=vehicle.type_name,
-        label=vehicle.label,
-        true_speed=speed,
-        true_length=vehicle.total_length,
-        lane_y=lane_y,
-        rssi=rssi,
-        dt=sim.dt,
-    )
+
+def _frame_count(layout: SensorLayout, vehicle: VehicleSpec, speed: float,
+                 sim: SimulationConfig) -> int:
+    total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
+    return int(math.ceil(total_time / sim.dt)) + 1
+
+
+def _simulate_passages(layout: SensorLayout, ctx: LinkContext, vehicle: VehicleSpec,
+                       sim: SimulationConfig, draws, step: Optional[float] = None):
+    """The passages of `vehicle` drawn as (event_id, speed, lane_y, rng), in one kernel
+    call; each takes its noise from its own rng.  With a `step`, every sample is
+    rounded to a multiple of it."""
+    for _, speed, lane_y, _ in draws:
+        if speed <= 0:
+            raise ConfigurationError("speed must be positive")
+        if not (0.0 < lane_y and lane_y + vehicle.width < layout.road_width):
+            raise ConfigurationError(f"vehicle of width {vehicle.width} m at lane_y={lane_y} m "
+                                     f"does not fit the {layout.road_width} m road")
+    ids, speeds, lanes, rngs = zip(*draws)
+    frames = [_frame_count(layout, vehicle, speed, sim) for speed in speeds]
+    loss = passage_loss(ctx, vehicle, [-sim.pre_roll * v for v in speeds], speeds, frames,
+                        lanes, sim.dt)
+    cuts = np.cumsum(frames)[:-1]
+    rssi = np.concatenate([received_rssi(ctx, trace, rng)
+                           for trace, rng in zip(np.split(path_rssi(ctx, loss), cuts), rngs)])
+    if step is not None:
+        rssi = np.round(rssi / step) * step
+    return [PassageEvent(event_id, vehicle.type_name, vehicle.label, speed, vehicle.total_length,
+                         lane_y, trace, sim.dt)
+            for event_id, speed, lane_y, trace in zip(ids, speeds, lanes, np.split(rssi, cuts))]
 
 
 def _event_rng(seed: int, event_id: int) -> np.random.Generator:
@@ -152,30 +156,21 @@ def _event_rng(seed: int, event_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(event_id)]))
 
 
-def _simulate_event_task(args) -> PassageEvent:
-    layout, channel, patterns, ctx, vehicle, sim, seed, event_id = args
+def _draw_event(layout: SensorLayout, vehicle: VehicleSpec, sim: SimulationConfig,
+                seed: int, event_id: int):
+    """(event_id, speed, lane_y, rng) of one event, drawn from its own generator."""
     rng = _event_rng(seed, event_id)
-    lo, hi = sim.speeds_for(vehicle.type_name)
-    speed = float(rng.uniform(lo, hi))
+    speed = float(rng.uniform(*sim.speeds_for(vehicle.type_name)))
     margin = (layout.road_width - vehicle.width) / 2.0
     jitter_cap = min(sim.lane_jitter, max(0.0, margin - 0.05))
     jitter = float(rng.uniform(-jitter_cap, jitter_cap)) if jitter_cap > 0 else 0.0
-    lane_y = margin + jitter
-    event = simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, rng, sim,
-                             event_id=event_id, ctx=ctx)
-    return replace(event, rssi=np.round(event.rssi / RSSI_STEP_DB) * RSSI_STEP_DB)
+    return event_id, speed, margin + jitter, rng
 
 
-def generate_dataset(
-    layout: SensorLayout,
-    channel: ChannelConfig,
-    patterns: Mapping[int, AntennaPattern],
-    catalog: Mapping[str, VehicleSpec],
-    mix: Mapping[str, int],
-    sim: SimulationConfig,
-    seed: int,
-    jobs: int = 1,
-) -> Dataset:
+def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
+                     patterns: Mapping[int, AntennaPattern], catalog: Mapping[str, VehicleSpec],
+                     mix: Mapping[str, int], sim: SimulationConfig, seed: int,
+                     jobs: int = 1) -> Dataset:
     """Simulate `mix[type]` passages per vehicle type into one dataset, with
     every RSSI sample rounded to a multiple of RSSI_STEP_DB.
 
@@ -191,20 +186,23 @@ def generate_dataset(
     if sum(counts.values()) == 0:
         raise ConfigurationError("mix is empty")
 
+    # passages of one type, batched by BATCH_FRAMES frames, each batch one kernel call
     ctx = build_link_context(layout.links, channel, patterns)  # shared by every event
-    tasks = []
-    event_id = 1
+    batches, event_id = [], 0
     for type_name, vehicle in catalog.items():
-        for _ in range(counts[type_name]):
-            tasks.append((layout, channel, patterns, ctx, vehicle, sim, seed, event_id))
-            event_id += 1
+        size = BATCH_FRAMES  # a type starts a batch of its own
+        for event_id in range(event_id + 1, event_id + 1 + counts[type_name]):
+            draw = _draw_event(layout, vehicle, sim, seed, event_id)
+            frames = _frame_count(layout, vehicle, draw[1], sim)
+            if size + frames > BATCH_FRAMES:
+                batch, size = [], 0
+                batches.append((layout, ctx, vehicle, sim, batch, RSSI_STEP_DB))
+            batch.append(draw)
+            size += frames
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            events = list(pool.map(_simulate_event_task, tasks, chunksize=8))
-    else:
-        events = [_simulate_event_task(t) for t in tasks]
-    events.sort(key=lambda e: e.event_id)
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(_simulate_passages, *zip(*batches))
+        events = [event for batch in done for event in batch]
 
     metadata = {
         "format": FORMAT_NAME,
@@ -258,8 +256,15 @@ def dumps_compact(value) -> str:
 
 
 def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
-    """Write `header`, then one line per record, each as `dumps_compact` renders it."""
-    Path(path).write_text("\n".join(map(dumps_compact, [header, *records])) + "\n")
+    """Write `header`, then one line per record, each as `dumps_compact` renders it, line
+    by line into a ".partial" file that replaces `path` once every record is written."""
+    partial = Path(path).with_name(Path(path).name + ".partial")
+    try:
+        with partial.open("w") as out:
+            out.writelines(dumps_compact(record) + "\n" for record in chain([header], records))
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _field(where: str, key: str, value, kind: type):

@@ -190,6 +190,28 @@ def _cells(text, markdown):
     return text_rows, markdown_rows
 
 
+# SHA-256 of the README chain's outputs on seed 42 with the default mix of 50
+# events per type; any change to what the chain computes shows here
+SEED_42_CHAIN = {
+    "dataset.jsonl": "439085c162d61ed6819c1f3ec8080bb731662226d5fe70080a267a1782e2eb8c",
+    "segments.jsonl": "97f55044d61c4814ea9686d4ef725cd4ce6a6cc53b3bf53ec33ba74d18c51427",
+    "features.csv": "ef1fb936e1d3501c58bd6723be442eda48d4b3bdf0d69babab3a6ddb2665d8f9",
+    "crossval.json": "917dd2586416c08eda4dc616acdca3477d9a92b30d9b501fb9399f6a46a44c47",
+}
+
+
+def test_seed_42_chain_outputs_are_pinned(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["generate", "--seed", "42", "--out", out]) == 0
+    assert run(["detect", "--dataset", str(tmp_path / "dataset.jsonl"), "--out", out]) == 0
+    assert run(["features", "--segments", str(tmp_path / "segments.jsonl"), "--out", out]) == 0
+    assert run(["crossval", "--table", str(tmp_path / "features.csv"), "--features", "both",
+                "--seed", "42", "--out", out]) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SEED_42_CHAIN} == SEED_42_CHAIN
+
+
 def test_report_renders_saved_results(workspace, tmp_path, capsys):
     table = ["--table", str(workspace / "feat" / "features.csv")]
     for i, (argv, name) in enumerate([
@@ -206,8 +228,11 @@ def test_report_renders_saved_results(workspace, tmp_path, capsys):
         assert capsys.readouterr().out == printed
         assert run(["report", "--input", saved, "--markdown"]) == 0
         markdown = capsys.readouterr().out
-        if name == "study.json":  # a list per variant, not a table: the same in both modes
-            assert markdown == printed
+        if name == "study.json":  # one table per variant, each under its title
+            assert markdown != printed and "|---" in markdown
+            assert markdown.count("| passenger_car ") == printed.count("  passenger_car ") == 2
+            titles = [line for line in markdown.splitlines() if line.startswith("Ground")]
+            assert titles == [line for line in printed.splitlines() if line.startswith("Ground")]
         else:
             assert markdown.startswith("| ")
             text_rows, markdown_rows = _cells(printed, markdown)

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radiobarrier import pipeline
 from radiobarrier.config import load_config
@@ -112,6 +115,16 @@ def test_concatenated_passages_yield_k_segments(layout, patterns, quiet_channel,
     stream = np.vstack([ev.rssi, quiet] * k)
     segments = detect_events(stream, 0.01, layout, DET)
     assert len(segments) == k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12), st.booleans(), st.data())
+def test_lean_median_is_np_median_bit_for_bit(rows, links, window, whole_db, data):
+    # odd and even windows, random floats and whole-dB values with many ties
+    values = data.draw(arrays(np.float64, (rows, links, window),
+                              elements=st.floats(-120.0, 20.0) if not whole_db
+                              else st.integers(-100, -20).map(float)))
+    assert pipeline._median(values).tobytes() == np.median(values, axis=-1).tobytes()
 
 
 def test_stream_shorter_than_baseline_window(layout):

@@ -12,6 +12,7 @@ from radiobarrier.geometry import (
     VehicleSpec,
     build_layout,
 )
+from radiobarrier import propagation
 from radiobarrier.propagation import (
     SPEED_OF_LIGHT,
     AntennaPattern,
@@ -24,6 +25,9 @@ from radiobarrier.propagation import (
     knife_edge_loss,
     link_rssi,
     noiseless_rssi,
+    obstruction_loss,
+    passage_loss,
+    path_rssi,
     wavelength,
 )
 
@@ -333,3 +337,61 @@ def test_whole_trace_matches_frame_by_frame(request, app_config, quiet_channel,
         ])
         assert np.abs(trace - frame_by_frame).max() <= 1e-9
         assert (trace < frame_by_frame.max(axis=0) - 1.0).any()  # the vehicle was seen
+
+
+def _coherent_sum(ctx, loss):
+    """The coherent sum of every sample written out, as a check on path_rssi."""
+    n = len(ctx.base_db)
+    m = (loss.shape[-1] - n) // 2
+    loss_refl = np.zeros(loss.shape[:-1] + (n,))
+    loss_refl[..., ctx.bounces] = loss[..., n:n + m] + loss[..., n + m:]
+    a_d = 10.0 ** (-loss[..., :n] / 20.0)
+    a_r = ctx.a_r0 * 10.0 ** (-loss_refl / 20.0)
+    amp = np.hypot(a_d + a_r * np.cos(ctx.phase), a_r * np.sin(ctx.phase))
+    return ctx.base_db + 20.0 * np.log10(amp)
+
+
+def _passages(layout, vehicle, heading, dt=0.01):
+    """Three passages driving nose first across the whole array: lanes at the near
+    and the far road edge and in the centre, at three speeds."""
+    lanes = [1e-3, (layout.road_width - vehicle.width) / 2.0,
+             layout.road_width - vehicle.width - 1e-3]
+    speeds = [heading * v for v in (5.0, 11.3, 19.7)]
+    start = -2.0 if heading == 1 else layout.array_length + 2.0
+    span = layout.array_length + vehicle.total_length + 4.0
+    frames = [int(span / abs(v) / dt) + 1 for v in speeds]
+    return [start] * 3, speeds, frames, lanes, dt
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+@pytest.mark.parametrize("heading", [1, -1])
+@pytest.mark.parametrize("layout_name", ["layout", "signature_layout"])
+def test_ranged_batch_matches_the_full_grid(request, app_config, quiet_channel,
+                                            layout_name, heading, reflection):
+    # a few passages in one call, evaluated only where a body can reach a path, give
+    # the losses of obstruction_loss over every (frame, path) of each passage
+    layout = request.getfixturevalue(layout_name)
+    chan = replace(quiet_channel, ground_reflection_enabled=reflection)
+    ctx = build_link_context(layout.links, chan, app_config.build_patterns(layout))
+    for vehicle in app_config.catalog.values():
+        starts, speeds, frames, lanes, dt = _passages(layout, vehicle, heading)
+        loss = passage_loss(ctx, vehicle, starts, speeds, frames, lanes, dt, heading)
+        rssi = path_rssi(ctx, loss)
+        rows = np.cumsum([0] + frames)
+        for b, (x0, v, lane) in enumerate(zip(starts, speeds, lanes)):
+            nose = x0 + v * (np.arange(frames[b]) * dt)
+            grid = obstruction_loss(vehicle, Pose(nose[:, None], lane, heading), ctx.ends,
+                                    ctx.lam)
+            assert (grid > 0).any()  # the vehicle was seen
+            assert loss[rows[b]:rows[b + 1]].tobytes() == grid.tobytes()
+            assert np.abs(rssi[rows[b]:rows[b + 1]] - _coherent_sum(ctx, grid)).max() <= 1e-9
+
+
+def test_pair_chunks_do_not_change_the_loss(app_config, layout, quiet_channel, monkeypatch):
+    ctx = build_link_context(layout.links, quiet_channel, app_config.build_patterns(layout))
+    truck = app_config.catalog["truck"]
+    args = (ctx, truck, *_passages(layout, truck, 1))
+    whole = passage_loss(*args)
+    assert np.count_nonzero(whole) > 10 * 97  # many chunks of 97 pairs
+    monkeypatch.setattr(propagation, "PAIR_CHUNK", 97)
+    assert passage_loss(*args).tobytes() == whole.tobytes()

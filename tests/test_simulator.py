@@ -13,6 +13,7 @@ from radiobarrier.propagation import AntennaPattern, ChannelConfig, fspl
 from radiobarrier.simulator import (
     RSSI_STEP_DB,
     SimulationConfig,
+    _draw_event,
     _event_rng,
     baseline_rssi,
     config_fingerprint,
@@ -221,6 +222,29 @@ def test_parallel_generation_identical(tmp_path, layout, patterns, app_config):
     save_dataset(serial, p1)
     save_dataset(parallel, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_batches_that_do_not_divide_the_mix(tmp_path, layout, patterns, app_config,
+                                            monkeypatch):
+    # 7 passages of 273 to 716 frames per type fill batches of 1,000 frames unevenly,
+    # and a pool of 3 gets them unevenly; each event equals its one-passage simulation
+    monkeypatch.setattr(simulator, "BATCH_FRAMES", 1000)
+    mix = {t: 7 for t in app_config.catalog}
+    serial = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                              mix, app_config.sim, seed=13, jobs=1)
+    parallel = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                                mix, app_config.sim, seed=13, jobs=3)
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_dataset(serial, p1)
+    save_dataset(parallel, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [ev.event_id for ev in serial.events] == list(range(1, 7 * len(mix) + 1))
+    for ev in serial.events:
+        vehicle = app_config.catalog[ev.type_name]
+        _, speed, lane_y, rng = _draw_event(layout, vehicle, app_config.sim, 13, ev.event_id)
+        alone = simulate_passage(layout, app_config.channel, patterns, vehicle, speed, lane_y,
+                                 rng, app_config.sim, event_id=ev.event_id)
+        assert np.array_equal(ev.rssi, np.round(alone.rssi / RSSI_STEP_DB) * RSSI_STEP_DB)
 
 
 def test_dataset_round_trip(tmp_path, layout, patterns, app_config):
