@@ -6,15 +6,19 @@ closes once every link has recovered to within release_threshold.  Baselines
 are medians over the last `window` vehicle-free ("quiet") frames and freeze
 while a segment is open, so the trough itself never contaminates them.
 
-The quiet frames are the stream minus each [onset, close) span, so detection
-takes one Python step per segment: it reads look-ahead blocks behind the last
-`window` quiet frames, doubling from a few windows and restarting after every
-segment, and takes medians only where some link is at or below the block's
-per-link max minus drop_threshold.  That screen is exact: no window's median
-exceeds the block max, and rounding x - drop_threshold is monotonic in x.
-The release is the first later frame with every link back within
-release_threshold; the next quiet window is the one before the onset plus
-the closing frame.
+The quiet frames are the stream minus each [onset, close) span.  Detection
+works on many streams in rounds, and `detect_events` is its one-stream case.
+A round reads a look-ahead block of each open stream behind its last
+`window` quiet frames: a few windows long, doubling while no onset turns up
+and restarting after every segment; it takes as many streams as fit in
+DETECT_BATCH_FRAMES frames.  Medians are taken only where some link is at or
+below the max of the frame's own window minus drop_threshold.  That screen is
+exact: no window's median exceeds its max, and rounding x - drop_threshold is
+monotonic in x.  One median call covers the next 1, 2, 4, ... candidates of
+every stream until each has its onset.  The releases of the new segments, the
+first later frames with every link back within release_threshold, are found
+together in blocks that double the same way; the next quiet window is the one
+before the onset plus the closing frame.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import hashlib
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -36,6 +41,9 @@ from .geometry import LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
 from .simulator import (Dataset, SimulationConfig, finite_array, generate_dataset,
                         read_events, read_records, write_records)
+
+# Stream frames read in one round of detection: a few dozen events' medians per call
+DETECT_BATCH_FRAMES = 8192
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,12 @@ def detect_events(
     cfg: DetectionConfig = DetectionConfig(),
 ) -> List[EventSegment]:
     """Segment a uniform (frames x links) stream sampled every dt s into vehicle passages."""
+    rssi, window = _checked_stream(rssi, dt, layout, cfg)
+    return _detect_streams([rssi], [dt], window, layout, cfg)[0]
+
+
+def _checked_stream(rssi, dt, layout, cfg) -> Tuple[np.ndarray, int]:
+    """The stream as a float array and its baseline window in frames, if it can be detected."""
     rssi = np.asarray(rssi, dtype=float)
     n_links = len(layout.links)
     if rssi.ndim != 2 or rssi.shape[1] != n_links:
@@ -122,54 +136,66 @@ def detect_events(
             f"stream of {len(rssi)} samples is shorter than the "
             f"{window}-sample baseline window"
         )
-
-    segments: List[EventSegment] = []
-    quiet, cursor = rssi[:window], window  # the last `window` quiet frames before the cursor
-    while (found := _find_onset(rssi, cursor, quiet, cfg.drop_threshold)) is not None:
-        onset, baselines, behind = found
-        # the release: the first later frame with every link back within release_threshold
-        floor = baselines - cfg.release_threshold
-        close = next((lo + int(np.argmax(up))
-                      for lo, hi in _blocks(onset + 1, len(rssi), 4 * window)
-                      if (up := (rssi[lo:hi] >= floor).all(axis=1)).any()), None)
-        seg = _build_segment(rssi, onset, len(rssi) - 1 if close is None else close, dt,
-                             tuple(baselines.tolist()), layout, cfg)
-        if seg.t_end - seg.t_start >= cfg.min_duration:
-            segments.append(seg)
-        if close is None:
-            break
-        # [onset, close) never enters the quiet buffer; the closing frame does
-        quiet, cursor = np.concatenate([behind[1:], rssi[close:close + 1]]), close + 1
-    return segments
+    return rssi, window
 
 
-def _blocks(start: int, stop: int, size: int):
-    """[lo, hi) spans covering start..stop, the first `size` long, each twice the last."""
-    while start < stop:
-        yield start, min(start + size, stop)
-        start, size = start + size, 2 * size
-
-
-def _find_onset(rssi, start, quiet, drop):
-    """First frame from `start` on with a link `drop` below the median of the
-    len(quiet) quiet frames before it, `quiet` being those before `start`.
-    Returns (onset, baselines, the frames behind the baselines), or None."""
-    window = len(quiet)
-    for lo, hi in _blocks(start, len(rssi), 4 * window):
-        stream = np.concatenate([quiet, rssi[lo:hi]])
-        behind = sliding_window_view(stream[:-1], window, axis=0)  # k: frames before lo + k
-        values = stream[window:]
-        # exact screen: no window's median exceeds the block's max
-        candidates = np.flatnonzero((values <= stream.max(axis=0) - drop).any(axis=1))
-        for c_lo, c_hi in _blocks(0, len(candidates), 4):
-            ks = candidates[c_lo:c_hi]
+def _detect_streams(streams, dts, window, layout, cfg) -> List[List[EventSegment]]:
+    """The segments of each checked stream, all of them with this baseline window."""
+    segments: List[List[EventSegment]] = [[] for _ in streams]
+    # open streams: (index, cursor, look-ahead, the `window` quiet frames before the cursor)
+    queue = [(s, window, 4 * window, rssi[:window]) for s, rssi in enumerate(streams)
+             if len(rssi) > window]
+    while queue:
+        # a round: the next onset in the look-ahead of the first streams that fit in a batch
+        fit = np.cumsum([window + size for _, _, size, _ in queue]) <= DETECT_BATCH_FRAMES
+        state, queue = queue[:max(1, fit.sum())], queue[max(1, fit.sum()):]
+        blocks = [streams[s][cursor:cursor + size] for s, cursor, size, _ in state]
+        lens = np.array([len(block) for block in blocks])
+        starts = np.cumsum(lens + window) - lens - window  # of each stream's quiet + block
+        buf = np.concatenate([x for (*_, quiet), block in zip(state, blocks)
+                              for x in (quiet, block)])
+        # frame window + j of buf is tested against the median of buf[j:j + window]
+        values, behind = buf[window:], sliding_window_view(buf[:-1], window, axis=0)
+        screen = values <= _rolling_max(buf[:-1], window) - cfg.drop_threshold
+        cand = np.flatnonzero(screen.any(axis=1))
+        owner = np.searchsorted(starts, cand, side="right") - 1
+        cand = cand[cand < starts[owner] + lens[owner]]  # not the next stream's quiet frames
+        lo, hi = np.searchsorted(cand, starts), np.searchsorted(cand, starts + lens)
+        onset, baselines = np.full(len(state), -1), np.empty((len(state), buf.shape[1]))
+        chunk = 1  # candidates per stream in one median call: 1, 2, 4, ... until each hits
+        while (searching := np.flatnonzero((onset < 0) & (lo < hi))).size:
+            take = np.minimum(hi[searching] - lo[searching], chunk)
+            ends = np.cumsum(take)
+            ks = cand[np.arange(ends[-1]) + np.repeat(lo[searching] - ends + take, take)]
             medians = _median(behind[ks])
-            hits = np.flatnonzero((values[ks] <= medians - drop).any(axis=1))
-            if hits.size:
-                k = int(ks[hits[0]])
-                return lo + k, medians[hits[0]], stream[k:k + window]
-        quiet = stream[-window:]
-    return None
+            first = _first_true((values[ks] <= medians - cfg.drop_threshold).any(axis=1), take)
+            hit = first < take
+            at = (ends - take + first)[hit]
+            onset[searching[hit]], baselines[searching[hit]] = ks[at], medians[at]
+            lo[searching] += take
+            chunk *= 2
+        opened = []  # (index, onset frame, the quiet frames behind its baselines)
+        for i, (s, cursor, size, _) in enumerate(state):
+            if onset[i] >= 0:  # one at the last frame opens a segment shorter than min_duration
+                if (f := cursor + int(onset[i] - starts[i])) + 1 < len(streams[s]):
+                    opened.append((s, f, buf[onset[i]:onset[i] + window], baselines[i]))
+            elif cursor + size < len(streams[s]):  # read on, behind the block's last frames
+                end = starts[i] + size
+                queue.append((s, cursor + size, 2 * size, buf[end:end + window].copy()))
+        if not opened:
+            continue
+        baselines = np.array([base for *_, base in opened])
+        closes = _first_up(streams, [(s, f + 1) for s, f, *_ in opened],
+                           baselines - cfg.release_threshold, 4 * window)
+        for (s, _, quiet, _), close, seg in zip(opened, closes, _build_segments(
+                streams, dts, opened, closes, baselines, layout, cfg)):
+            if seg.t_end - seg.t_start >= cfg.min_duration:
+                segments[s].append(seg)
+            if close is not None and close + 1 < len(streams[s]):
+                # [onset, close) never enters the quiet buffer; the closing frame does
+                queue.append((s, close + 1, 4 * window,
+                              np.concatenate([quiet[1:], streams[s][close:close + 1]])))
+    return segments
 
 
 def _median(windows: np.ndarray) -> np.ndarray:
@@ -179,17 +205,57 @@ def _median(windows: np.ndarray) -> np.ndarray:
     return part.sum(axis=-1) / (2 - n % 2)
 
 
-def _build_segment(rssi, start, end, dt, baselines, layout, cfg) -> EventSegment:
-    frames = rssi[start:end + 1]
-    levels = np.array(baselines)
-    dropped = frames <= levels - cfg.drop_threshold
+def _rolling_max(x, w):
+    """max(x[i:i + w]) per column for every i, from the maxima over spans of 1, 2, 4, ... frames."""
+    m, span = x, 1
+    while 2 * span <= w:
+        m, span = np.maximum(m[:-span], m[span:]), 2 * span
+    return np.maximum(m[:len(x) - w + 1], m[w - span:])
+
+
+def _first_true(mask, lens):
+    """Per consecutive piece of `mask` with these non-zero lengths, the index in the piece of
+    its first true row (per column of a 2-D mask), or at least its length if there is none."""
+    offsets = np.cumsum(lens) - lens
+    at = np.arange(len(mask)).reshape((-1,) + (1,) * (mask.ndim - 1))
+    return (np.minimum.reduceat(np.where(mask, at, len(mask)), offsets, axis=0).T - offsets).T
+
+
+def _first_up(streams, froms, floors, size) -> List[Optional[int]]:
+    """Per (stream, frame) of `froms`, the first frame from there on with every link at or
+    above its row of `floors`, or None; read `size` frames on, then twice as many, ..."""
+    blocks = [streams[s][lo:lo + size] for s, lo in froms]
+    lens = np.array([len(block) for block in blocks])
+    up = (np.concatenate(blocks) >= np.repeat(floors, lens, axis=0)).all(axis=1)
+    found = [lo + k if k < n else None
+             for (_, lo), n, k in zip(froms, lens.tolist(), _first_true(up, lens).tolist())]
+    later = [i for i, (s, lo) in enumerate(froms)
+             if found[i] is None and lo + size < len(streams[s])]
+    if later:
+        ahead = [(s, lo + size) for s, lo in (froms[i] for i in later)]
+        for i, k in zip(later, _first_up(streams, ahead, floors[later], 2 * size)):
+            found[i] = k
+    return found
+
+
+def _build_segments(streams, dts, opened, closes, baselines, layout, cfg) -> List[EventSegment]:
+    """The segment of each (stream, onset) of `opened`, up to its close or its stream's end."""
+    spans = [(s, start, len(streams[s]) - 1 if close is None else close)
+             for (s, start, *_), close in zip(opened, closes)]
+    lens = np.array([end - start + 1 for _, start, end in spans])
+    frames = np.concatenate([streams[s][start:end + 1] for s, start, end in spans])
+    levels = np.repeat(baselines, lens, axis=0)
     held = frames <= levels - cfg.release_threshold  # true wherever dropped is
     # per link: the first dropped frame and the last held one
-    first, last = dropped.argmax(axis=0), len(frames) - 1 - held[::-1].argmax(axis=0)
-    windows = tuple(LinkWindow(layout.links[j].id, (start + int(first[j])) * dt,
-                               (start + int(last[j])) * dt + dt)
-                    for j in np.flatnonzero(dropped.any(axis=0)))
-    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames, windows=windows)
+    first = _first_true(frames <= levels - cfg.drop_threshold, lens).tolist()
+    last = (lens[:, None] - 1 - _first_true(held[::-1], lens[::-1])[::-1]).tolist()
+    return [EventSegment(start=start, dt=dts[s], baselines=tuple(base),
+                         rssi=streams[s][start:end + 1],
+                         windows=tuple(LinkWindow(link.id, (start + f[j]) * dts[s],
+                                                  (start + l[j]) * dts[s] + dts[s])
+                                       for j, link in enumerate(layout.links) if f[j] < n))
+            for (s, start, end), base, f, l, n
+            in zip(spans, baselines.tolist(), first, last, lens.tolist())]
 
 
 def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
@@ -376,18 +442,34 @@ def detect_dataset(
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
 ) -> Tuple[List[SegmentRecord], DetectionSummary]:
-    """Run detection over every event of a dataset recorded with this layout's links."""
+    """Run detection over every event of a dataset recorded with this layout's links; the
+    events with the same baseline window are detected together."""
     _layout_link_ids("dataset", dataset.metadata["link_ids"], layout)
-    records: List[SegmentRecord] = []
-    segs = 0
-    for event in dataset.events:
-        segments = detect_events(event.rssi, event.dt, layout, det_cfg)
-        segs += len(segments)
-        if segments:
-            segment = max(segments, key=lambda s: s.t_end - s.t_start)
-            records.append(SegmentRecord(event.event_id, event.type_name, event.label, segment))
+    events, checked = dataset.events, []
+    for event in events:
+        with _for_event(event.event_id):
+            checked.append(_checked_stream(event.rssi, event.dt, layout, det_cfg))
+    found = {}
+    for window in set(window for _, window in checked):
+        batch = [i for i, (_, w) in enumerate(checked) if w == window]
+        found.update(zip(batch, _detect_streams([checked[i][0] for i in batch],
+                                                [events[i].dt for i in batch],
+                                                window, layout, det_cfg)))
+    records = [SegmentRecord(event.event_id, event.type_name, event.label,
+                             max(found[i], key=lambda s: s.t_end - s.t_start))
+               for i, event in enumerate(events) if found[i]]
+    segs = sum(map(len, found.values()))
     # every segment but the longest of its event is spurious
-    return records, DetectionSummary(len(dataset.events), len(records), segs, segs - len(records))
+    return records, DetectionSummary(len(events), len(records), segs, segs - len(records))
+
+
+@contextmanager
+def _for_event(event_id: int):
+    """Prefix an error in one event's data with the event's id."""
+    try:
+        yield
+    except (InputDataError, EstimationError) as exc:
+        raise type(exc)(f"event {event_id}: {exc}") from exc
 
 
 def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
@@ -447,11 +529,15 @@ def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
         unknown = sorted(set(raw["windows"]) - set(map(str, link_ids)))
         if unknown:
             raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
-        windows = tuple(
-            LinkWindow(link_id, *finite_array(where, f"window {link_id}",
-                                              raw["windows"][str(link_id)], (2,)).tolist())
-            for link_id in link_ids if str(link_id) in raw["windows"]
-        )
+        named = [link_id for link_id in link_ids if str(link_id) in raw["windows"]]
+        spans = [raw["windows"][str(link_id)] for link_id in named]
+        try:
+            spans = finite_array(where, "windows", spans or np.empty((0, 2)), (len(named), 2))
+        except InputDataError:  # the one window at fault names its link
+            for link_id, span in zip(named, spans):
+                finite_array(where, f"window {link_id}", span, (2,))
+            raise
+        windows = tuple(LinkWindow(link_id, *span) for link_id, span in zip(named, spans.tolist()))
         baselines = finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
         segment = EventSegment(start=start, dt=event.dt, baselines=tuple(baselines.tolist()),
                                rssi=event.rssi[start:stop], windows=windows)
@@ -467,9 +553,10 @@ def featurize_records(
     """The feature table of `records`, one row per record in their order."""
     rows = []
     for rec in records:
-        speed = estimate_speed(rec.segment, layout)
-        length = estimate_length(rec.segment, speed, layout)
-        rows.append(extract_features(rec.segment, speed, length, feat_cfg, layout))
+        with _for_event(rec.event_id):
+            speed = estimate_speed(rec.segment, layout)
+            length = estimate_length(rec.segment, speed, layout)
+            rows.append(extract_features(rec.segment, speed, length, feat_cfg, layout))
     values = np.array(rows) if rows else np.empty((0, len(SCALAR_COLUMNS)))
     return FeatureTable(tuple(rec.event_id for rec in records),
                         tuple(rec.type_name for rec in records),

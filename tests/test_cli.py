@@ -499,6 +499,44 @@ def _edit_one_sample(line):
     return dumps_compact(record)  # every other byte of the line stays as it was
 
 
+def _shorten_event(line):
+    """A dataset line cut to its first 30 frames."""
+    record = json.loads(line)
+    record["values"] = _encode(_counts(record)[:30 * 9])
+    record["frames"] = 30
+    return dumps_compact(record)
+
+
+def test_detect_names_the_event_too_short_for_its_baseline_window(run_copy, capsys):
+    dataset = _edit_line(run_copy / "gen" / "dataset.jsonl", run_copy / "gen" / "dataset.jsonl",
+                         3, _shorten_event)
+    assert run(["detect", "--dataset", str(dataset), "--out", str(run_copy / "out")]) == 3
+    assert ("input error: event 3: stream of 30 samples is shorter than the 50-sample "
+            "baseline window") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda r: r.update(frames=1), 3, "input error: event 2: degenerate zero-duration segment"),
+    (lambda r: r.update(windows={"1": r["windows"]["1"], "2": r["windows"]["2"]}), 4,
+     "training/estimation error: event 2: need onsets on at least two direct links"),
+], ids=["one_frame", "one_direct_link"])
+def test_features_names_the_event_it_cannot_featurize(run_copy, capsys, edit, code, message):
+    segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
+                          2, _edit_record(edit))
+    assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert not (run_copy / "out" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("span", [[1.0, float("nan")], [1.0], "soon"],
+                         ids=["not_finite", "one_number", "not_numbers"])
+def test_features_names_the_link_of_a_bad_window(run_copy, capsys, span):
+    segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
+                          1, _edit_record(lambda r: r["windows"].update({"5": span})))
+    assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == 3
+    assert "window 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change, needle", [
     (lambda gen: (gen / "dataset.jsonl").unlink(), "cannot read"),
     (lambda gen: _edit_line(gen / "dataset.jsonl", gen / "dataset.jsonl", 1, _edit_one_sample),
