@@ -172,7 +172,8 @@ def _cmd_detect(args) -> int:
     dataset = load_dataset(args.dataset)
     records, summary = detect_dataset(dataset, layout, cfg.detection)
     out = _write_outputs(args, [args.dataset], {
-        "segments.jsonl": lambda path: save_segments(records, path, layout, args.dataset)})
+        "segments.jsonl": lambda path: save_segments(records, path, layout, args.dataset,
+                                                     dataset.sha256)})
     print(
         f"detected {summary.events_detected}/{summary.events_total} passages "
         f"({summary.segments_total} segments, {summary.spurious_segments} spurious); "
@@ -184,8 +185,8 @@ def _cmd_detect(args) -> int:
 def _cmd_features(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
-    records = load_segments(args.segments, layout)
-    table = featurize_records(records, layout, cfg.features)
+    # the records hold the dataset; they are freed before the table is written
+    table = featurize_records(load_segments(args.segments, layout), layout, cfg.features)
     out = _write_outputs(args, [args.segments],
                          {"features.csv": lambda path: save_features_csv(table, path)})
     print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")

@@ -72,10 +72,6 @@ class SensorLayout:
     def receivers(self) -> Tuple[NodeSpec, ...]:
         return tuple(n for n in self.nodes if n.role == "receiver")
 
-    @property
-    def direct_links(self) -> Tuple[RadioLink, ...]:
-        return tuple(l for l in self.links if l.kind == "direct")
-
 
 @dataclass(frozen=True)
 class LayoutConfig:

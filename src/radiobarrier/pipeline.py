@@ -19,15 +19,20 @@ every stream until each has its onset.  The releases of the new segments, the
 first later frames with every link back within release_threshold, are found
 together in blocks that double the same way; the next quiet window is the one
 before the onset plus the closing frame.
+
+Features are made for many segments at once too, in batches of up to
+FEATURE_BATCH_FRAMES frames, and `estimate_speed`, `estimate_length` and
+`extract_features` are the one-segment cases.  Sums add left to right, the
+grid is np.linspace's and the drop profile is blended as np.interp blends it,
+so a row is the same floats whichever batch its segment falls in.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -44,6 +49,8 @@ from .simulator import (Dataset, SimulationConfig, finite_array, generate_datase
 
 # Stream frames read in one round of detection: a few dozen events' medians per call
 DETECT_BATCH_FRAMES = 8192
+# Segment frames featurized in one batch: a few dozen passages per array operation
+FEATURE_BATCH_FRAMES = 8192
 
 
 @dataclass(frozen=True)
@@ -60,32 +67,28 @@ class DetectionConfig:
             raise ConfigurationError("durations must be positive")
 
 
-@dataclass(frozen=True)
-class LinkWindow:
-    link_id: int
-    onset_t: float
-    release_t: float
-
-
 @dataclass(frozen=True, eq=False)
 class EventSegment:
     """Frames start .. start + len(rssi) - 1 of one event's trace.
 
     `rssi` is a read-only float64 (frames x links) array, links in layout
     order: a view into the event's trace when detected.  Frame i of the
-    event was sampled at t = i * dt.
+    event was sampled at t = i * dt.  `windows` is a read-only float64
+    (links x 2) array of each link's onset and release time, in layout
+    order; NaN for a link that never crossed the drop threshold.
     """
 
     start: int
     dt: float
     baselines: Tuple[float, ...]  # per link, layout order, frozen at onset
     rssi: np.ndarray
-    windows: Tuple[LinkWindow, ...]  # only links that crossed the drop threshold
+    windows: np.ndarray
 
     def __post_init__(self) -> None:
-        rssi = np.asarray(self.rssi, dtype=np.float64).view()
-        rssi.flags.writeable = False
-        object.__setattr__(self, "rssi", rssi)
+        for name in ("rssi", "windows"):
+            array = np.asarray(getattr(self, name), dtype=np.float64).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def t_start(self) -> float:
@@ -94,12 +97,6 @@ class EventSegment:
     @property
     def t_end(self) -> float:
         return (self.start + len(self.rssi) - 1) * self.dt
-
-    def window_for(self, link_id: int) -> Optional[LinkWindow]:
-        for w in self.windows:
-            if w.link_id == link_id:
-                return w
-        return None
 
 
 def detect_events(
@@ -110,7 +107,7 @@ def detect_events(
 ) -> List[EventSegment]:
     """Segment a uniform (frames x links) stream sampled every dt s into vehicle passages."""
     rssi, window = _checked_stream(rssi, dt, layout, cfg)
-    return _detect_streams([rssi], [dt], window, layout, cfg)[0]
+    return _detect_streams([rssi], [dt], window, cfg)[0]
 
 
 def _checked_stream(rssi, dt, layout, cfg) -> Tuple[np.ndarray, int]:
@@ -139,7 +136,7 @@ def _checked_stream(rssi, dt, layout, cfg) -> Tuple[np.ndarray, int]:
     return rssi, window
 
 
-def _detect_streams(streams, dts, window, layout, cfg) -> List[List[EventSegment]]:
+def _detect_streams(streams, dts, window, cfg) -> List[List[EventSegment]]:
     """The segments of each checked stream, all of them with this baseline window."""
     segments: List[List[EventSegment]] = [[] for _ in streams]
     # open streams: (index, cursor, look-ahead, the `window` quiet frames before the cursor)
@@ -188,7 +185,7 @@ def _detect_streams(streams, dts, window, layout, cfg) -> List[List[EventSegment
         closes = _first_up(streams, [(s, f + 1) for s, f, *_ in opened],
                            baselines - cfg.release_threshold, 4 * window)
         for (s, _, quiet, _), close, seg in zip(opened, closes, _build_segments(
-                streams, dts, opened, closes, baselines, layout, cfg)):
+                streams, dts, opened, closes, baselines, cfg)):
             if seg.t_end - seg.t_start >= cfg.min_duration:
                 segments[s].append(seg)
             if close is not None and close + 1 < len(streams[s]):
@@ -238,7 +235,7 @@ def _first_up(streams, froms, floors, size) -> List[Optional[int]]:
     return found
 
 
-def _build_segments(streams, dts, opened, closes, baselines, layout, cfg) -> List[EventSegment]:
+def _build_segments(streams, dts, opened, closes, baselines, cfg) -> List[EventSegment]:
     """The segment of each (stream, onset) of `opened`, up to its close or its stream's end."""
     spans = [(s, start, len(streams[s]) - 1 if close is None else close)
              for (s, start, *_), close in zip(opened, closes)]
@@ -246,16 +243,16 @@ def _build_segments(streams, dts, opened, closes, baselines, layout, cfg) -> Lis
     frames = np.concatenate([streams[s][start:end + 1] for s, start, end in spans])
     levels = np.repeat(baselines, lens, axis=0)
     held = frames <= levels - cfg.release_threshold  # true wherever dropped is
-    # per link: the first dropped frame and the last held one
-    first = _first_true(frames <= levels - cfg.drop_threshold, lens).tolist()
-    last = (lens[:, None] - 1 - _first_true(held[::-1], lens[::-1])[::-1]).tolist()
+    # per link: the first dropped frame and the last held one, NaN where none dropped
+    first = _first_true(frames <= levels - cfg.drop_threshold, lens)
+    last = lens[:, None] - 1 - _first_true(held[::-1], lens[::-1])[::-1]
+    starts = np.array([start for _, start, _ in spans])[:, None]
+    dt = np.array([dts[s] for s, *_ in spans])[:, None]
+    onset, release = (starts + first) * dt, (starts + last) * dt + dt
+    windows = np.where((first < lens[:, None])[..., None], np.stack([onset, release], -1), np.nan)
     return [EventSegment(start=start, dt=dts[s], baselines=tuple(base),
-                         rssi=streams[s][start:end + 1],
-                         windows=tuple(LinkWindow(link.id, (start + f[j]) * dts[s],
-                                                  (start + l[j]) * dts[s] + dts[s])
-                                       for j, link in enumerate(layout.links) if f[j] < n))
-            for (s, start, end), base, f, l, n
-            in zip(spans, baselines.tolist(), first, last, lens.tolist())]
+                         rssi=streams[s][start:end + 1], windows=win)
+            for (s, start, end), base, win in zip(spans, baselines.tolist(), windows)]
 
 
 def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
@@ -265,21 +262,9 @@ def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
     distinct along-road positions; releases are ignored because they carry
     the vehicle length.
     """
-    direct = []
-    for link in layout.direct_links:
-        w = segment.window_for(link.id)
-        if w is not None:
-            direct.append((link.endpoints[0][0], w.onset_t))
-    if len({x for x, _ in direct}) < 2:
-        raise EstimationError("need onsets on at least two direct links at distinct positions")
-    speeds = []
-    for (xa, ta), (xb, tb) in combinations(direct, 2):
-        if tb == ta:
-            continue
-        speeds.append(abs((xb - xa) / (tb - ta)))
-    if not speeds:
-        raise EstimationError("all direct-link onsets coincide; speed is unresolvable")
-    return sum(speeds) / len(speeds)
+    speeds, _, checks = _estimates(segment.windows[None], layout)
+    _raise_first(checks[:2])
+    return float(speeds[0])
 
 
 def estimate_length(segment: EventSegment, speed: float, layout: SensorLayout) -> float:
@@ -288,16 +273,45 @@ def estimate_length(segment: EventSegment, speed: float, layout: SensorLayout) -
     Direct links cross the road at a single along-road position, so their
     occlusion window needs no body-width correction.
     """
-    if speed <= 0:
-        raise EstimationError("speed must be positive")
-    durations = []
-    for link in layout.direct_links:
-        w = segment.window_for(link.id)
-        if w is not None:
-            durations.append(w.release_t - w.onset_t)
-    if not durations:
-        raise EstimationError("no direct-link occlusion window available")
-    return speed * sum(durations) / len(durations)
+    _, lengths, checks = _estimates(segment.windows[None], layout, np.array([speed], dtype=float))
+    _raise_first(checks[2:])
+    return float(lengths[0])
+
+
+def _estimates(windows, layout, speeds=None):
+    """Per (links x 2) window array of a stack: its speed unless `speeds` are given, its length
+    at that speed, and the checks of both in the order they run.  Terms add left to right."""
+    direct = _link_indices(layout, "direct")
+    x = [layout.links[j].endpoints[0][0] for j in direct]
+    onset, span = windows[:, direct, 0], windows[:, direct, 1] - windows[:, direct, 0]
+    crossed, n = ~np.isnan(onset), len(windows)
+    total, count, apart = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    for a, b in combinations(range(len(direct)), 2):
+        both = crossed[:, a] & crossed[:, b]
+        apart |= both & (x[a] != x[b])  # two crossed links at distinct positions
+        moved = both & (onset[:, b] != onset[:, a])
+        gap = np.where(moved, onset[:, b] - onset[:, a], 1.0)
+        total += np.where(moved, np.abs((x[b] - x[a]) / gap), 0.0)
+        count += moved
+    speeds = total / np.maximum(count, 1) if speeds is None else speeds
+    durations = np.zeros(n)
+    for column in np.where(crossed, span, 0.0).T:
+        durations += column
+    return speeds, speeds * durations / np.maximum(crossed.sum(axis=1), 1), [
+        (~apart, EstimationError("need onsets on at least two direct links at distinct positions")),
+        (count == 0, EstimationError("all direct-link onsets coincide; speed is unresolvable")),
+        (speeds <= 0, EstimationError("speed must be positive")),
+        (~crossed.any(axis=1), EstimationError("no direct-link occlusion window available"))]
+
+
+def _raise_first(checks, event_ids=None) -> None:
+    """Raise the error of the first check that the first record failing one fails; `checks`
+    are (mask over records, error) in the order they run, `event_ids` name the records."""
+    failed = np.array([mask for mask, _ in checks])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        with _for_event(event_ids[i]) if event_ids else nullcontext():
+            raise checks[int(failed[:, i].argmax())][1]
 
 
 def drop_magnitude(trace, baseline) -> float:
@@ -306,7 +320,13 @@ def drop_magnitude(trace, baseline) -> float:
     trace = np.asarray(trace, dtype=np.float64)
     if trace.size == 0:
         raise InputDataError("empty trace slice")
-    return max(0.0, float(np.max(np.asarray(baseline) - trace.min(axis=0))))
+    return float(_deepest(np.atleast_1d(np.asarray(baseline) - trace.min(axis=0))))
+
+
+def _deepest(dips):
+    """The largest of `dips` along the last axis, clamped at 0."""
+    deepest = dips.max(axis=-1)
+    return np.where(deepest > 0.0, deepest, 0.0)
 
 
 def event_drop_magnitude(segment: EventSegment, layout: SensorLayout,
@@ -333,6 +353,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.resample_points < 2:
             raise ConfigurationError("resample_points must be at least 2")
+        if self.links_used not in ("all", "direct"):
+            raise ConfigurationError(f"unknown link selection {self.links_used!r}")
 
 
 # The columns of every feature table ahead of its drop profile f_0, f_1, ...
@@ -380,18 +402,43 @@ def extract_features(
     [t_start, t_end] and the links are concatenated in layout order, so the
     width depends only on the configuration, never on the segment duration.
     """
-    if segment.t_end <= segment.t_start:
-        raise InputDataError("degenerate zero-duration segment")
+    _raise_first([_too_short([segment])])
+    return _feature_rows([segment], [speed], [length], cfg, layout)[0]
+
+
+def _too_short(segments):
+    return (np.array([s.t_end <= s.t_start for s in segments], dtype=bool),
+            InputDataError("degenerate zero-duration segment"))
+
+
+def _feature_rows(segments, speeds, lengths, cfg, layout) -> np.ndarray:
+    """The feature-table rows of segments that span some time, over all their frames at once.
+    Each instant of a segment's np.linspace grid takes the drops of the frame at or before it,
+    blended as np.interp blends them: slope * (t - t_j) + drop_j, except at a frame or the end.
+    """
     links = _link_indices(layout, cfg.links_used) if cfg.include_rssi else []
-    row = np.empty(len(SCALAR_COLUMNS) + cfg.resample_points * len(links))
-    row[:len(SCALAR_COLUMNS)] = speed, length, event_drop_magnitude(segment, layout)
-    drops = np.maximum(0.0, np.array(segment.baselines) - segment.rssi)
-    grid = np.linspace(segment.t_start, segment.t_end, cfg.resample_points)
-    times = (segment.start + np.arange(len(segment.rssi), dtype=np.float64)) * segment.dt
-    profile = row[len(SCALAR_COLUMNS):].reshape(len(links), cfg.resample_points)
-    for out, j in zip(profile, links):
-        out[:] = np.interp(grid, times, drops[:, j])
-    return row
+    n = np.array([len(s.rssi) for s in segments])[:, None]
+    start = np.array([s.start for s in segments])[:, None]
+    dt = np.array([s.dt for s in segments])[:, None]
+    at = np.cumsum(n)[:, None] - n  # each segment's first row in `frames`
+    frames = np.concatenate([s.rssi for s in segments])
+    baselines = np.array([s.baselines for s in segments])
+    t_start, t_end = start * dt, (start + n - 1) * dt
+    step = (t_end - t_start) / (cfg.resample_points - 1)
+    grid = np.arange(cfg.resample_points) * step + t_start
+    grid[:, -1] = t_end[:, 0]
+    j = np.clip((grid / dt).astype(int) - start, 0, n - 1)  # at most a frame off
+    j -= (start + j) * dt > grid  # now the last frame at or before each instant
+    j += (j < n - 1) & ((start + j + 1) * dt <= grid)
+    t_j = (start + j) * dt
+    drops = np.maximum(0.0, np.repeat(baselines[:, links], n[:, 0], axis=0) - frames[:, links])
+    here, after = drops[at + j], drops[at + np.minimum(j + 1, n - 1)]
+    slope = (after - here) / ((start + j + 1) * dt - t_j)[..., None]
+    profile = np.where(((j == n - 1) | (t_j == grid))[..., None], here,
+                       slope * (grid - t_j)[..., None] + here)
+    dips = baselines - np.minimum.reduceat(frames, at[:, 0], axis=0)
+    scalars = np.stack([speeds, lengths, _deepest(dips[:, _link_indices(layout, "direct")])], 1)
+    return np.hstack([scalars, profile.transpose(0, 2, 1).reshape(len(segments), -1)])
 
 
 @dataclass(frozen=True)
@@ -454,7 +501,7 @@ def detect_dataset(
         batch = [i for i, (_, w) in enumerate(checked) if w == window]
         found.update(zip(batch, _detect_streams([checked[i][0] for i in batch],
                                                 [events[i].dt for i in batch],
-                                                window, layout, det_cfg)))
+                                                window, det_cfg)))
     records = [SegmentRecord(event.event_id, event.type_name, event.label,
                              max(found[i], key=lambda s: s.t_end - s.t_start))
                for i, event in enumerate(events) if found[i]]
@@ -480,45 +527,43 @@ def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
     return expected
 
 
-def _sha256(path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except (OSError, ValueError) as exc:  # missing, unreadable, or a NUL in the name
-        raise InputDataError(f"cannot read {path}: {exc}") from exc
-
-
-def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, dataset) -> None:
+def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, dataset,
+                  dataset_sha256: str) -> None:
     """Write segments detected on `layout` from the file `dataset`, which the header names by
-    its SHA-256 and by its path relative to `path`'s directory (a run directory can move)."""
+    the SHA-256 of the bytes read from it and by its path relative to `path`'s directory (a
+    run directory can move)."""
     header = {"format": SEGMENTS_FORMAT, "version": SEGMENTS_VERSION,
               "link_ids": [link.id for link in layout.links], "event_count": len(records),
               "dataset": os.path.relpath(dataset, Path(path).parent),
-              "dataset_sha256": _sha256(dataset)}
+              "dataset_sha256": dataset_sha256}
     write_records(path, header, ({
         "event_id": rec.event_id,
         "start_index": rec.segment.start,
         "frames": len(rec.segment.rssi),
         "baselines": list(rec.segment.baselines),
-        "windows": {str(w.link_id): [w.onset_t, w.release_t] for w in rec.segment.windows},
+        "windows": {str(link.id): span for link, span
+                    in zip(layout.links, rec.segment.windows.tolist()) if not math.isnan(span[0])},
     } for rec in records))
 
 
 def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
     """Read a segments file detected on this layout's links; each segment is a read-only view
-    of its event's trace in the dataset the header names, whose SHA-256 must still match."""
-    header, lines = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
+    of its event's trace in the dataset the header names, whose SHA-256 must still match.  The
+    dataset is read once: the bytes that are hashed are the bytes that are parsed."""
+    header, lines, _ = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
     link_ids = _layout_link_ids(f"segments file {path}", header["link_ids"], layout)
     if not isinstance(header.get("dataset"), str):
         raise InputDataError(f"{path}: header does not name the dataset")
     dataset = Path(path).parent / header["dataset"]
-    if _sha256(dataset) != header.get("dataset_sha256"):
+    dataset_header, events, sha256 = read_events(dataset)
+    if sha256 != header.get("dataset_sha256"):
         raise InputDataError(f"{dataset} is not the dataset {path} was detected from: "
                              f"its SHA-256 differs")
-    dataset_header, events = read_events(dataset)
     _layout_link_ids(f"dataset {dataset}", dataset_header["link_ids"], layout)
     by_id = {event.event_id: event for event in events}
-    records = []
-    for where, raw in lines:
+    keys, records = [str(link_id) for link_id in link_ids], []
+    windows = np.full((len(lines), len(link_ids), 2), np.nan)
+    for (where, raw), own_windows in zip(lines, windows):
         event = by_id.get(raw["event_id"])
         if event is None:
             raise InputDataError(f"{where}: event {raw['event_id']} is not in {dataset}")
@@ -526,21 +571,21 @@ def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
         if not 0 <= start < stop <= len(event.rssi):
             raise InputDataError(f"{where}: frames [{start}, {stop}) do not fit the "
                                  f"{len(event.rssi)} frames of event {event.event_id}")
-        unknown = sorted(set(raw["windows"]) - set(map(str, link_ids)))
+        unknown = sorted(set(raw["windows"]) - set(keys))
         if unknown:
             raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
-        named = [link_id for link_id in link_ids if str(link_id) in raw["windows"]]
-        spans = [raw["windows"][str(link_id)] for link_id in named]
+        crossed = [j for j, key in enumerate(keys) if key in raw["windows"]]
+        spans = [raw["windows"][keys[j]] for j in crossed]
         try:
-            spans = finite_array(where, "windows", spans or np.empty((0, 2)), (len(named), 2))
+            own_windows[crossed] = finite_array(where, "windows", spans or np.empty((0, 2)),
+                                                (len(crossed), 2))
         except InputDataError:  # the one window at fault names its link
-            for link_id, span in zip(named, spans):
-                finite_array(where, f"window {link_id}", span, (2,))
+            for j, span in zip(crossed, spans):
+                finite_array(where, f"window {keys[j]}", span, (2,))
             raise
-        windows = tuple(LinkWindow(link_id, *span) for link_id, span in zip(named, spans.tolist()))
         baselines = finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
         segment = EventSegment(start=start, dt=event.dt, baselines=tuple(baselines.tolist()),
-                               rssi=event.rssi[start:stop], windows=windows)
+                               rssi=event.rssi[start:stop], windows=own_windows)
         records.append(SegmentRecord(event.event_id, event.type_name, event.label, segment))
     return records
 
@@ -550,14 +595,19 @@ def featurize_records(
     layout: SensorLayout,
     feat_cfg: FeatureConfig = FeatureConfig(),
 ) -> FeatureTable:
-    """The feature table of `records`, one row per record in their order."""
-    rows = []
-    for rec in records:
-        with _for_event(rec.event_id):
-            speed = estimate_speed(rec.segment, layout)
-            length = estimate_length(rec.segment, speed, layout)
-            rows.append(extract_features(rec.segment, speed, length, feat_cfg, layout))
-    values = np.array(rows) if rows else np.empty((0, len(SCALAR_COLUMNS)))
+    """The feature table of `records`, one row per record in their order; the rows are made in
+    batches of as many records as fit in FEATURE_BATCH_FRAMES frames (at least one)."""
+    segments = [rec.segment for rec in records]
+    windows = np.array([s.windows for s in segments]).reshape(len(segments), len(layout.links), 2)
+    speeds, lengths, checks = _estimates(windows, layout)
+    _raise_first(checks + [_too_short(segments)], [rec.event_id for rec in records])
+    lens, rows, first = np.array([len(s.rssi) for s in segments]), [], 0
+    while first < len(segments):
+        last = first + max(1, int((np.cumsum(lens[first:]) <= FEATURE_BATCH_FRAMES).sum()))
+        rows.append(_feature_rows(segments[first:last], speeds[first:last], lengths[first:last],
+                                  feat_cfg, layout))
+        first = last
+    values = np.concatenate(rows) if rows else np.empty((0, len(SCALAR_COLUMNS)))
     return FeatureTable(tuple(rec.event_id for rec in records),
                         tuple(rec.type_name for rec in records),
                         tuple(rec.label for rec in records), values)
@@ -578,21 +628,32 @@ def _csv_cells(cells) -> str:
 
 
 def save_features_csv(table: FeatureTable, path) -> None:
-    """Write `table` with one row per event, as load_features_csv reads it."""
+    """Write `table` with one row per event, as load_features_csv reads it.  Each distinct
+    value is formatted once, found by its bits: -0.0 is spelled "-0", 0.0 "0"."""
     names = {pair: _csv_cells(pair) for pair in set(zip(table.type_names, table.labels))}
-    row = ",".join(["%s", "%s"] + ["%.17g"] * len(table.columns)) + "\r\n"
+    bits = np.ascontiguousarray(table.values).view(np.int64)
+    distinct, at = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(_TEXT_COLUMNS + table.columns) + "\r\n")
-        fh.writelines(row % (event_id, names[pair], *values.tolist()) for event_id, pair, values
-                      in zip(table.event_ids, zip(table.type_names, table.labels), table.values))
+        fh.writelines(f"{event_id},{names[pair]},{','.join(cells)}\r\n" for event_id, pair, cells
+                      in zip(table.event_ids, zip(table.type_names, table.labels),
+                             text[at.reshape(bits.shape)].tolist()))
 
 
 def load_features_csv(path) -> FeatureTable:
-    """Read a non-empty feature table, rejecting any row that does not fit its header."""
+    """Read a non-empty feature table, rejecting any row that does not fit its header.
+
+    The numbers of a table of CRLF lines without a quote, as save_features_csv
+    writes one, are parsed in one call; a table that call cannot take is read
+    row by row with csv.reader, so that a message names the line at fault.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
+        rows, numbers = _split_at_once(text)
+        rows = rows or list(csv.reader(io.StringIO(text, newline="")))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputDataError(f"cannot read feature table {path}: {exc}") from exc
     header = rows[0] if rows else []
@@ -604,26 +665,50 @@ def load_features_csv(path) -> FeatureTable:
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(header):
+        if numbers is None and len(row) != len(header):
             raise InputDataError(
                 f"{path}:{lineno}: {len(row)} cells under a {len(header)}-column header")
         try:
             event_id = int(row[0])
-            values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
+            if numbers is None:
+                values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
         except ValueError as exc:
             raise InputDataError(f"{path}:{lineno}: {exc}") from None
         if first_line.setdefault(event_id, lineno) != lineno:
             raise InputDataError(
                 f"{path}:{lineno}: event_id {event_id} repeats line {first_line[event_id]}")
     event_ids, linenos = tuple(first_line), list(first_line.values())
-    if not values:
+    if not linenos:
         raise InputDataError(f"feature table {path} has no rows")
-    values = np.array(values)
+    values = np.array(values) if numbers is None else numbers
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise InputDataError(f"{path}:{linenos[np.argmin(finite)]}: a feature is not finite")
     return FeatureTable(event_ids, tuple(rows[n - 1][1] for n in linenos),
                         tuple(rows[n - 1][2] for n in linenos), values, source=str(path))
+
+
+def _split_at_once(text):
+    """The rows of a table of CRLF lines as csv.reader reads them, but after the header only
+    their text cells, and the numbers of all those rows in one array; (None, None) if the
+    table holds a character that csv.reader or float() reads otherwise than this does, or a
+    row whose numbers do not all parse to fit the header."""
+    lines = text.split("\r\n")
+    if (lines[-1] or any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+            or not text.count("\r") == text.count("\n") == len(lines) - 1
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None, None
+    width = len(_TEXT_COLUMNS)
+    rows = [lines[0].split(",")] + [line.split(",", width) if line else [] for line in lines[1:-1]]
+    try:  # IndexError: a row without numbers
+        numbers = [row[width] for row in rows[1:] if row]
+        if numbers and "" not in numbers:  # loadtxt skips an empty line, warns if all are
+            values = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+            if values.shape == (len(numbers), len(rows[0]) - width):
+                return [rows[0]] + [row[:width] for row in rows[1:]], values
+    except (IndexError, ValueError):
+        pass
+    return None, None
 
 
 def feature_matrix(table: FeatureTable, feature_set: str) -> np.ndarray:

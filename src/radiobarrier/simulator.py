@@ -83,6 +83,7 @@ class PassageEvent:
 class Dataset:
     events: Tuple[PassageEvent, ...]
     metadata: Dict
+    sha256: Optional[str] = None  # of the file bytes the dataset was read from, if any
 
 
 def config_fingerprint(layout: SensorLayout, channel: ChannelConfig,
@@ -296,12 +297,14 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
     count the records in `event_count`.  Every line must hold each key of
     `fields`, which include "event_id", with a value of its type, and no two
     lines the same event_id.  Keys not in `fields` are ignored.  Returns the
-    header and, per line, its location for messages and its `fields`.
+    header, per line its location for messages and its `fields`, and the
+    SHA-256 of the bytes that were read.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not text
+        data = path.read_bytes()
+        lines = data.decode().splitlines()
+    except (OSError, ValueError) as exc:  # missing, unreadable, not text, or a NUL in the name
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise InputDataError(f"{path} is empty")
@@ -340,7 +343,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         raise InputDataError(
             f"{path}: header announces {header['event_count']} records, file holds {len(records)}"
         )
-    return header, records
+    return header, records, hashlib.sha256(data).hexdigest()
 
 
 # Keys of an event line with their types; "values" holds the event's rssi
@@ -359,18 +362,19 @@ def save_dataset(dataset: Dataset, path) -> None:
         for ev in dataset.events))
 
 
-def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...]]:
-    """The header and the events of a dataset file, rejecting any line that does not fit."""
-    header, records = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
+def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:
+    """The header and the events of a dataset file, rejecting any line that does not fit, and
+    the SHA-256 of the bytes that were parsed."""
+    header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
     events = []
     for where, rec in records:
         shape = (rec.pop("frames"), len(header["link_ids"]))
         events.append(PassageEvent(rssi=_decode_samples(where, "values", rec.pop("values"), shape),
                                    **rec))
-    return header, tuple(events)
+    return header, tuple(events), sha256
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset file, rejecting any line that does not fit its header."""
-    header, events = read_events(path)
-    return Dataset(events=events, metadata=header)
+    header, events, sha256 = read_events(path)
+    return Dataset(events=events, metadata=header, sha256=sha256)

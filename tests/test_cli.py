@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import radiobarrier
 from radiobarrier.cli import main
 from radiobarrier.geometry import TYPE_LABELS
+from radiobarrier.pipeline import load_features_csv
 from radiobarrier.simulator import dumps_compact
 
 MIX = "passenger car=3,transporter=2,bus=2,truck=3"
@@ -627,6 +628,45 @@ def test_crossval_on_bad_feature_row_exits_3(workspace, tmp_path, capsys, edit):
     code = run(["crossval", "--table", str(broken)])
     assert code == 3
     assert "input error" in capsys.readouterr().err
+
+
+def _set_last_cell(table, target, lineno, text):
+    """`table` with the last cell of line `lineno` set to `text`, its CRLF line ends kept."""
+    lines = table.read_bytes().split(b"\r\n")
+    lines[lineno - 1] = lines[lineno - 1].rsplit(b",", 1)[0] + b"," + text.encode()
+    target.write_bytes(b"\r\n".join(lines))
+    return target
+
+
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0)])
+def test_a_feature_cell_reads_as_float_reads_it(workspace, tmp_path, cell, value):
+    table = _set_last_cell(workspace / "feat" / "features.csv", tmp_path / "features.csv", 2, cell)
+    assert load_features_csv(table).values[0, -1] == value
+
+
+def test_a_comment_mark_in_a_feature_cell_exits_3_naming_its_line(workspace, tmp_path, capsys):
+    table = _set_last_cell(workspace / "feat" / "features.csv", tmp_path / "features.csv", 3, "5#x")
+    assert run(["crossval", "--table", str(table)]) == 3
+    assert f"{table}:3: could not convert string to float: '5#x'" in capsys.readouterr().err
+
+
+def test_detect_and_features_read_the_dataset_once(workspace, tmp_path):
+    dataset = (workspace / "gen" / "dataset.jsonl").resolve()
+    opened, watching = [], [True]
+
+    def audit(event, args):  # every file open, whichever layer of io makes it
+        if watching[0] and event == "open" and isinstance(args[0], (str, os.PathLike)):
+            opened.append(Path(args[0]).resolve())
+
+    sys.addaudithook(audit)  # a hook cannot be removed: it stops watching below
+    try:
+        assert run(["detect", "--dataset", str(dataset), "--out", str(tmp_path)]) == 0
+        assert opened.count(dataset) == 1
+        assert run(["features", "--segments", str(tmp_path / "segments.jsonl"),
+                    "--out", str(tmp_path)]) == 0
+        assert opened.count(dataset) == 2
+    finally:
+        watching[0] = False
 
 
 @pytest.mark.parametrize("edit", [

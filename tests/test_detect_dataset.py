@@ -61,8 +61,8 @@ def test_dataset_detection_is_per_event_detection(layout, monkeypatch, cap):
     assert [r.event_id for r in records] == [ev.event_id for ev, _ in longest]
     for rec, (ev, want) in zip(records, longest):
         got = rec.segment
-        assert (got.start, got.dt, got.baselines, got.windows) == \
-            (want.start, want.dt, want.baselines, want.windows)
+        assert (got.start, got.dt, got.baselines, got.windows.tobytes()) == \
+            (want.start, want.dt, want.baselines, want.windows.tobytes())
         assert np.array_equal(got.rssi, want.rssi)
         assert np.shares_memory(got.rssi, ev.rssi)  # a view of the event's trace
     assert summary == DetectionSummary(8, 6, 11, 5)
@@ -108,9 +108,9 @@ def test_batched_streams_match_reference(layout, case):
     cfg, streams, cap = case
     window = pipeline._checked_stream(streams[0], DT, layout, cfg)[1]
     with mock.patch.object(pipeline, "DETECT_BATCH_FRAMES", cap):
-        found = pipeline._detect_streams(streams, [DT] * len(streams), window, layout, cfg)
+        found = pipeline._detect_streams(streams, [DT] * len(streams), window, cfg)
     for rssi, got in zip(streams, found):
         want = reference_detect_events(rssi, DT, layout, cfg)
-        assert [(s.start, s.baselines, s.windows) for s in got] == \
-            [(s.start, s.baselines, s.windows) for s in want]
+        assert [(s.start, s.baselines, s.windows.tobytes()) for s in got] == \
+            [(s.start, s.baselines, s.windows.tobytes()) for s in want]
         assert all(np.array_equal(a.rssi, b.rssi) for a, b in zip(got, want))

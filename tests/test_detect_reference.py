@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from radiobarrier.config import default_config
 from radiobarrier.errors import ConfigurationError, InputDataError
 from radiobarrier.geometry import SensorLayout
-from radiobarrier.pipeline import DetectionConfig, EventSegment, LinkWindow, detect_events
+from radiobarrier.pipeline import DetectionConfig, EventSegment, detect_events
 from radiobarrier.simulator import generate_dataset
 
 
@@ -28,15 +28,13 @@ def reference_build_segment(rssi, start, end, dt, baselines, layout, cfg) -> Eve
     levels = np.array(baselines)
     dropped = frames <= levels - cfg.drop_threshold
     held = frames <= levels - cfg.release_threshold  # true wherever dropped is
-    windows = []
+    windows = np.full((len(layout.links), 2), np.nan)  # NaN for a link that never dropped
     for j, link in enumerate(layout.links):
         onsets = np.flatnonzero(dropped[:, j])
         if onsets.size:
             last = int(np.flatnonzero(held[:, j])[-1])
-            windows.append(LinkWindow(link.id, (start + int(onsets[0])) * dt,
-                                      (start + last) * dt + dt))
-    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames,
-                        windows=tuple(windows))
+            windows[j] = (start + int(onsets[0])) * dt, (start + last) * dt + dt
+    return EventSegment(start=start, dt=dt, baselines=baselines, rssi=frames, windows=windows)
 
 
 def reference_detect_events(
@@ -115,7 +113,7 @@ def assert_same_segments(rssi, dt, layout, cfg=DetectionConfig()):
     assert [s.start for s in got] == [s.start for s in want]
     assert [s.baselines for s in got] == [s.baselines for s in want]  # exact float equality
     assert all(np.array_equal(a.rssi, b.rssi) for a, b in zip(got, want))
-    assert [s.windows for s in got] == [s.windows for s in want]
+    assert [s.windows.tobytes() for s in got] == [s.windows.tobytes() for s in want]
     # segments files serialise these with json: plain Python numbers only
     assert all(type(s.start) is int and all(type(b) is float for b in s.baselines)
                for s in got)

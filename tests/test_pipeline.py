@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,7 +19,6 @@ from radiobarrier.pipeline import (
     FeatureConfig,
     SCALAR_COLUMNS,
     FeatureTable,
-    LinkWindow,
     dataset_drop_stats,
     detect_dataset,
     detect_events,
@@ -80,8 +80,8 @@ def test_single_car_yields_one_segment(layout, patterns, quiet_channel, app_conf
     trough = seg.rssi.min()
     assert trough < min(base) - 10.0
     # every link window sits inside the overall segment
-    for w in seg.windows:
-        assert seg.t_start <= w.onset_t < w.release_t <= seg.t_end + seg.dt
+    for onset_t, release_t in seg.windows[~np.isnan(seg.windows[:, 0])]:
+        assert seg.t_start <= onset_t < release_t <= seg.t_end + seg.dt
 
 
 def test_detected_segment_is_a_read_only_slice_of_the_event(layout, patterns, quiet_channel,
@@ -177,17 +177,25 @@ def test_restricted_topology_pipeline(app_config, quiet_channel):
 
 # -- estimators -------------------------------------------------------------------
 
-def synthetic_segment(windows, dt=0.01, n_links=9):
+def windows_of(layout, spans):
+    """The (links x 2) window array of {link id: (onset_t, release_t)}, NaN for other links."""
+    windows = np.full((len(layout.links), 2), np.nan)
+    for j, link in enumerate(layout.links):
+        windows[j] = spans.get(link.id, windows[j])
+    return windows
+
+
+def synthetic_segment(layout, spans, dt=0.01, n_links=9):
     return EventSegment(
         start=0, dt=dt,
         baselines=tuple([-40.0] * n_links),
         rssi=np.full((100, n_links), -40.0),
-        windows=tuple(windows),
+        windows=windows_of(layout, spans),
     )
 
 
 def test_speed_from_two_onsets(layout):
-    seg = synthetic_segment([LinkWindow(1, 0.0, 0.5), LinkWindow(5, 0.5, 1.0)])
+    seg = synthetic_segment(layout, {1: (0.0, 0.5), 5: (0.5, 1.0)})
     # link 1 sits at x=0, link 5 at x=5: 5 m in 0.5 s
     assert estimate_speed(seg, layout) == pytest.approx(10.0)
 
@@ -200,19 +208,19 @@ def test_speed_estimate_accuracy(layout, patterns, quiet_channel, app_config):
 
 
 def test_equal_onsets_rejected(layout):
-    seg = synthetic_segment([LinkWindow(1, 0.2, 0.5), LinkWindow(5, 0.2, 1.0)])
+    seg = synthetic_segment(layout, {1: (0.2, 0.5), 5: (0.2, 1.0)})
     with pytest.raises(EstimationError):
         estimate_speed(seg, layout)
 
 
 def test_one_direct_link_is_not_enough(layout):
-    seg = synthetic_segment([LinkWindow(1, 0.2, 0.5), LinkWindow(2, 0.3, 0.6)])
+    seg = synthetic_segment(layout, {1: (0.2, 0.5), 2: (0.3, 0.6)})
     with pytest.raises(EstimationError):
         estimate_speed(seg, layout)
 
 
 def test_length_simple_arithmetic(layout):
-    seg = synthetic_segment([LinkWindow(1, 0.10, 0.55)])
+    seg = synthetic_segment(layout, {1: (0.10, 0.55)})
     assert estimate_length(seg, 10.0, layout) == pytest.approx(4.5)
 
 
@@ -283,7 +291,7 @@ def test_resample_constant_drop(layout):
         start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
         rssi=np.full((n, 9), -50.0),
-        windows=(LinkWindow(1, 0.0, (n - 1) * 0.01),),
+        windows=windows_of(layout, {1: (0.0, (n - 1) * 0.01)}),
     )
     assert seg.t_start == 0.0 and seg.t_end == (n - 1) * 0.01
     row = extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
@@ -299,7 +307,7 @@ def test_resample_two_points_are_endpoints(layout):
         start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
         rssi=np.tile(-40.0 - drops[:, None], (1, 9)),
-        windows=(LinkWindow(1, 0.0, 0.03),),
+        windows=windows_of(layout, {1: (0.0, 0.03)}),
     )
     assert seg.t_start == 0.0 and seg.t_end == 0.03
     cfg = FeatureConfig(resample_points=2)
@@ -328,6 +336,8 @@ def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
 def test_feature_config_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         FeatureConfig(resample_points=1)
+    with pytest.raises(ConfigurationError, match="unknown link selection 'diagonal'"):
+        FeatureConfig(links_used="diagonal")
     # est_length is in every table: there is no key that turns it off
     p = tmp_path / "no_features.ini"
     p.write_text("[features]\ninclude_length = false\ninclude_rssi = false\n")
@@ -383,7 +393,8 @@ def test_segments_round_trip(tmp_path, monkeypatch, layout, patterns, app_config
     (tmp_path / "run").mkdir()
     save_dataset(ds, tmp_path / "dataset.jsonl")
     p = tmp_path / "run" / "segments.jsonl"
-    save_segments(records, p, layout, tmp_path / "dataset.jsonl")
+    save_segments(records, p, layout, tmp_path / "dataset.jsonl",
+                  hashlib.sha256((tmp_path / "dataset.jsonl").read_bytes()).hexdigest())
     header = json.loads(p.read_text().splitlines()[0])
     assert header["dataset"] == "../dataset.jsonl"
     assert "values" not in p.read_text()
@@ -407,7 +418,7 @@ def test_segments_round_trip(tmp_path, monkeypatch, layout, patterns, app_config
         assert np.array_equal(a.segment.rssi, b.segment.rssi)
         assert not b.segment.rssi.flags.writeable
         assert np.shares_memory(b.segment.rssi, events[b.event_id].rssi)
-        assert a.segment.windows == b.segment.windows
+        assert a.segment.windows.tobytes() == b.segment.windows.tobytes()  # NaN rows too
     # features computed from loaded segments match the direct path
     direct = featurize_records(records, layout)
     via_file = featurize_records(loaded, layout)
@@ -437,6 +448,77 @@ def test_features_csv_is_what_csv_writer_makes(tmp_path):
                          for i, n, row in zip(table.event_ids, names, table.values))
     assert ours.read_bytes() == theirs.read_bytes()
     assert table_fields(load_features_csv(ours)) == table_fields(table)
+
+
+
+def small_table(values, names=("van",)):
+    values = np.array(values, dtype=float)
+    names = (names * len(values))[:len(values)]
+    return FeatureTable(tuple(range(1, len(values) + 1)), names, ("passenger_car",) * len(values),
+                        values)
+
+
+@pytest.mark.parametrize("name", ['car, "big"\nvan', 'the "big" van'])
+def test_a_quoted_type_name_round_trips_row_by_row(tmp_path, name):
+    table = small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], names=(name,))
+    p = tmp_path / "features.csv"
+    save_features_csv(table, p)
+    assert pipeline._split_at_once(p.read_bytes().decode()) == (None, None)  # csv.reader reads it
+    assert table_fields(load_features_csv(p)) == table_fields(table)
+
+
+def test_minus_zero_is_written_as_minus_0_and_read_back_signed(tmp_path):
+    table = small_table([[-0.0, 0.0, -0.0, 1.5]])
+    p = tmp_path / "features.csv"
+    save_features_csv(table, p)
+    assert p.read_bytes().endswith(b"\r\n1,van,passenger_car,-0,0,-0,1.5\r\n")
+    assert pipeline._split_at_once(p.read_bytes().decode())[1] is not None  # read in one call
+    assert np.signbit(load_features_csv(p).values).tolist() == [[True, False, True, False]]
+
+
+@pytest.mark.parametrize("ends", [b"\n", b"\r"])
+def test_a_table_with_other_line_ends_reads_as_csv_reader_reads_it(tmp_path, ends):
+    table = small_table([[1.0, 2.5, -0.0, 4.0], [5.0, 1e-300, 7.0, 8.0], [9.0, 1.0, 2.0, 3.0]])
+    crlf, other, mixed = tmp_path / "crlf.csv", tmp_path / "other.csv", tmp_path / "mixed.csv"
+    save_features_csv(table, crlf)
+    other.write_bytes(crlf.read_bytes().replace(b"\r\n", ends))
+    mixed.write_bytes(crlf.read_bytes().replace(b"\r\n", ends, 2))  # header and first row
+    for p in (other, mixed):
+        assert table_fields(load_features_csv(p)) == table_fields(table)
+    # inside a CRLF line, a lone line end still ends the row, as csv.reader reads it
+    crlf.write_bytes(crlf.read_bytes().replace(b",passenger", b"," + ends + b"passenger", 1))
+    with pytest.raises(InputDataError, match=":2: 3 cells under a 7-column header"):
+        load_features_csv(crlf)
+
+
+# Cell texts float() reads, or refuses, in more ways than loadtxt: underscores, non-ASCII
+# digits and spaces, ASCII separators it does not strip, comment marks
+ODD = "_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u0661#x\0"
+CELL = (st.text("0123456789.eE+-infatyINFATY" + ODD, max_size=9)
+        | st.tuples(st.text(ODD, max_size=2), st.floats().map(repr) | st.integers().map(str),
+                    st.text(ODD, max_size=2)).map("".join))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cell=CELL, row=st.integers(0, 1), column=st.integers(3, 6))
+def test_a_numeric_cell_reads_as_float_reads_it(tmp_path_factory, cell, row, column):
+    p = tmp_path_factory.mktemp("cell") / "features.csv"
+    save_features_csv(small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), p)
+    lines = p.read_bytes().decode().split("\r\n")
+    cells = lines[row + 1].split(",")
+    cells[column] = cell
+    lines[row + 1] = ",".join(cells)
+    p.write_bytes("\r\n".join(lines).encode())
+    try:
+        want = float(cell)
+    except ValueError:
+        want = None
+    if want is None or not math.isfinite(want):
+        with pytest.raises(InputDataError, match=f":{row + 2}: "):
+            load_features_csv(p)
+    else:
+        got = load_features_csv(p).values[row, column - 3]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # -- reflection study -----------------------------------------------------------------
