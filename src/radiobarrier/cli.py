@@ -29,6 +29,7 @@ from .learn import (
     cross_validate,
     evaluate_predictions,
     format_percent,
+    train_test_split,
 )
 from .pipeline import (
     detect_dataset,
@@ -287,13 +288,8 @@ def _cmd_crossval(args) -> int:
     result = {"kind": "crossval", "feature_set": args.feature_set,
               "folds": args.folds, "seed": args.seed, "algos": {}}
     for algo in algos:
-        cv = cross_validate(X, y, table.event_ids, _make_factory(algo, args),
-                            folds=args.folds, seed=args.seed)
-        result["algos"][algo] = {
-            "fold_accuracies": list(cv.fold_accuracies),
-            "mean": cv.mean,
-            "std": cv.std,
-        }
+        result["algos"][algo] = cross_validate(X, y, table.event_ids, _make_factory(algo, args),
+                                               folds=args.folds, seed=args.seed)
     print(render_crossval(result))
     if args.out:
         _write_outputs(args, [args.table],
@@ -301,27 +297,13 @@ def _cmd_crossval(args) -> int:
     return EXIT_OK
 
 
-def _split_train_test(table, test_fraction: float, seed: int):
-    """Row indices of a train/test split stratified by label, each in event-id order."""
-    rng = np.random.default_rng(seed)
-    order = np.argsort(table.event_ids, kind="stable")
-    labels = np.array(table.labels)[order]
-    test = np.zeros(len(order), dtype=bool)
-    for label in sorted(set(table.labels)):
-        idxs = np.flatnonzero(labels == label)
-        rng.shuffle(idxs)
-        test[idxs[:max(1, int(round(test_fraction * len(idxs))))]] = True
-    return order[~test], order[test]
-
-
 def _cmd_evaluate(args) -> int:
     if not 0 < args.test_fraction < 1:
         raise ConfigurationError(f"--test-fraction must lie inside (0, 1), got {args.test_fraction}")
     table = load_features_csv(args.table)
-    train, test = _split_train_test(table, args.test_fraction, args.seed)
-    if not train.size or not test.size:
-        raise InputDataError("train/test split left an empty side")
-    X, y = feature_matrix(table, args.feature_set), np.array(table.labels)
+    y = np.array(table.labels)
+    train, test = train_test_split(y, table.event_ids, args.test_fraction, args.seed)
+    X = feature_matrix(table, args.feature_set)
     type_names = [table.type_names[i] for i in test]
 
     predictions = {}

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,7 +249,9 @@ class LengthThresholdClassifier:
             raise TrainingError("threshold training needs both labels present")
         if not labels <= {"passenger_car", "truck"}:
             raise TrainingError(f"threshold rule only knows passenger_car/truck, got {sorted(labels)}")
-        values = np.sort(np.unique(lengths))
+        values = np.unique(lengths)
+        if len(values) < 2:
+            raise TrainingError("threshold training needs at least two distinct lengths")
         candidates = [(values[i] + values[i + 1]) / 2.0 for i in range(len(values) - 1)]
         best_thr = None
         best_acc = -1.0
@@ -272,14 +273,6 @@ class LengthThresholdClassifier:
 # ---------------------------------------------------------------------------
 # Cross-validation
 
-@dataclass(frozen=True)
-class CvSummary:
-    fold_accuracies: Tuple[float, ...]
-    mean: float
-    std: float  # sample standard deviation, n-1 denominator
-    assignments: Dict[int, int]  # event id -> fold index
-
-
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n-1 denominator)."""
     if len(values) < 2:
@@ -289,56 +282,79 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
     return m, math.sqrt(var)
 
 
-def cross_validate(
-    X,
-    y,
-    event_ids: Sequence[int],
-    factory: Callable[[], object],
-    folds: int = 5,
-    seed: int = 0,
-) -> CvSummary:
-    """Seeded k-fold cross-validation, stratified by label; each event is tested exactly once.
-
-    Rows are canonicalized by event id before the seeded shuffle, so
-    permuting the input order changes nothing.  Standardization happens
-    inside each model's fit, i.e. on the training folds only.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+def _shuffled_by_label(y, event_ids: Sequence[int], seed: int) -> List[np.ndarray]:
+    """Each label's row indices, labels in sorted order, shuffled by one generator
+    seeded from `seed`.  The rows are put in event-id order first, so permuting
+    them changes nothing."""
     ids = np.asarray(event_ids)
-    n = len(X)
+    if len(set(ids.tolist())) != len(y):
+        raise InputDataError("need one unique event id per row")
+    order = np.argsort(ids, kind="stable")
+    labels = np.asarray(y)[order]
+    rng = np.random.default_rng(seed)
+    groups = [order[labels == label] for label in sorted(set(labels.tolist()))]
+    for rows in groups:
+        rng.shuffle(rows)
+    return groups
+
+
+def stratified_folds(y, event_ids: Sequence[int], folds: int, seed: int = 0) -> np.ndarray:
+    """The fold, 0 to `folds` - 1, of each row in input order.
+
+    Each label's shuffled rows are dealt to the folds round robin, so every
+    fold holds a near-equal share of every label, and none is empty.
+    """
+    n = len(y)
     if folds < 2:
         raise ConfigurationError(f"cross-validation needs at least 2 folds, got {folds}")
     if n < folds:
         raise InputDataError(f"{n} events cannot fill {folds} folds")
-    if len(set(ids.tolist())) != n:
-        raise InputDataError("event ids must be unique")
-
-    order = np.argsort(ids, kind="stable")
-    X, y, ids = X[order], y[order], ids[order]
-
-    rng = np.random.default_rng(seed)
+    groups = _shuffled_by_label(y, event_ids, seed)
+    largest = max(len(rows) for rows in groups)
+    if largest < folds:
+        raise InputDataError(f"{folds} folds would leave a fold empty: the largest label "
+                             f"has {largest} events")
     fold_of = np.empty(n, dtype=int)
-    for label in sorted(set(y.tolist())):
-        perm = np.flatnonzero(y == label)
-        rng.shuffle(perm)
-        for pos, idx in enumerate(perm):
-            fold_of[idx] = pos % folds
+    for rows in groups:
+        fold_of[rows] = np.arange(len(rows)) % folds
+    return fold_of
 
+
+def train_test_split(y, event_ids: Sequence[int], test_fraction: float,
+                     seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Train and test row indices, each in event-id order, stratified by label: the
+    first max(1, round(test_fraction * count)) shuffled rows of each label are tested."""
+    test = np.zeros(len(y), dtype=bool)
+    for rows in _shuffled_by_label(y, event_ids, seed):
+        test[rows[:max(1, int(round(test_fraction * len(rows))))]] = True
+    if test.all():  # every label tests at least one row, so only the train side can be empty
+        raise InputDataError("train/test split left an empty side")
+    order = np.argsort(event_ids, kind="stable")
+    return order[~test[order]], order[test[order]]
+
+
+def cross_validate(X, y, event_ids: Sequence[int], factory: Callable[[], object],
+                   folds: int = 5, seed: int = 0) -> dict:
+    """Seeded k-fold cross-validation over the `stratified_folds` of the rows; each
+    event is tested exactly once.
+
+    Every model trains on its rows in event-id order and standardizes inside
+    its fit, i.e. on the training folds only.  Returns the record
+    ``crossval.json`` holds for one algorithm: ``fold_accuracies`` in fold
+    order, their ``mean`` and their sample standard deviation ``std``.
+    """
+    y = np.asarray(y)
+    fold_of = stratified_folds(y, event_ids, folds, seed)
+    order = np.argsort(event_ids, kind="stable")
+    X, y, fold_of = np.asarray(X, dtype=float)[order], y[order], fold_of[order]
     accuracies = []
     for f in range(folds):
         test = fold_of == f
         model = factory()
         model.fit(X[~test], y[~test])
-        pred = model.predict(X[test])
-        accuracies.append(float((pred == y[test]).mean()))
+        accuracies.append(float((model.predict(X[test]) == y[test]).mean()))
     m, s = mean_std(accuracies)
-    return CvSummary(
-        fold_accuracies=tuple(accuracies),
-        mean=m,
-        std=s,
-        assignments={int(i): int(f) for i, f in zip(ids, fold_of)},
-    )
+    return {"fold_accuracies": accuracies, "mean": m, "std": s}
 
 
 # ---------------------------------------------------------------------------

@@ -329,19 +329,15 @@ def _deepest(dips):
     return np.where(deepest > 0.0, deepest, 0.0)
 
 
-def event_drop_magnitude(segment: EventSegment, layout: SensorLayout,
-                         links_used: str = "direct") -> float:
+def event_drop_magnitude(segment: EventSegment, layout: SensorLayout) -> float:
     """Per-event drop: largest per-link drop over the cross-street links."""
-    indices = _link_indices(layout, links_used)
+    indices = _link_indices(layout, "direct")
     return drop_magnitude(segment.rssi[:, indices], np.array(segment.baselines)[indices])
 
 
 def _link_indices(layout: SensorLayout, links_used: str) -> List[int]:
-    if links_used == "all":
-        return list(range(len(layout.links)))
-    if links_used == "direct":
-        return [j for j, l in enumerate(layout.links) if l.kind == "direct"]
-    raise ConfigurationError(f"unknown link selection {links_used!r}")
+    """The indices of the links a validated `links_used`, 'all' or 'direct', selects."""
+    return [j for j, l in enumerate(layout.links) if links_used == "all" or l.kind == "direct"]
 
 
 @dataclass(frozen=True)
@@ -733,12 +729,11 @@ def dataset_drop_stats(
     dataset: Dataset,
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
-    links_used: str = "direct",
 ) -> Tuple[Dict[str, Dict[str, float]], List[Tuple[int, str, float]]]:
-    """Per label, the count, mean, std, min and max of the detected events' drop
-    magnitudes over the selected links; and per event, (event id, label, drop)."""
+    """Per label, the count, mean, std, min and max of the detected events'
+    `event_drop_magnitude`; and per event, (event id, label, drop)."""
     records, _ = detect_dataset(dataset, layout, det_cfg)
-    drops = [(r.event_id, r.label, event_drop_magnitude(r.segment, layout, links_used))
+    drops = [(r.event_id, r.label, event_drop_magnitude(r.segment, layout))
              for r in records]
     present = {label for _, label, _ in drops}
     if not all(label in present for label in LABELS):
@@ -765,7 +760,6 @@ def reflection_study(
     sim: SimulationConfig,
     seed: int,
     det_cfg: DetectionConfig = DetectionConfig(),
-    links_used: str = "direct",
 ) -> dict:
     """Compare per-class drop magnitudes with the ground bounce on and off.
 
@@ -779,7 +773,7 @@ def reflection_study(
     for variant, enabled in (("on", True), ("off", False)):
         chan = replace(channel, ground_reflection_enabled=enabled)
         dataset = generate_dataset(layout, chan, patterns, catalog, mix, sim, seed=seed)
-        stats, study["drops"][variant] = dataset_drop_stats(dataset, layout, det_cfg, links_used)
+        stats, study["drops"][variant] = dataset_drop_stats(dataset, layout, det_cfg)
         study["variants"][variant] = stats
         study["gaps"][variant] = stats["passenger_car"]["mean"] - stats["truck"]["mean"]
     return study

@@ -20,6 +20,7 @@ from radiobarrier.learn import (
     load_model,
     mean_std,
     save_model,
+    stratified_folds,
 )
 from radiobarrier.pipeline import (
     DetectionConfig,
@@ -155,11 +156,11 @@ def test_criterion_5_end_to_end_benchmark(bench):
         X = feature_matrix(table, feature_set)
         if feature_set == "length":
             acc[("threshold", feature_set)] = cross_validate(
-                X, y, ids, lambda: LengthThresholdClassifier(), folds=5, seed=7).mean
+                X, y, ids, lambda: LengthThresholdClassifier(), folds=5, seed=7)["mean"]
         for name, factory in (("knn", lambda: KnnClassifier(k=3)),
                               ("svm", lambda: SvmClassifier())):
             acc[(name, feature_set)] = cross_validate(
-                X, y, ids, factory, folds=5, seed=7).mean
+                X, y, ids, factory, folds=5, seed=7)["mean"]
 
     cv_ok = acc[("knn", "both")] >= 0.95 and acc[("svm", "both")] >= 0.95
     length_only = acc[("threshold", "length")]
@@ -271,9 +272,9 @@ def test_criterion_9_learner_properties(bench, cfg, tmp_path):
     kkt_ok = svm.max_kkt_residual <= svm.tol
 
     # cross-validation folds form an exact partition
-    cv = cross_validate(X, y, ids, lambda: KnnClassifier(k=3), folds=5, seed=7)
-    partition_ok = sorted(cv.assignments.keys()) == sorted(ids) and all(
-        0 <= f < 5 for f in cv.assignments.values()
+    assignments = dict(zip(ids, stratified_folds(y, ids, 5, seed=7).tolist()))
+    partition_ok = sorted(assignments.keys()) == sorted(ids) and all(
+        0 <= f < 5 for f in assignments.values()
     )
 
     # dataset regeneration is byte-identical

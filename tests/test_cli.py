@@ -201,16 +201,45 @@ SEED_42_CHAIN = {
 }
 
 
-def test_seed_42_chain_outputs_are_pinned(tmp_path, capsys):
-    out = str(tmp_path)
+# SHA-256 of the results of the learning commands on the seed-42 chain's features.csv
+SEED_42_RESULTS = {
+    ("evaluate", "--seed", "42"):
+        "a219c627b97121bc2e8433063812ec1f4f03535d9896055d893982d5ef2b863d",
+    ("evaluate", "--features", "length", "--seed", "3"):
+        "13db23c97fda03e9b43014f40dd364d6e57b6a8ab7ca5e1fba26e19eaf7fae32",
+    ("crossval", "--features", "length", "--algos", "knn,svm,length", "--seed", "42"):
+        "d04b3143cb0ae5c105a20b8069548585627339f87db9b355192eab8ed93d2f96",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed_42_chain(tmp_path_factory):
+    """The README chain run on seed 42 with the default mix, all outputs in one directory."""
+    root = tmp_path_factory.mktemp("seed_42")
+    out = str(root)
     assert run(["generate", "--seed", "42", "--out", out]) == 0
-    assert run(["detect", "--dataset", str(tmp_path / "dataset.jsonl"), "--out", out]) == 0
-    assert run(["features", "--segments", str(tmp_path / "segments.jsonl"), "--out", out]) == 0
-    assert run(["crossval", "--table", str(tmp_path / "features.csv"), "--features", "both",
+    assert run(["detect", "--dataset", str(root / "dataset.jsonl"), "--out", out]) == 0
+    assert run(["features", "--segments", str(root / "segments.jsonl"), "--out", out]) == 0
+    assert run(["crossval", "--table", str(root / "features.csv"), "--features", "both",
                 "--seed", "42", "--out", out]) == 0
+    return root
+
+
+def test_seed_42_chain_outputs_are_pinned(seed_42_chain):
+    assert {name: _sha256(seed_42_chain / name) for name in SEED_42_CHAIN} == SEED_42_CHAIN
+
+
+@pytest.mark.parametrize("argv", list(SEED_42_RESULTS),
+                         ids=["evaluate", "evaluate_length", "crossval_length"])
+def test_seed_42_learning_results_are_pinned(seed_42_chain, tmp_path, capsys, argv):
+    assert run([*argv, "--table", str(seed_42_chain / "features.csv"), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in SEED_42_CHAIN} == SEED_42_CHAIN
+    name = "evaluation.json" if argv[0] == "evaluate" else "crossval.json"
+    assert _sha256(tmp_path / name) == SEED_42_RESULTS[argv]
 
 
 def test_report_renders_saved_results(workspace, tmp_path, capsys):
@@ -318,6 +347,34 @@ def test_training_error_exit_code(tmp_path, capsys):
                 "--algos", "svm", "--folds", "3"])
     assert code == 4
     capsys.readouterr()
+
+
+def test_crossval_with_more_folds_than_the_largest_label_exits_3(tmp_path, capsys):
+    # 3 + 2 rows would leave folds S4 and S5 empty, and their accuracies NaN
+    table = tmp_path / "features.csv"
+    rows = [f"{i},{label},{label},10.0,{4.0 + i},8.0" for i, label in
+            enumerate(["passenger_car"] * 3 + ["truck"] * 2)]
+    table.write_text("event_id,type_name,label,est_speed,est_length,drop_magnitude\n"
+                     + "\n".join(rows) + "\n")
+    code = run(["crossval", "--table", str(table), "--features", "length", "--folds", "5",
+                "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "5 folds would leave a fold empty: the largest label has 3 events" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--features", "length"],
+    ["crossval", "--features", "length", "--algos", "length"],
+], ids=["evaluate", "crossval"])
+def test_length_rule_on_one_distinct_length_exits_4(workspace, tmp_path, capsys, argv):
+    lines = (workspace / "feat" / "features.csv").read_text().splitlines()
+    assert lines[0].split(",")[4] == "est_length"
+    table = tmp_path / "features.csv"
+    table.write_text("\n".join([lines[0], *map(_set_cell(4, "5"), lines[1:])]) + "\n")
+    assert run([*argv, "--table", str(table)]) == 4
+    assert "threshold training needs at least two distinct lengths" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("options, code, needle", [

@@ -6,7 +6,6 @@ import pytest
 
 from radiobarrier.errors import InputDataError, TrainingError
 from radiobarrier.learn import (
-    CvSummary,
     KnnClassifier,
     LengthThresholdClassifier,
     SvmClassifier,
@@ -16,6 +15,8 @@ from radiobarrier.learn import (
     load_model,
     mean_std,
     save_model,
+    stratified_folds,
+    train_test_split,
 )
 
 
@@ -219,15 +220,21 @@ def test_length_threshold_single_class_rejected():
         LengthThresholdClassifier().fit(np.array([4.0, 5.0]), np.array(["truck", "truck"]))
 
 
+def test_length_threshold_needs_two_distinct_lengths():
+    with pytest.raises(TrainingError, match="two distinct lengths"):
+        LengthThresholdClassifier().fit(np.full(4, 5.0),
+                                        np.array(["passenger_car", "truck"] * 2))
+
+
 # -- cross-validation -----------------------------------------------------------------
 
 def test_fold_sizes_partition():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.array(["A", "B"] * 5)
-    cv = cross_validate(X, y, list(range(10)), lambda: KnnClassifier(k=1), folds=5, seed=0)
-    folds = list(cv.assignments.values())
+    assignments = dict(zip(range(10), stratified_folds(y, list(range(10)), 5, seed=0).tolist()))
+    folds = list(assignments.values())
     assert sorted(Counter(folds).values()) == [2, 2, 2, 2, 2]
-    assert set(cv.assignments.keys()) == set(range(10))
+    assert set(assignments.keys()) == set(range(10))
 
 
 def test_crossval_partition_is_exact(layout=None):
@@ -236,8 +243,10 @@ def test_crossval_partition_is_exact(layout=None):
     y = np.array(["A"] * 12 + ["B"] * 11)
     ids = list(range(100, 123))
     cv = cross_validate(X, y, ids, lambda: KnnClassifier(k=1), folds=5, seed=9)
-    assert sorted(cv.assignments.keys()) == ids  # union is the whole set
-    assert all(0 <= f < 5 for f in cv.assignments.values())
+    assert len(cv["fold_accuracies"]) == 5
+    assignments = dict(zip(ids, stratified_folds(y, ids, 5, seed=9).tolist()))
+    assert sorted(assignments.keys()) == ids  # union is the whole set
+    assert all(0 <= f < 5 for f in assignments.values())
 
 
 def test_permuting_rows_changes_nothing():
@@ -250,23 +259,70 @@ def test_permuting_rows_changes_nothing():
     perm = rng.permutation(20)
     shuffled = cross_validate(X[perm], y[perm], [ids[i] for i in perm],
                               lambda: KnnClassifier(k=3), folds=5, seed=3)
-    assert shuffled.fold_accuracies == ref.fold_accuracies
-    assert shuffled.assignments == ref.assignments
+    assert shuffled["fold_accuracies"] == ref["fold_accuracies"]
+    ref_folds = dict(zip(ids, stratified_folds(y, ids, 5, seed=3).tolist()))
+    shuffled_ids = [ids[i] for i in perm]
+    assert dict(zip(shuffled_ids, stratified_folds(y[perm], shuffled_ids, 5, seed=3).tolist())) \
+        == ref_folds
 
 
 def test_equal_fold_accuracies_have_zero_std():
     X = np.vstack([np.zeros((10, 1)), np.ones((10, 1)) * 9.0])
     y = np.array(["A"] * 10 + ["B"] * 10)
     cv = cross_validate(X, y, list(range(20)), lambda: KnnClassifier(k=1), folds=5, seed=1)
-    assert all(a == 1.0 for a in cv.fold_accuracies)
-    assert cv.mean == 1.0
-    assert cv.std == 0.0
+    assert all(a == 1.0 for a in cv["fold_accuracies"])
+    assert cv["mean"] == 1.0
+    assert cv["std"] == 0.0
 
 
 def test_too_few_events_rejected():
     with pytest.raises(InputDataError):
         cross_validate(np.zeros((3, 1)), np.array(["A", "B", "A"]), [1, 2, 3],
                        lambda: KnnClassifier(k=1), folds=5)
+
+
+def test_more_folds_than_the_largest_label_has_rows_rejected():
+    # 3 + 2 rows fill 5 folds in count, but round robin would leave folds 4 and 5 empty
+    y = np.array(["passenger_car"] * 3 + ["truck"] * 2)
+    with pytest.raises(InputDataError, match="5 folds .* largest label has 3 events"):
+        stratified_folds(y, [1, 2, 3, 4, 5], 5)
+    assert sorted(Counter(stratified_folds(y, [1, 2, 3, 4, 5], 3).tolist()).values()) == [1, 2, 2]
+
+
+@pytest.mark.parametrize("factory", [lambda: KnnClassifier(k=3), lambda: SvmClassifier()],
+                         ids=["knn", "svm"])
+def test_each_fold_accuracy_is_a_fit_on_the_rows_left_out(factory):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(31, 3))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=31) > 0, "A", "B")
+    ids = rng.permutation(1000)[:31].tolist()
+    folds = stratified_folds(y, ids, 4, seed=5)
+    order = np.argsort(ids, kind="stable")  # models train on rows in event-id order
+    expected = []
+    for f in range(4):
+        train, test = order[folds[order] != f], order[folds[order] == f]
+        predicted = factory().fit(X[train], y[train]).predict(X[test])
+        expected.append(float((predicted == y[test]).mean()))
+    assert cross_validate(X, y, ids, factory, folds=4, seed=5)["fold_accuracies"] == expected
+
+
+def test_train_test_split_is_stratified_and_in_event_id_order():
+    rng = np.random.default_rng(8)
+    y = np.array(["A"] * 9 + ["B"] * 5 + ["C"])
+    ids = rng.permutation(100)[:15]
+    train, test = train_test_split(y, ids, 0.3, seed=4)
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(15))
+    assert Counter(y[test].tolist()) == {"A": 3, "B": 2, "C": 1}  # max(1, round(0.3 n))
+    assert all(np.diff(ids[rows]).min() > 0 for rows in (train, test))
+    perm = rng.permutation(15)
+    again = train_test_split(y[perm], ids[perm], 0.3, seed=4)
+    assert [sorted(ids[perm][rows].tolist()) for rows in again] == \
+        [sorted(ids[rows].tolist()) for rows in (train, test)]
+
+
+def test_train_test_split_refuses_an_empty_train_side():
+    with pytest.raises(InputDataError, match="empty side"):
+        train_test_split(np.array(["A", "B"]), [1, 2], 0.25)
 
 
 # -- evaluation reports ----------------------------------------------------------------
