@@ -208,8 +208,9 @@ ALGO_TITLES = {"knn": "k-NN", "svm": "SVM", "length": "Rec. rate"}
 
 
 def render_crossval(result: dict, markdown: bool = False) -> str:
-    """Fold table with one accuracy column per algorithm and a mean row."""
-    algos = list(result["algos"])
+    """Fold table with one accuracy column per algorithm, in ALGO_TITLES order, and a
+    mean row.  The order is not the record's: crossval.json keeps its keys sorted."""
+    algos = sorted(result["algos"], key=[*ALGO_TITLES, *result["algos"]].index)
     folds = len(next(iter(result["algos"].values()))["fold_accuracies"])
     names = [f"S{i + 1}" for i in range(folds)]
     header = ["Training set", "Test set"] + [ALGO_TITLES.get(a, a) for a in algos]

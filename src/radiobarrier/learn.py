@@ -23,6 +23,14 @@ MODEL_VERSION = 1
 # Lower bound on the curvature K_ii + K_jj - 2 K_ij of a working pair, as in LIBSVM.
 _TAU = 1e-12
 
+# Most cells one k-NN temporary holds: the screen takes blocks of (queries x
+# training rows), the exact distances chunks of (candidates x features), so the
+# cap holds when every training row is a candidate too (at least one row a time).
+KNN_BATCH_CELLS = 1 << 20
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 
 def _standardize_fit(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     mean = X.mean(axis=0)
@@ -60,17 +68,52 @@ class KnnClassifier:
         return self
 
     def predict_one(self, query) -> str:
-        query = np.asarray(query, dtype=float)
-        if query.shape != (self._X.shape[1],):
-            raise InputDataError(
-                f"query has {query.shape} features, model expects {self._X.shape[1]}"
-            )
-        q = (query - self.mean) / self.std
-        dists = np.sqrt(((self._X - q) ** 2).sum(axis=1))
-        order = np.argsort(dists, kind="stable")[: self.k]
-        neigh_labels = self._y[order]
-        neigh_dists = dists[order]
+        return self.predict(np.asarray(query, dtype=float)[None])[0]
 
+    def predict(self, X) -> np.ndarray:
+        """The label of each row of `X`, as a scan of every training row would give it."""
+        rows, dists = self._neighbours(X)
+        return np.array([self._vote(labels, d) for labels, d in zip(self._y[rows], dists)])
+
+    def _neighbours(self, X) -> Tuple[np.ndarray, np.ndarray]:
+        """The k nearest training rows of each row of `X`, nearest first, and their
+        distances: the first k of a stable sort of the exact distances to every row.
+
+        One matrix product screens each block of queries; only the rows it cannot
+        rule out get their exact distances.
+        """
+        X = np.asarray(X, dtype=float)
+        Xs, k = self._X, self.k
+        n, d = Xs.shape
+        if X.shape[1:] != (d,):
+            raise InputDataError(f"query has {X.shape[1:]} features, model expects {d}")
+        Q = (X - self.mean) / self.std
+        xx = np.einsum("ij,ij->i", Xs, Xs)
+        rows, dists = np.empty((len(Q), k), dtype=np.intp), np.empty((len(Q), k))
+        step, chunk = max(1, KNN_BATCH_CELLS // n), max(1, KNN_BATCH_CELLS // max(d, 1))
+        for first in range(0, len(Q), step):
+            block = Q[first:first + step]
+            with np.errstate(all="ignore"):  # a non-finite screen row keeps every row below
+                qq = np.einsum("ij,ij->i", block, block)[:, None]
+                approx = qq + xx - 2.0 * (block @ Xs.T)
+                # |approx - exact| stays below this for any summation order of either
+                slack = 4 * (d + 4) * _EPS * (qq + xx)
+                lo, hi = approx - slack, approx + slack
+                # no row beyond `bound` is among the k nearest, nor ties one after sqrt
+                bound = np.partition(hi, k - 1, axis=1)[:, k - 1:k]
+                keep = lo <= bound + 16 * _EPS * np.abs(bound) + _TINY
+                keep[~np.isfinite(hi).all(axis=1)] = True
+            query, row = np.divmod(np.flatnonzero(keep), n)
+            # the scan's own expression on the same rows: the same bits
+            dist = np.concatenate([
+                np.sqrt(((Xs[row[c:c + chunk]] - block[query[c:c + chunk]]) ** 2).sum(axis=1))
+                for c in range(0, len(row), chunk)])
+            counts = keep.sum(axis=1)
+            pick = np.lexsort((dist, query))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            rows[first:first + step], dists[first:first + step] = row[pick], dist[pick]
+        return rows, dists
+
+    def _vote(self, neigh_labels: np.ndarray, neigh_dists: np.ndarray) -> str:
         counts: Dict[str, int] = {}
         for lab in neigh_labels:
             counts[lab] = counts.get(lab, 0) + 1
@@ -89,10 +132,6 @@ class KnnClassifier:
         most = max(train_counts.values())
         tied = sorted(lab for lab in tied if train_counts[lab] == most)
         return tied[0]
-
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([self.predict_one(row) for row in X])
 
 
 class SvmClassifier:
@@ -226,8 +265,7 @@ class SvmClassifier:
         return K @ self.dual_coef + self.bias
 
     def predict(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        return np.array([self.classes[1] if s >= 0 else self.classes[0] for s in scores])
+        return np.where(self.decision_function(X) >= 0, self.classes[1], self.classes[0])
 
 
 class LengthThresholdClassifier:
@@ -252,16 +290,12 @@ class LengthThresholdClassifier:
         values = np.unique(lengths)
         if len(values) < 2:
             raise TrainingError("threshold training needs at least two distinct lengths")
-        candidates = [(values[i] + values[i + 1]) / 2.0 for i in range(len(values) - 1)]
-        best_thr = None
-        best_acc = -1.0
-        for thr in candidates:
-            pred = np.where(lengths >= thr, "truck", "passenger_car")
-            acc = float((pred == y).mean())
-            if acc > best_acc:
-                best_acc = acc
-                best_thr = thr
-        self.threshold = best_thr
+        candidates = (values[:-1] + values[1:]) / 2.0
+        cars, trucks = (np.sort(lengths[y == label]) for label in ("passenger_car", "truck"))
+        # rows each candidate gets right, less a constant: cars below it less trucks
+        # below it (a NaN length sorts, and is searched, past every other)
+        correct = np.searchsorted(cars, candidates) - np.searchsorted(trucks, candidates)
+        self.threshold = candidates[np.argmax(correct)]  # the first best: the lowest
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -270,6 +270,16 @@ def test_report_renders_saved_results(workspace, tmp_path, capsys):
             assert len(text_rows) == len(printed.splitlines()) >= 3
 
 
+def test_report_orders_crossval_columns_as_the_command_printed_them(workspace, tmp_path, capsys):
+    """crossval.json keeps its keys sorted; both tables read k-NN, SVM, Rec. rate."""
+    assert run(["crossval", "--table", str(workspace / "feat" / "features.csv"),
+                "--features", "length", "--algos", "svm,knn,length", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[0].split()[-4:] == ["k-NN", "SVM", "Rec.", "rate"]
+    assert run(["report", "--input", str(tmp_path / "crossval.json")]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_study_outputs(tmp_path, capsys):
     code = run(["study", "--mix", "passenger car=2,truck=2", "--seed", "4",
                 "--out", str(tmp_path)])

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radiobarrier.errors import InputDataError, TrainingError
 from radiobarrier.learn import (
@@ -157,6 +159,14 @@ def test_svm_predict_single_query():
     assert model.predict(X[0][None])[0] == y[0]
 
 
+def test_svm_nan_score_reads_as_the_first_class():
+    X, y = blobs(seed=2)
+    model = SvmClassifier(kernel="linear", C=1.0).fit(X, y)
+    queries = np.array([[np.nan, 0.0], [6.0, 6.0], [0.0, 0.0]])
+    assert np.isnan(model.decision_function(queries)[0])
+    assert model.predict(queries).tolist() == ["neg", "pos", "neg"]
+
+
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 @pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
 def test_svm_converges_deterministically_on_overlapping_blobs(kernel, C):
@@ -213,6 +223,32 @@ def test_length_threshold_matches_scan_oracle():
         labels = np.array(["passenger_car"] * 8 + ["truck"] * 6)
         model = LengthThresholdClassifier().fit(lengths, labels)
         assert model.threshold == pytest.approx(brute_force_threshold(lengths, labels))
+
+
+def reference_threshold_fit(lengths, y):
+    """The scan the threshold rule was fitted with: every midpoint in turn."""
+    values = np.unique(lengths)
+    candidates = [(values[i] + values[i + 1]) / 2.0 for i in range(len(values) - 1)]
+    best_thr = None
+    best_acc = -1.0
+    for thr in candidates:
+        pred = np.where(lengths >= thr, "truck", "passenger_car")
+        acc = float((pred == y).mean())
+        if acc > best_acc:
+            best_acc = acc
+            best_thr = thr
+    return best_thr
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from([3.5, 4.0, 4.25, 6.0, 9.5, 16.0, math.nan]),
+                               st.sampled_from(["passenger_car", "truck"])), min_size=2))
+def test_length_threshold_matches_the_midpoint_scan(rows):
+    lengths = np.array([length for length, _ in rows])
+    y = np.array([label for _, label in rows])
+    assume(len(set(y.tolist())) == 2 and len(np.unique(lengths)) >= 2)
+    threshold = LengthThresholdClassifier().fit(lengths, y).threshold
+    assert np.array_equal(threshold, reference_threshold_fit(lengths, y), equal_nan=True)
 
 
 def test_length_threshold_single_class_rejected():
