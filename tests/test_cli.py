@@ -233,6 +233,24 @@ def test_seed_42_chain_outputs_are_pinned(seed_42_chain):
     assert {name: _sha256(seed_42_chain / name) for name in SEED_42_CHAIN} == SEED_42_CHAIN
 
 
+# SHA-256 of a single command's output: a second seed through the simulator, and the
+# ground-reflection study, which simulates every event with the reflection on and off
+PINNED_OUTPUTS = {
+    ("generate", "--seed", "7"): (
+        "dataset.jsonl", "5c304b4845ee185f8c67995120b70246086e3680c1099f54f373c9a0008f2af4"),
+    ("study", "--seed", "42"): (
+        "study.json", "27527cb80d3299655c9ab78df55ae756d73d7cd5578e7de5ba9374148c79f8f7"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=["generate_seed_7", "study_seed_42"])
+def test_default_mix_outputs_are_pinned(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    name, digest = PINNED_OUTPUTS[argv]
+    assert _sha256(tmp_path / name) == digest
+
+
 @pytest.mark.parametrize("argv", list(SEED_42_RESULTS),
                          ids=["evaluate", "evaluate_length", "crossval_length"])
 def test_seed_42_learning_results_are_pinned(seed_42_chain, tmp_path, capsys, argv):
