@@ -73,7 +73,8 @@ class KnnClassifier:
     def predict(self, X) -> np.ndarray:
         """The label of each row of `X`, as a scan of every training row would give it."""
         rows, dists = self._neighbours(X)
-        return np.array([self._vote(labels, d) for labels, d in zip(self._y[rows], dists)])
+        return np.array([self._vote(labels, d, row)
+                         for row, (labels, d) in enumerate(zip(self._y[rows], dists))])
 
     def _neighbours(self, X) -> Tuple[np.ndarray, np.ndarray]:
         """The k nearest training rows of each row of `X`, nearest first, and their
@@ -113,7 +114,7 @@ class KnnClassifier:
             rows[first:first + step], dists[first:first + step] = row[pick], dist[pick]
         return rows, dists
 
-    def _vote(self, neigh_labels: np.ndarray, neigh_dists: np.ndarray) -> str:
+    def _vote(self, neigh_labels: np.ndarray, neigh_dists: np.ndarray, row: int) -> str:
         counts: Dict[str, int] = {}
         for lab in neigh_labels:
             counts[lab] = counts.get(lab, 0) + 1
@@ -126,6 +127,8 @@ class KnnClassifier:
         }
         lowest = min(mean_dist.values())
         tied = sorted(lab for lab in tied if mean_dist[lab] == lowest)
+        if not tied:  # NaN distances, which no tie-break orders
+            raise InputDataError(f"query row {row} holds NaN; its neighbours' labels tie")
         if len(tied) == 1:
             return tied[0]
         train_counts = {lab: int((self._y == lab).sum()) for lab in tied}

@@ -15,7 +15,7 @@ cheaper of the over-the-top and under-the-body detours wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -323,9 +323,11 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
                  dt: float, heading: int = 1) -> np.ndarray:
     """Knife-edge loss on each path of `ctx` (columns) in every frame of a few passages
     of `vehicle` (rows, stacked in order).  In frame i of passage b the nose is at
-    start_x[b] + speed[b] * (i * dt) and the near side at lane_y[b].  The frames in which
-    the body can reach a path's stretch of the lane are one range per passage and path,
-    found in closed form with a frame of margin; obstruction_loss runs on those only.
+    start_x[b] + speed[b] * (i * dt) and the near side at lane_y[b].  Per body segment,
+    passage and path, two frame ranges are found in closed form: where the segment can
+    reach the path's stretch of the lane, a frame wider at each end, and where it covers
+    the whole stretch, a frame narrower.  The loss is the same in every frame of the
+    second, so obstruction_loss runs on one of them and on the first range outside it.
     """
     start_x, speed, lane_y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                                    for a in (start_x, speed, lane_y)))
@@ -335,25 +337,49 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
     band = np.clip(np.sort([(lane_y[:, None] - y1) * inv_dy,
                             (lane_y[:, None] + vehicle.width - y1) * inv_dy], axis=0), 0.0, 1.0)
     x_lo, x_hi = np.sort(x1 + (x2 - x1) * band, axis=0)
-    backs, fronts = zip(*segment_x_intervals(vehicle, Pose(0.0, 0.0, heading)))
-    # the frames whose nose lies in [x_lo - body front, x_hi - body back]
-    i_lo, i_hi = np.sort((np.array([x_lo - max(fronts), x_hi - min(backs)]) - start_x[:, None])
-                         / (speed * dt)[:, None], axis=0)
-    first = np.clip(np.ceil(i_lo) - 1.0, 0.0, frames[:, None])
-    stop = np.clip(np.floor(i_hi) + 2.0, first, frames[:, None])
-    count = np.where(band[1] > band[0], stop - first, 0.0).astype(np.intp).ravel()
-
-    # one (passage, path, frame) triple per frame of every range
-    passage, path = (np.repeat(index.ravel(), count) for index in np.indices(band[0].shape))
-    frame = (np.repeat(first.ravel().astype(np.intp) - np.cumsum(count) + count, count)
-             + np.arange(count.sum()))
+    end = np.where(band[1] > band[0], frames[:, None], 0)  # no frame where the band misses
     loss = np.zeros((int(frames.sum()), ctx.ends.shape[-1]))
-    cell = (np.cumsum(frames)[passage] - frames[passage] + frame) * loss.shape[1] + path
-    for at in (slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(cell), PAIR_CHUNK)):
-        b = passage[at]
-        nose = Pose(start_x[b] + speed[b] * (frame[at] * dt), lane_y[b], heading)
-        ends = np.take(ctx.ends, path[at], axis=-1)
-        loss.reshape(-1)[cell[at]] = obstruction_loss(vehicle, nose, ends, ctx.lam)
+    flat = loss.reshape(-1)
+    row = np.cumsum(frames) - frames  # each passage's first row
+
+    def frames_at(nose_lo, nose_hi):  # the frames of those nose positions, in order
+        return np.sort((np.array([nose_lo, nose_hi]) - start_x[:, None]) / (speed * dt)[:, None], 0)
+
+    def pairs(lo, hi):  # (passage, path, frame, cell of loss) of each frame in every [lo, hi)
+        count = (hi - lo).astype(np.intp).ravel()
+        passage, path = (np.repeat(index.ravel(), count) for index in np.indices(lo.shape)[-2:])
+        frame = (np.repeat(lo.ravel().astype(np.intp) - np.cumsum(count) + count, count)
+                 + np.arange(count.sum()))
+        return passage, path, frame, (row[passage] + frame) * loss.shape[1] + path
+
+    offsets = segment_x_intervals(vehicle, Pose(0.0, 0.0, heading))
+    for k, (seg, (back, front)) in enumerate(zip(vehicle.segments, offsets)):
+        # reach: the nose in [x_lo - front, x_hi - back], and a frame more at each end
+        i_lo, i_hi = frames_at(x_lo - front, x_hi - back)
+        first = np.clip(np.ceil(i_lo) - 1.0, 0.0, end)
+        stop = np.clip(np.floor(i_hi) + 2.0, first, end)
+        # cover: the nose in [x_hi - front, x_lo - back], none if the segment is shorter
+        # than the stretch, and a frame less at each end
+        j_lo, j_hi = frames_at(x_hi - front, x_lo - back)
+        on = np.clip(np.ceil(j_lo) + 1.0, first, stop)
+        off = np.where(x_hi - front <= x_lo - back, np.clip(np.floor(j_hi), on, stop), on)
+        covered = off > on
+        # one frame of each covering range, then the reach range outside it
+        passage, path, frame, cell = pairs(np.array([on, first, off]),
+                                           np.array([on + covered, on, stop]))
+        one, value = replace(vehicle, segments=(seg,)), np.empty(len(frame))
+        for at in (slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(frame), PAIR_CHUNK)):
+            b = passage[at]
+            nose = start_x[b] + speed[b] * (frame[at] * dt)
+            # the segment's leading end as segment_x_intervals places it: `one` then
+            # occupies the segment's interval bit for bit
+            lead = segment_x_intervals(vehicle, Pose(nose, 0.0, heading))[k][heading > 0]
+            value[at] = obstruction_loss(one, Pose(lead, lane_y[b], heading),
+                                         np.take(ctx.ends, path[at], axis=-1), ctx.lam)
+        n = int(covered.sum())
+        # segment by segment, (0.0 + L1) + L2 as obstruction_loss sums them
+        flat[pairs(on, off)[3]] += np.repeat(value[:n], (off - on)[covered].astype(np.intp))
+        flat[cell[n:]] += value[n:]
     return loss
 
 

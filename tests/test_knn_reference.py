@@ -58,8 +58,9 @@ def reference_knn_predict(model, query) -> str:
 def assert_same_neighbours(model, queries):
     """Both classifiers on every query: same rows, same distance bits, same labels.
 
-    A NaN query whose neighbour labels tie makes either vote raise ValueError:
-    its mean distances are NaN and never equal the lowest one.
+    A NaN query whose neighbour labels tie makes the reference vote raise
+    ValueError: its mean distances are NaN and never equal the lowest one.
+    `predict` then raises InputDataError naming the first such row.
     """
     rows, dists = model._neighbours(queries)
     for query, got_rows, got_dists in zip(queries, rows, dists):
@@ -74,7 +75,7 @@ def assert_same_neighbours(model, queries):
             want.append(None)
     voted = np.array([label is not None for label in want])
     if not voted.all():
-        with pytest.raises(ValueError):
+        with pytest.raises(InputDataError, match=rf"query row {voted.argmin()} holds NaN"):
             model.predict(queries)
     assert model.predict(queries[voted]).tolist() == [label for label in want if label]
 

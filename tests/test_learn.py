@@ -89,6 +89,15 @@ def test_knn_dimension_mismatch():
         model.predict_one(np.array([1.0, 2.0, 3.0]))
 
 
+def test_knn_nan_query_with_tied_labels_names_the_row():
+    # both queries' nearest two are bus and car, a tie.  An inf query's mean distances
+    # are equal, so the larger class wins; a NaN query's are NaN and order nothing
+    model = KnnClassifier(k=2).fit(np.zeros((4, 1)), np.array(["bus", "car", "car", "car"]))
+    assert model.predict(np.array([[1.0], [np.inf]])).tolist() == ["car", "car"]
+    with pytest.raises(InputDataError, match=r"^query row 2 holds NaN"):
+        model.predict(np.array([[1.0], [np.inf], [np.nan]]))
+
+
 # -- SVM -----------------------------------------------------------------------
 
 def blobs(n=40, seed=0, separation=6.0):

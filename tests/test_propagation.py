@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiobarrier.geometry import (
     BodySegment,
@@ -395,3 +398,68 @@ def test_pair_chunks_do_not_change_the_loss(app_config, layout, quiet_channel, m
     assert np.count_nonzero(whole) > 10 * 97  # many chunks of 97 pairs
     monkeypatch.setattr(propagation, "PAIR_CHUNK", 97)
     assert passage_loss(*args).tobytes() == whole.tobytes()
+
+
+@st.composite
+def passage_batches(draw):
+    """A body of 1 to 3 segments, some with gaps, some shorter than a path's crossing of
+    the lane band, with and without ground clearance, and a few passages of it: both
+    headings, speeds of either sign, lanes on, beside and off the road.  One case in
+    five is a batch of one-frame passages as noiseless_rssi makes them."""
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.floats(0.3, 4.5))
+        segments.append(BodySegment(
+            length=draw(st.sampled_from([0.05, 0.4, 1.3, 3.0, 9.0])) * draw(st.floats(0.8, 1.2)),
+            top_height=top,
+            ground_clearance=draw(st.sampled_from([0.0, 0.0, 0.1, 0.6])) * top,
+            gap_after=draw(st.sampled_from([0.0, 0.0, 0.3, 2.0]))))
+    vehicle = VehicleSpec("truck", "truck", tuple(segments), draw(st.floats(0.3, 3.0)))
+    heading = draw(st.sampled_from([1, -1]))
+    passages = draw(st.integers(1, 4))
+    lanes = [draw(st.floats(-1.0, 8.0)) for _ in range(passages)]
+    if draw(st.integers(0, 4)) == 0:
+        starts = [draw(st.floats(-30.0, 40.0)) for _ in range(passages)]
+        return vehicle, heading, starts, [1.0] * passages, [1] * passages, lanes, 1.0
+    dt = draw(st.sampled_from([0.002, 0.01, 0.05]))
+    speeds = [draw(st.sampled_from([1, -1])) * draw(st.floats(0.5, 40.0))
+              for _ in range(passages)]
+    starts = [draw(st.floats(-30.0, 40.0)) for _ in range(passages)]
+    frames = [draw(st.integers(1, 300)) for _ in range(passages)]
+    return vehicle, heading, starts, speeds, frames, lanes, dt
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(batch=passage_batches(), reflection=st.booleans())
+def test_passage_loss_matches_the_full_grid_on_random_bodies(app_config, layout, quiet_channel,
+                                                             batch, reflection):
+    vehicle, heading, starts, speeds, frames, lanes, dt = batch
+    chan = replace(quiet_channel, ground_reflection_enabled=reflection)
+    ctx = build_link_context(layout.links, chan, app_config.build_patterns(layout))
+    with mock.patch.object(propagation, "PAIR_CHUNK", 97):
+        loss = passage_loss(ctx, vehicle, starts, speeds, frames, lanes, dt, heading)
+    rows = np.cumsum([0] + frames)
+    for b, (x0, v, lane) in enumerate(zip(starts, speeds, lanes)):
+        nose = x0 + v * (np.arange(frames[b]) * dt)
+        grid = obstruction_loss(vehicle, Pose(nose[:, None], lane, heading), ctx.ends, ctx.lam)
+        assert loss[rows[b]:rows[b + 1]].tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("heading", [1, -1])
+def test_full_cover_bounds_on_a_frame(quiet_channel, heading):
+    # a 4 m body drives across a path at x = 0, one metre a frame, so the nose positions
+    # at which it starts and stops covering the path (0 and 4, or -4 and 0) are frames
+    # 7 and 11 exactly.  The loss there equals the full grid's; frames 6, 7, 11 and 12
+    # are evaluated one by one, 8 to 10 by one evaluation
+    chan = replace(quiet_channel, ground_reflection_enabled=False)
+    ctx = build_link_context((simple_link(),), chan, {1: OMNI, 2: OMNI})
+    van = VehicleSpec("van", "passenger_car", (BodySegment(4.0, 2.0, 0.3),), 2.0)
+    start, speed, frames = -7.0 * heading, 4.0 * heading, 20
+    with mock.patch.object(propagation, "obstruction_loss",
+                           wraps=propagation.obstruction_loss) as evaluate:
+        loss = passage_loss(ctx, van, start, speed, frames, 2.5, 0.25, heading)
+    assert sum(call.args[2].shape[-1] for call in evaluate.call_args_list) == 5
+    nose = start + speed * (np.arange(frames) * 0.25)
+    grid = obstruction_loss(van, Pose(nose[:, None], 2.5, heading), ctx.ends, ctx.lam)
+    assert loss.tobytes() == grid.tobytes()
+    assert np.flatnonzero(grid[:, 0]).tolist() == list(range(7, 12))
