@@ -10,20 +10,23 @@ added coherently to the direct ray:
 with a_d = 10^(-L_dir/20) and a_r = |gamma| * (d_dir/d_refl) * 10^(-L_refl/20),
 phi = arg(gamma) - 2*pi*(d_refl - d_dir)/lambda.  Obstruction losses add in
 dB over intersected body segments; for a segment with ground clearance the
-cheaper of the over-the-top and under-the-body detours wins.
+cheaper of the over-the-top and under-the-body detours wins.  One kernel,
+segment_loss, evaluates a segment on arrays of paths: obstruction_loss sums it
+over a body, and passage_loss runs it only on the frames where a segment can
+reach a path.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Point, Pose, RadioLink, VehicleSpec, segment_x_intervals
+from .geometry import BodySegment, Point, Pose, RadioLink, VehicleSpec, segment_x_intervals
 
 SPEED_OF_LIGHT = 299_792_458.0
-PAIR_CHUNK = 8192  # (frame, path) pairs per obstruction_loss call: bounds its temporaries
+PAIR_CHUNK = 8192  # (frame, path) pairs per segment_loss call: bounds its temporaries
 
 
 def wavelength(frequency: float) -> float:
@@ -149,107 +152,67 @@ def gain_toward(pattern: AntennaPattern, origin: Point, target: Point) -> float:
     return antenna_gain(pattern, d_az, d_el)
 
 
-@dataclass(frozen=True)
-class ObstructionParams:
-    """Knife-edge parameters of one body segment where a path crosses it.
-
-    `mask` marks the crossing points of the grid; the other fields hold one
-    value per marked point (plain floats when every input is a scalar).
-    """
-
-    mask: np.ndarray
-    v_top: np.ndarray
-    v_bottom: Optional[np.ndarray]  # absent when the body has no ground clearance
-    d1: np.ndarray
-    d2: np.ndarray
+def _solve(lo, hi, rate):
+    """The range (t_lo, t_hi) of t for which t * rate lies in [lo, hi].  Where the rate
+    is 0 that is every t or none: (-inf, inf) or an empty range."""
+    still = np.equal(rate, 0.0)
+    a, b = lo / np.where(still, 1.0, rate), hi / np.where(still, 1.0, rate)
+    return (np.where(still, np.where(lo <= 0.0, -np.inf, np.inf), np.minimum(a, b)),
+            np.where(still, np.where(hi >= 0.0, np.inf, -np.inf), np.maximum(a, b)))
 
 
-def occlusion_params(
-    vehicle: VehicleSpec,
-    pose: Pose,
-    path,
-    wavelength: float,
-) -> Tuple[ObstructionParams, ...]:
-    """Knife-edge parameters for every body segment the path crosses.
-
-    The path is cut against each segment's x-y rectangle; at the midpoint of
-    the crossing the top edge yields v_top and, for bodies with ground
-    clearance, the bottom edge yields v_bottom (path above the clearance
-    gives positive v_bottom, a path slipping underneath gives negative).
-    The nose position and the path coordinates may be arrays that broadcast
-    together (say nose positions x paths); each segment's x-interval is
-    affine in the nose position, so the whole grid is cut at once and only
-    the crossing points are evaluated.  An empty tuple means the vehicle
-    intersects the path nowhere on the grid.
-    """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+def path_terms(path, lane_y, width: float) -> np.ndarray:
+    """What the crossing test needs of each path, stacked on a leading axis of 7:
+    x1, z1, dx, dz and the length of the path, then the lane band [lane_y,
+    lane_y + width] as fractions of the path, low end first.  The path coordinates
+    and lane_y may be arrays; the rest of the shape is their broadcast shape."""
     (x1, y1, z1), (x2, y2, z2) = path
     if np.any(np.equal(y1, y2)):
         raise ValueError("path endpoints must lie on opposite road sides")
+    dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+    sy_a, sy_b = (lane_y - y1) * (1.0 / dy), (lane_y + width - y1) * (1.0 / dy)
+    return np.stack(np.broadcast_arrays(x1, z1, dx, dz, np.sqrt(dx ** 2 + dy ** 2 + dz ** 2),
+                                        np.minimum(sy_a, sy_b), np.maximum(sy_a, sy_b)))
 
-    total = np.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
-    inv_dy = 1.0 / (y2 - y1)
-    sy_a = (pose.lane_y - y1) * inv_dy
-    sy_b = (pose.lane_y + vehicle.width - y1) * inv_dy
-    sy_lo, sy_hi = np.minimum(sy_a, sy_b), np.maximum(sy_a, sy_b)
 
-    dx = x2 - x1
-    vertical = np.equal(dx, 0.0)
-    step = np.where(vertical, 1.0, dx)
-    dz = z2 - z1
-    results = []
-    for seg, (bx0, bx1) in zip(vehicle.segments, segment_x_intervals(vehicle, pose)):
-        sa = (bx0 - x1) / step
-        sb = (bx1 - x1) / step
-        # a path at constant x lies within the segment's x-range whole or not at all
-        sx_lo = np.where(vertical, np.where(sa <= 0.0, -np.inf, np.inf), np.minimum(sa, sb))
-        sx_hi = np.where(vertical, np.where(sb >= 0.0, np.inf, -np.inf), np.maximum(sa, sb))
-        s_lo = np.maximum(np.maximum(sy_lo, sx_lo), 0.0)
-        s_hi = np.minimum(np.minimum(sy_hi, sx_hi), 1.0)
-        mask = s_hi > s_lo
-        if not mask.any():
-            continue
-        crossing = mask if mask.ndim else ()
-        s_lo, s_hi, length, z_start, rise = (
-            np.broadcast_to(a, mask.shape)[crossing] for a in (s_lo, s_hi, total, z1, dz)
-        )
-        s_mid = 0.5 * (s_lo + s_hi)
-        d1 = s_mid * length
-        d2 = length - d1
-        # Each edge is evaluated at its most obstructing point of the
-        # crossing: the top edge where the path runs lowest, the bottom
-        # edge where it runs highest.  For level paths both coincide.
-        z_a = z_start + s_lo * rise
-        z_b = z_start + s_hi * rise
-        z_min, z_max = np.minimum(z_a, z_b), np.maximum(z_a, z_b)
-        v_top = fresnel_v(seg.top_height - z_min, d1, d2, wavelength)
-        v_bottom = (
-            fresnel_v(z_max - seg.ground_clearance, d1, d2, wavelength)
-            if seg.ground_clearance > 0
-            else None
-        )
-        results.append(ObstructionParams(mask, v_top, v_bottom, d1, d2))
-    return tuple(results)
+def segment_loss(seg: BodySegment, interval, terms: np.ndarray, lam: float) -> np.ndarray:
+    """Knife-edge loss in dB of one body segment spanning `interval` (lo, hi) along the
+    road on each path of `terms` (see path_terms), 0 where the path does not cross the
+    segment's x-y rectangle.  The interval ends may be arrays that broadcast with the
+    terms.  Each edge is evaluated at its most obstructing point of the crossing, the
+    sub-paths split at the crossing's midpoint: the top edge where the path runs lowest
+    and, with ground clearance, the bottom edge where it runs highest (v < 0 where the
+    path slips underneath).  The cheaper of the two detours wins."""
+    if lam <= 0:
+        raise ValueError("wavelength must be positive")
+    x1, z1, dx, dz, length, sy_lo, sy_hi = terms
+    sx_lo, sx_hi = _solve(interval[0] - x1, interval[1] - x1, dx)
+    s_lo = np.maximum(np.maximum(sy_lo, sx_lo), 0.0)
+    s_hi = np.minimum(np.minimum(sy_hi, sx_hi), 1.0)
+    crossing = s_hi > s_lo
+    s_lo, s_hi, length, z_start, rise = (
+        np.broadcast_to(a, crossing.shape)[crossing] for a in (s_lo, s_hi, length, z1, dz))
+    d1 = 0.5 * (s_lo + s_hi) * length
+    d2 = length - d1
+    z_a = z_start + s_lo * rise
+    z_b = z_start + s_hi * rise
+    edge = knife_edge_loss(fresnel_v(seg.top_height - np.minimum(z_a, z_b), d1, d2, lam))
+    if seg.ground_clearance > 0:
+        bottom = fresnel_v(np.maximum(z_a, z_b) - seg.ground_clearance, d1, d2, lam)
+        edge = np.minimum(edge, knife_edge_loss(bottom))
+    loss = np.zeros(crossing.shape)
+    loss[crossing] = edge
+    return loss
 
 
 def obstruction_loss(vehicle: VehicleSpec, pose: Pose, path, lam: float):
-    """Total knife-edge loss in dB a vehicle inflicts on a path.
-
-    Losses of intersected body segments cascade additively in dB.  For a
-    segment with ground clearance the detour is the cheaper of the top and
-    bottom edges; energy slipping under the body therefore caps the loss.
-    The nose position and the path coordinates may be arrays; the result
-    has their broadcast shape (a float when all are scalars).
-    """
-    shape = np.broadcast_shapes(np.shape(pose.front_x), *(np.shape(c) for end in path for c in end))
-    total = np.zeros(shape)
-    for obs in occlusion_params(vehicle, pose, path, lam):
-        loss = knife_edge_loss(obs.v_top)
-        if obs.v_bottom is not None:
-            loss = np.minimum(loss, knife_edge_loss(obs.v_bottom))
-        total[obs.mask] += loss
-    return total[()]
+    """Total knife-edge loss in dB a vehicle inflicts on a path: the segment_loss of each
+    body segment, added in segment order.  The nose position, the lane and the path
+    coordinates may be arrays; the result has their broadcast shape (a float when all
+    are scalars)."""
+    terms = path_terms(path, pose.lane_y, vehicle.width)
+    return sum(segment_loss(seg, interval, terms, lam)
+               for seg, interval in zip(vehicle.segments, segment_x_intervals(vehicle, pose)))[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,23 +290,19 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
     passage and path, two frame ranges are found in closed form: where the segment can
     reach the path's stretch of the lane, a frame wider at each end, and where it covers
     the whole stretch, a frame narrower.  The loss is the same in every frame of the
-    second, so obstruction_loss runs on one of them and on the first range outside it.
+    second, so segment_loss runs on one of them and on the first range outside it.
     """
     start_x, speed, lane_y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                                    for a in (start_x, speed, lane_y)))
     frames = np.broadcast_to(np.asarray(frames, dtype=np.intp), start_x.shape)
-    (x1, y1, _), (x2, y2, _) = ctx.ends
-    inv_dy = 1.0 / (y2 - y1)  # the band as path fractions, computed as occlusion_params does
-    band = np.clip(np.sort([(lane_y[:, None] - y1) * inv_dy,
-                            (lane_y[:, None] + vehicle.width - y1) * inv_dy], axis=0), 0.0, 1.0)
-    x_lo, x_hi = np.sort(x1 + (x2 - x1) * band, axis=0)
+    terms = path_terms(ctx.ends, lane_y[:, None], vehicle.width)  # (7, passages, paths)
+    band = np.clip(terms[5:], 0.0, 1.0)
+    x_lo, x_hi = np.sort(terms[0] + terms[2] * band, axis=0)
     end = np.where(band[1] > band[0], frames[:, None], 0)  # no frame where the band misses
     loss = np.zeros((int(frames.sum()), ctx.ends.shape[-1]))
     flat = loss.reshape(-1)
     row = np.cumsum(frames) - frames  # each passage's first row
-
-    def frames_at(nose_lo, nose_hi):  # the frames of those nose positions, in order
-        return np.sort((np.array([nose_lo, nose_hi]) - start_x[:, None]) / (speed * dt)[:, None], 0)
+    x0, step = start_x[:, None], (speed * dt)[:, None]  # frame i: the nose at about x0 + i * step
 
     def pairs(lo, hi):  # (passage, path, frame, cell of loss) of each frame in every [lo, hi)
         count = (hi - lo).astype(np.intp).ravel()
@@ -352,30 +311,28 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
                  + np.arange(count.sum()))
         return passage, path, frame, (row[passage] + frame) * loss.shape[1] + path
 
+    terms = terms.reshape(len(terms), -1)  # one column per (passage, path)
     offsets = segment_x_intervals(vehicle, Pose(0.0, 0.0, heading))
     for k, (seg, (back, front)) in enumerate(zip(vehicle.segments, offsets)):
         # reach: the nose in [x_lo - front, x_hi - back], and a frame more at each end
-        i_lo, i_hi = frames_at(x_lo - front, x_hi - back)
+        i_lo, i_hi = _solve(x_lo - front - x0, x_hi - back - x0, step)
         first = np.clip(np.ceil(i_lo) - 1.0, 0.0, end)
         stop = np.clip(np.floor(i_hi) + 2.0, first, end)
         # cover: the nose in [x_hi - front, x_lo - back], none if the segment is shorter
         # than the stretch, and a frame less at each end
-        j_lo, j_hi = frames_at(x_hi - front, x_lo - back)
+        j_lo, j_hi = _solve(x_hi - front - x0, x_lo - back - x0, step)
         on = np.clip(np.ceil(j_lo) + 1.0, first, stop)
         off = np.where(x_hi - front <= x_lo - back, np.clip(np.floor(j_hi), on, stop), on)
         covered = off > on
         # one frame of each covering range, then the reach range outside it
         passage, path, frame, cell = pairs(np.array([on, first, off]),
                                            np.array([on + covered, on, stop]))
-        one, value = replace(vehicle, segments=(seg,)), np.empty(len(frame))
+        value = np.empty(len(frame))
         for at in (slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(frame), PAIR_CHUNK)):
             b = passage[at]
             nose = start_x[b] + speed[b] * (frame[at] * dt)
-            # the segment's leading end as segment_x_intervals places it: `one` then
-            # occupies the segment's interval bit for bit
-            lead = segment_x_intervals(vehicle, Pose(nose, 0.0, heading))[k][heading > 0]
-            value[at] = obstruction_loss(one, Pose(lead, lane_y[b], heading),
-                                         np.take(ctx.ends, path[at], axis=-1), ctx.lam)
+            value[at] = segment_loss(seg, segment_x_intervals(vehicle, Pose(nose, 0.0, heading))[k],
+                                     np.take(terms, b * loss.shape[1] + path[at], axis=1), ctx.lam)
         n = int(covered.sum())
         # segment by segment, (0.0 + L1) + L2 as obstruction_loss sums them
         flat[pairs(on, off)[3]] += np.repeat(value[:n], (off - on)[covered].astype(np.intp))

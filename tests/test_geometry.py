@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from radiobarrier.errors import ConfigurationError
@@ -12,7 +13,7 @@ from radiobarrier.geometry import (
     build_layout,
     segment_x_intervals,
 )
-from radiobarrier.propagation import fresnel_v, occlusion_params
+from radiobarrier.propagation import fresnel_v, obstruction_loss, path_terms, segment_loss
 
 
 def make_vehicle(length=4.5, top=1.5, clearance=0.15, width=1.8, gap=0.0, trailer=None):
@@ -138,52 +139,85 @@ def test_segment_intervals_both_headings():
     assert rev[1] == pytest.approx((26.8, 35.8))
 
 
-# -- occlusion_params ---------------------------------------------------------
+# -- segment_loss and obstruction_loss ------------------------------------------
 
 PATH = ((5.0, 0.0, 0.6), (5.0, 7.0, 0.6))  # direct link at x = 5
 LAM = 0.125
 
 
+def _knife_edge(v):
+    """The knife-edge approximation written out: 0 dB at and below v = -0.78."""
+    if v <= -0.78:
+        return 0.0
+    return max(0.0, 6.9 + 20.0 * math.log10(math.sqrt((v - 0.1) ** 2 + 1.0) + v - 0.1))
+
+
+def _kernel(seg, front_x, lane_y, width, path=PATH, lam=LAM, heading=1):
+    interval = (front_x - seg.length, front_x) if heading == 1 else (front_x, front_x + seg.length)
+    return segment_loss(seg, interval, path_terms(path, lane_y, width), lam)
+
+
 def test_no_intersection_is_empty():
     car = make_vehicle()
-    out = occlusion_params(car, Pose(front_x=-10.0, lane_y=2.6), PATH, LAM)
-    assert out == ()
+    assert obstruction_loss(car, Pose(front_x=-10.0, lane_y=2.6), PATH, LAM) == 0.0
+    assert _kernel(car.segments[0], -10.0, 2.6, car.width) == 0.0
 
 
 def test_grazing_top_edge_gives_zero_v():
     car = make_vehicle(top=0.6, clearance=0.0)
-    out = occlusion_params(car, Pose(front_x=6.0, lane_y=2.6), PATH, LAM)
-    assert len(out) == 1
-    assert out[0].v_top == pytest.approx(0.0)
-    assert out[0].v_bottom is None
+    loss = obstruction_loss(car, Pose(front_x=6.0, lane_y=2.6), PATH, LAM)
+    assert loss == pytest.approx(_knife_edge(0.0))
+    # without clearance there is no bottom edge: a path sloping down to the ground
+    # under a 1.5 m body pays the top edge, not the cheaper detour a bottom edge at
+    # street level would offer
+    tall = make_vehicle(top=1.5, clearance=0.0)
+    to_ground = ((5.0, 0.0, 0.6), (5.0, 7.0, 0.0))
+    length = math.hypot(7.0, 0.6)
+    factor = math.sqrt(2.0 * length / (LAM * (length / 2.0) ** 2))  # crossing centred
+    z_low, z_high = 0.6 * (1.0 - 4.4 / 7.0), 0.6 * (1.0 - 2.6 / 7.0)  # band [2.6, 4.4]
+    top = _knife_edge((1.5 - z_low) * factor)
+    assert _knife_edge(z_high * factor) < top - 5.0
+    loss = obstruction_loss(tall, Pose(front_x=6.0, lane_y=2.6), to_ground, LAM)
+    assert loss == pytest.approx(top)
 
 
 def test_trailer_clearance_hand_evaluated():
-    # path at z = 0.6 under a deck with 1.2 m clearance: the bottom edge has
-    # a 0.6 m air gap, so v_bottom is negative with |h| = 0.6
-    trailer = make_vehicle(9.0, 4.0, 1.2, 2.5)
-    out = occlusion_params(trailer, Pose(front_x=9.5, lane_y=2.25), PATH, LAM)
-    assert len(out) == 1
-    obs = out[0]
-    assert obs.d1 == pytest.approx(3.5)
-    assert obs.d2 == pytest.approx(3.5)
+    # path at z = 0.6 under a deck with 1.2 m clearance, the crossing centred on the
+    # road, so d1 = d2 = 3.5: the top edge cuts 3.4 m into the path, the bottom edge
+    # leaves a 0.6 m air gap (v < -0.78, no loss), and the cheaper detour is free
     factor = math.sqrt(2.0 * 7.0 / (LAM * 3.5 * 3.5))  # independent evaluation
-    assert obs.v_top == pytest.approx(3.4 * factor)
-    assert obs.v_bottom == pytest.approx(-0.6 * factor)
-    assert obs.v_bottom == pytest.approx(fresnel_v(-0.6, obs.d1, obs.d2, LAM))
+    assert fresnel_v(-0.6, 3.5, 3.5, LAM) == pytest.approx(-0.6 * factor)
+    trailer = make_vehicle(9.0, 4.0, 1.2, 2.5)
+    assert _kernel(trailer.segments[0], 9.5, 2.25, 2.5) == 0.0
+    assert _knife_edge(-0.6 * factor) == 0.0 < _knife_edge(3.4 * factor)
+    # the same deck without clearance leaves only the top edge
+    deck = make_vehicle(9.0, 4.0, 0.0, 2.5)
+    assert _kernel(deck.segments[0], 9.5, 2.25, 2.5) == pytest.approx(_knife_edge(3.4 * factor))
+    # a level path at z = 1.0 passes 0.2 m under the deck: the bottom edge, now the
+    # cheaper one, costs a little, while the top edge still cuts 3.0 m into the path
+    high = ((5.0, 0.0, 1.0), (5.0, 7.0, 1.0))
+    bottom = _knife_edge(-0.2 * factor)
+    assert 0.0 < bottom < _knife_edge(3.0 * factor)
+    assert _kernel(trailer.segments[0], 9.5, 2.25, 2.5, path=high) == pytest.approx(bottom)
 
 
 def test_translation_invariance():
     car = make_vehicle()
+    ref = obstruction_loss(car, Pose(front_x=6.0, lane_y=2.6), PATH, LAM)
+    assert ref > 0.0
     for dx in (-17.3, -2.0, 0.4, 9.9, 123.0):
-        ref = occlusion_params(car, Pose(front_x=6.0, lane_y=2.6), PATH, LAM)
         (x1, y1, z1), (x2, y2, z2) = PATH
         shifted_path = ((x1 + dx, y1, z1), (x2 + dx, y2, z2))
-        shifted = occlusion_params(car, Pose(front_x=6.0 + dx, lane_y=2.6), shifted_path, LAM)
-        assert len(ref) == len(shifted) == 1
-        assert shifted[0].v_top == pytest.approx(ref[0].v_top)
-        assert shifted[0].v_bottom == pytest.approx(ref[0].v_bottom)
-        assert shifted[0].d1 == pytest.approx(ref[0].d1)
+        shifted = obstruction_loss(car, Pose(front_x=6.0 + dx, lane_y=2.6), shifted_path, LAM)
+        assert shifted == pytest.approx(ref)
+
+
+def _blocked_width(car, path, xs, step):
+    blocked = obstruction_loss(car, Pose(front_x=np.array(xs), lane_y=2.6), path, LAM) > 0.0
+    first = int(np.argmax(blocked))
+    last = len(blocked) - 1 - int(np.argmax(blocked[::-1]))
+    assert blocked[first:last + 1].all()  # contiguous
+    return (last - first) * step
 
 
 def test_blocking_interval_direct_link():
@@ -191,14 +225,7 @@ def test_blocking_interval_direct_link():
     # exactly the segment length (no width projection at constant x)
     car = make_vehicle(length=4.5)
     step = 0.01
-    xs = [i * step for i in range(-200, 1600)]
-    blocked = [
-        bool(occlusion_params(car, Pose(front_x=x, lane_y=2.6), PATH, LAM)) for x in xs
-    ]
-    first = blocked.index(True)
-    last = len(blocked) - 1 - blocked[::-1].index(True)
-    assert all(blocked[first:last + 1])  # contiguous
-    width = (last - first) * step
+    width = _blocked_width(car, PATH, [i * step for i in range(-200, 1600)], step)
     assert width == pytest.approx(4.5, abs=2 * step)
 
 
@@ -207,30 +234,31 @@ def test_blocking_interval_diagonal_link():
     car = make_vehicle(length=4.5, width=1.8)
     path = ((0.0, 0.0, 0.6), (5.0, 7.0, 0.6))
     step = 0.01
-    xs = [i * step for i in range(-300, 1600)]
-    blocked = [
-        bool(occlusion_params(car, Pose(front_x=x, lane_y=2.6), path, LAM)) for x in xs
-    ]
-    first = blocked.index(True)
-    last = len(blocked) - 1 - blocked[::-1].index(True)
+    width = _blocked_width(car, path, [i * step for i in range(-300, 1600)], step)
     expected = 4.5 + 5.0 * 1.8 / 7.0
-    assert (last - first) * step == pytest.approx(expected, abs=2 * step)
+    assert width == pytest.approx(expected, abs=2 * step)
 
 
 def test_reversed_heading_mirrors_blocking():
     # driving the other way blocks the same x-extent when the body covers it
     car = make_vehicle(length=4.5)
-    fwd = occlusion_params(car, Pose(front_x=7.0, lane_y=2.6, heading=1), PATH, LAM)
-    rev = occlusion_params(car, Pose(front_x=7.0 - 4.5, lane_y=2.6, heading=-1), PATH, LAM)
-    assert len(fwd) == len(rev) == 1
-    assert rev[0].v_top == pytest.approx(fwd[0].v_top)
-    assert rev[0].d1 == pytest.approx(fwd[0].d1)
+    fwd = obstruction_loss(car, Pose(front_x=7.0, lane_y=2.6, heading=1), PATH, LAM)
+    rev = obstruction_loss(car, Pose(front_x=7.0 - 4.5, lane_y=2.6, heading=-1), PATH, LAM)
+    assert fwd > 0.0
+    assert rev == pytest.approx(fwd)
+    seg = car.segments[0]
+    assert _kernel(seg, 7.0 - 4.5, 2.6, car.width, heading=-1) == pytest.approx(
+        _kernel(seg, 7.0, 2.6, car.width))
 
 
 def test_bad_path_rejected():
     car = make_vehicle()
     flat = ((0.0, 2.0, 0.6), (5.0, 2.0, 0.6))  # no road crossing
     with pytest.raises(ValueError):
-        occlusion_params(car, Pose(front_x=1.0, lane_y=2.6), flat, LAM)
+        obstruction_loss(car, Pose(front_x=1.0, lane_y=2.6), flat, LAM)
     with pytest.raises(ValueError):
-        occlusion_params(car, Pose(front_x=1.0, lane_y=2.6), PATH, 0.0)
+        path_terms(flat, 2.6, car.width)
+    with pytest.raises(ValueError):
+        obstruction_loss(car, Pose(front_x=1.0, lane_y=2.6), PATH, 0.0)
+    with pytest.raises(ValueError):
+        _kernel(car.segments[0], 1.0, 2.6, car.width, lam=0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -455,11 +456,30 @@ def test_full_cover_bounds_on_a_frame(quiet_channel, heading):
     ctx = build_link_context((simple_link(),), chan, {1: OMNI, 2: OMNI})
     van = VehicleSpec("van", "passenger_car", (BodySegment(4.0, 2.0, 0.3),), 2.0)
     start, speed, frames = -7.0 * heading, 4.0 * heading, 20
-    with mock.patch.object(propagation, "obstruction_loss",
-                           wraps=propagation.obstruction_loss) as evaluate:
+    with mock.patch.object(propagation, "segment_loss",
+                           wraps=propagation.segment_loss) as evaluate:
         loss = passage_loss(ctx, van, start, speed, frames, 2.5, 0.25, heading)
+    # the (frame, path) pairs the kernel evaluated: one column of terms each
     assert sum(call.args[2].shape[-1] for call in evaluate.call_args_list) == 5
     nose = start + speed * (np.arange(frames) * 0.25)
     grid = obstruction_loss(van, Pose(nose[:, None], 2.5, heading), ctx.ends, ctx.lam)
     assert loss.tobytes() == grid.tobytes()
     assert np.flatnonzero(grid[:, 0]).tolist() == list(range(7, 12))
+
+
+@pytest.mark.parametrize("heading", [1, -1])
+@pytest.mark.parametrize("nose", [0.0, 2.0, 5.0])
+def test_stationary_passage_matches_the_full_grid(app_config, layout, quiet_channel, nose,
+                                                  heading):
+    # a van standing still, its nose on a post (0.0 and 5.0 are range bounds) or between
+    # two, holds the same loss in every frame; no frame range divides by its zero speed
+    ctx = build_link_context(layout.links, quiet_channel, app_config.build_patterns(layout))
+    van = app_config.catalog["van"]
+    lane = (layout.road_width - van.width) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = passage_loss(ctx, van, [nose, nose], [0.0, 0.0], [7, 3], lane, 0.01, heading)
+    grid = obstruction_loss(van, Pose(np.full((10, 1), nose), lane, heading), ctx.ends,
+                            ctx.lam)
+    assert (grid > 0).any()
+    assert loss.tobytes() == grid.tobytes()
