@@ -12,8 +12,10 @@ A round reads a look-ahead block of each open stream behind its last
 `window` quiet frames: a few windows long, doubling while no onset turns up
 and restarting after every segment; it takes as many streams as fit in
 DETECT_BATCH_FRAMES frames.  Medians are taken only where some link is at or
-below the max of the frame's own window minus drop_threshold.  That screen is
-exact: no window's median exceeds its max, and rounding x - drop_threshold is
+below drop_threshold under the lesser max of the first and of the last
+h = window // 2 + 1 frames of the frame's own window.  That screen is exact:
+a median is at most the h-th smallest value ((a + b) / 2 <= b in floats when
+a <= b), so at most any max of h values, and rounding x - drop_threshold is
 monotonic in x.  One median call covers the next 1, 2, 4, ... candidates of
 every stream until each has its onset.  The releases of the new segments, the
 first later frames with every link back within release_threshold, are found
@@ -153,7 +155,8 @@ def _detect_streams(streams, dts, window, cfg) -> List[List[EventSegment]]:
                               for x in (quiet, block)])
         # frame window + j of buf is tested against the median of buf[j:j + window]
         values, behind = buf[window:], sliding_window_view(buf[:-1], window, axis=0)
-        screen = values <= _rolling_max(buf[:-1], window) - cfg.drop_threshold
+        half = _rolling_max(buf[:-1], h := window // 2 + 1)  # half[j]: max of buf[j:j + h]
+        screen = values <= np.minimum(half[:len(values)], half[window - h:]) - cfg.drop_threshold
         cand = np.flatnonzero(screen.any(axis=1))
         owner = np.searchsorted(starts, cand, side="right") - 1
         cand = cand[cand < starts[owner] + lens[owner]]  # not the next stream's quiet frames
@@ -557,33 +560,40 @@ def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
                              f"its SHA-256 differs")
     _layout_link_ids(f"dataset {dataset}", dataset_header["link_ids"], layout)
     by_id = {event.event_id: event for event in events}
-    keys, records = [str(link_id) for link_id in link_ids], []
-    windows = np.full((len(lines), len(link_ids), 2), np.nan)
-    for (where, raw), own_windows in zip(lines, windows):
-        event = by_id.get(raw["event_id"])
-        if event is None:
-            raise InputDataError(f"{where}: event {raw['event_id']} is not in {dataset}")
-        start, stop = raw["start_index"], raw["start_index"] + raw["frames"]
-        if not 0 <= start < stop <= len(event.rssi):
-            raise InputDataError(f"{where}: frames [{start}, {stop}) do not fit the "
-                                 f"{len(event.rssi)} frames of event {event.event_id}")
-        unknown = sorted(set(raw["windows"]) - set(keys))
-        if unknown:
-            raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
-        crossed = [j for j, key in enumerate(keys) if key in raw["windows"]]
-        spans = [raw["windows"][keys[j]] for j in crossed]
-        try:
-            own_windows[crossed] = finite_array(where, "windows", spans or np.empty((0, 2)),
-                                                (len(crossed), 2))
-        except InputDataError:  # the one window at fault names its link
-            for j, span in zip(crossed, spans):
-                finite_array(where, f"window {keys[j]}", span, (2,))
-            raise
-        baselines = finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
-        segment = EventSegment(start=start, dt=event.dt, baselines=tuple(baselines.tolist()),
-                               rssi=event.rssi[start:stop], windows=own_windows)
-        records.append(SegmentRecord(event.event_id, event.type_name, event.label, segment))
-    return records
+    keys = {str(link_id): j for j, link_id in enumerate(link_ids)}  # in layout order
+    found = [by_id.get(raw["event_id"]) for _, raw in lines]
+    bounds = [(raw["start_index"], raw["start_index"] + raw["frames"]) for _, raw in lines]
+    windows = np.full((len(lines), len(keys), 2), np.nan)
+    try:  # every line at once; on a fault, line by line below, to name the line at fault
+        cells = np.array([(i, keys[key]) for i, (_, raw) in enumerate(lines)
+                          for key in raw["windows"]], dtype=np.intp).reshape(-1, 2).T
+        given = np.array([span for _, raw in lines for span in raw["windows"].values()]
+                         or np.empty((0, 2)), dtype=np.float64)
+        baselines = np.array([raw["baselines"] for _, raw in lines]
+                             or np.empty((0, len(keys))), dtype=np.float64)
+        if not (given.shape == (cells.shape[1], 2) and baselines.shape == windows.shape[:2]
+                and np.isfinite(given).all() and np.isfinite(baselines).all()
+                and all(event is not None and 0 <= start < stop <= len(event.rssi)
+                        for event, (start, stop) in zip(found, bounds))):
+            raise ValueError("a line does not fit")
+        windows[tuple(cells)] = given
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for (where, raw), event, (start, stop) in zip(lines, found, bounds):
+            if event is None:
+                raise InputDataError(f"{where}: event {raw['event_id']} is not in {dataset}")
+            if not 0 <= start < stop <= len(event.rssi):
+                raise InputDataError(f"{where}: frames [{start}, {stop}) do not fit the "
+                                     f"{len(event.rssi)} frames of event {event.event_id}")
+            if unknown := sorted(set(raw["windows"]) - set(keys)):
+                raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
+            for key in (key for key in keys if key in raw["windows"]):
+                finite_array(where, f"window {key}", raw["windows"][key], (2,))
+            finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
+        raise InputDataError(f"{path}: its segment lines do not fit {dataset}")
+    return [SegmentRecord(event.event_id, event.type_name, event.label,
+                          EventSegment(start=start, dt=event.dt, baselines=tuple(base),
+                                       rssi=event.rssi[start:stop], windows=win))
+            for event, (start, stop), base, win in zip(found, bounds, baselines.tolist(), windows)]
 
 
 def featurize_records(

@@ -289,8 +289,8 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
     start_x[b] + speed[b] * (i * dt) and the near side at lane_y[b].  Per body segment,
     passage and path, two frame ranges are found in closed form: where the segment can
     reach the path's stretch of the lane, a frame wider at each end, and where it covers
-    the whole stretch, a frame narrower.  The loss is the same in every frame of the
-    second, so segment_loss runs on one of them and on the first range outside it.
+    the whole stretch, a frame narrower (at speed 0, the first range).  The loss is the
+    same in every frame of the second, so segment_loss runs on one and on the first outside it.
     """
     start_x, speed, lane_y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                                    for a in (start_x, speed, lane_y)))
@@ -303,6 +303,7 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
     flat = loss.reshape(-1)
     row = np.cumsum(frames) - frames  # each passage's first row
     x0, step = start_x[:, None], (speed * dt)[:, None]  # frame i: the nose at about x0 + i * step
+    still = speed[:, None] == 0.0  # the nose at exactly x0 in every frame
 
     def pairs(lo, hi):  # (passage, path, frame, cell of loss) of each frame in every [lo, hi)
         count = (hi - lo).astype(np.intp).ravel()
@@ -321,8 +322,9 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
         # cover: the nose in [x_hi - front, x_lo - back], none if the segment is shorter
         # than the stretch, and a frame less at each end
         j_lo, j_hi = _solve(x_hi - front - x0, x_lo - back - x0, step)
-        on = np.clip(np.ceil(j_lo) + 1.0, first, stop)
+        on = np.where(still, first, np.clip(np.ceil(j_lo) + 1.0, first, stop))
         off = np.where(x_hi - front <= x_lo - back, np.clip(np.floor(j_hi), on, stop), on)
+        off = np.where(still, stop, off)
         covered = off > on
         # one frame of each covering range, then the reach range outside it
         passage, path, frame, cell = pairs(np.array([on, first, off]),

@@ -61,7 +61,8 @@ class PassageEvent:
     """One passage: metadata and the RSSI trace of every link.
 
     `rssi` is a read-only float64 (frames x links) array in dBm, links in
-    layout order; frame i was sampled at t = i * dt.
+    layout order; frame i was sampled at t = i * dt.  A float64 array is kept if neither
+    it nor the array owning its memory is writable; anything else is copied.
     """
 
     event_id: int
@@ -74,8 +75,12 @@ class PassageEvent:
     dt: float
 
     def __post_init__(self) -> None:
-        rssi = np.array(self.rssi, dtype=np.float64)
-        rssi.flags.writeable = False
+        rssi = self.rssi
+        owner = rssi.base if isinstance(getattr(rssi, "base", None), np.ndarray) else rssi
+        if not (isinstance(owner, np.ndarray) and owner.base is None and rssi.dtype == np.float64
+                and not (rssi.flags.writeable or owner.flags.writeable)):
+            rssi = np.array(rssi, dtype=np.float64)
+            rssi.flags.writeable = False
         object.__setattr__(self, "rssi", rssi)
 
 
@@ -146,6 +151,7 @@ def _simulate_passages(layout: SensorLayout, ctx: LinkContext, vehicle: VehicleS
                            for trace, rng in zip(np.split(path_rssi(ctx, loss), cuts), rngs)])
     if step is not None:
         rssi = np.round(rssi / step) * step
+    rssi.flags.writeable = False  # the events' traces are views of it
     return [PassageEvent(event_id, vehicle.type_name, vehicle.label, speed, vehicle.total_length,
                          lane_y, trace, sim.dt)
             for event_id, speed, lane_y, trace in zip(ids, speeds, lanes, np.split(rssi, cuts))]
@@ -239,7 +245,7 @@ def _encode_samples(rssi: np.ndarray) -> str:
     return base64.b64encode(whole.astype(_SAMPLE).tobytes()).decode("ascii")
 
 
-def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) -> np.ndarray:
+def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) -> bytes:
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:  # outside the alphabet, bad padding, or not ASCII
@@ -248,7 +254,7 @@ def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) ->
     if frames < 1 or len(raw) != frames * links * _SAMPLE.itemsize:
         raise InputDataError(f"{where}: {key} holds {len(raw)} bytes, not the samples of "
                              f"{frames} frames x {links} links")
-    return (np.frombuffer(raw, _SAMPLE) * RSSI_STEP_DB).reshape(shape)
+    return raw
 
 
 def dumps_compact(value) -> str:
@@ -364,14 +370,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:
     """The header and the events of a dataset file, rejecting any line that does not fit, and
-    the SHA-256 of the bytes that were parsed."""
+    the SHA-256 of the bytes that were parsed.  The traces are views of one read-only array."""
     header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
-    events = []
-    for where, rec in records:
-        shape = (rec.pop("frames"), len(header["link_ids"]))
-        events.append(PassageEvent(rssi=_decode_samples(where, "values", rec.pop("values"), shape),
-                                   **rec))
-    return header, tuple(events), sha256
+    links = len(header["link_ids"])
+    raw = b"".join([_decode_samples(where, "values", rec.pop("values"), (rec["frames"], links))
+                    for where, rec in records])
+    rssi = np.frombuffer(raw, _SAMPLE).reshape(-1, links) * RSSI_STEP_DB
+    rssi.flags.writeable = False
+    ends = np.cumsum([rec["frames"] for _, rec in records]).tolist()
+    return header, tuple(PassageEvent(rssi=rssi[end - rec.pop("frames"):end], **rec)
+                         for (_, rec), end in zip(records, ends)), sha256
 
 
 def load_dataset(path) -> Dataset:

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -795,8 +796,8 @@ def test_profile_feature_sets_on_a_length_only_table_exit_3(length_only_table, c
 
 
 @pytest.fixture(scope="module")
-def mutable_lines(tmp_path_factory):
-    """The lines of a 4-event dataset and of its segments and feature table.
+def mutable_files(tmp_path_factory):
+    """The bytes of a 4-event dataset and of its segments and feature table.
 
     Two events per label let the unchanged table fill a stratified 2-fold split.
     """
@@ -806,8 +807,14 @@ def mutable_lines(tmp_path_factory):
     assert run(["detect", "--dataset", str(root / "dataset.jsonl"), "--out", str(root)]) == 0
     assert run(["features", "--segments", str(root / "segments.jsonl"),
                 "--out", str(root)]) == 0
-    return {name: (root / name).read_text().splitlines()
+    return {name: (root / name).read_bytes()
             for name in ("dataset.jsonl", "segments.jsonl", "features.csv")}
+
+
+@pytest.fixture(scope="module")
+def mutable_lines(mutable_files):
+    """The lines of the files of `mutable_files`, without their line ends."""
+    return {name: data.decode().splitlines() for name, data in mutable_files.items()}
 
 
 # (the file mutated, the command and the file it reads, the exit codes it may
@@ -880,3 +887,43 @@ def test_detect_on_mutated_dataset_exits_cleanly(mutable_lines, capsys, data):
         code = run([*command, str(Path(tmp) / target), "--out", str(Path(tmp) / "out")])
     capsys.readouterr()
     assert code in (exits if files[name] != mutable_lines[name] else (0,))
+
+
+# tokens a reader may meet in place of one of a file's own: numbers it cannot hold, JSON
+# words and empty containers, quotes, and bytes that are not UTF-8
+TOKENS = [b"", b"0", b"-1", b"2", b"0.5", b"-0", b"1e999", b"NaN", b"Infinity", b"null",
+          b"true", b'""', b'"x"', b"[]", b"{}", b"[1]", b"9" * 30, b"\xff", b","]
+
+
+def _mutate_bytes(data, draw):
+    """`data` after one mutation: a byte replaced, a token replaced, the file truncated, or
+    one line duplicated or dropped."""
+    kind = draw(st.sampled_from(["byte", "token", "truncate", "duplicate", "drop"]),
+                label="mutation")
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "token":  # a JSON string, number or word, or a CSV cell
+        tokens = list(re.finditer(rb'"[^"\n]*"|[^\s",:\[\]{}]+', data))
+        token = draw(st.sampled_from(tokens))
+        new = draw(st.sampled_from(TOKENS) | st.sampled_from([t.group() for t in tokens]))
+        return data[:token.start()] + new + data[token.end():]
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    return b"".join(lines[:i] + lines[i:i + 1] * (2 if kind == "duplicate" else 0) + lines[i + 1:])
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_survive_single_mutations_of_their_bytes(mutable_files, capsys, data):
+    name, command, target, exits = data.draw(st.sampled_from(FUZZED), label="case")
+    files = dict(mutable_files, **{name: _mutate_bytes(mutable_files[name], data.draw)})
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, content in files.items():
+            (Path(tmp) / file).write_bytes(content)
+        code = run([*command, str(Path(tmp) / target), "--out", str(Path(tmp) / "out")])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code in (exits if files[name] != mutable_files[name] else (0,))

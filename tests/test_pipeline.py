@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from radiobarrier import pipeline
 from radiobarrier.config import load_config
@@ -125,6 +126,24 @@ def test_lean_median_is_np_median_bit_for_bit(rows, links, window, whole_db, dat
                               elements=st.floats(-120.0, 20.0) if not whole_db
                               else st.integers(-100, -20).map(float)))
     assert pipeline._median(values).tobytes() == np.median(values, axis=-1).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 60), st.integers(0, 20), st.integers(1, 3),
+       st.sampled_from(["floats", "whole_db", "constant"]), st.data())
+def test_two_half_screen_bounds_every_window_median(window, extra, links, kind, data):
+    # detection's screen: the lesser max of the first and of the last h frames of each
+    # window is at least the window's median and at most its max
+    elements = {"floats": st.floats(-120.0, 20.0), "whole_db": st.integers(-80, -77).map(float),
+                "constant": st.just(data.draw(st.floats(-120.0, 20.0)))}[kind]
+    x = data.draw(arrays(np.float64, (window + extra, links), elements=elements))
+    h = window // 2 + 1
+    half = pipeline._rolling_max(x, h)
+    bound = np.minimum(half[:extra + 1], half[window - h:])
+    behind = sliding_window_view(x, window, axis=0)
+    assert (pipeline._median(behind) <= bound).all()
+    assert (bound <= pipeline._rolling_max(x, window)).all()
+    assert (pipeline._rolling_max(x, window) == behind.max(axis=-1)).all()
 
 
 def test_stream_shorter_than_baseline_window(layout):

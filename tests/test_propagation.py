@@ -483,3 +483,18 @@ def test_stationary_passage_matches_the_full_grid(app_config, layout, quiet_chan
                             ctx.lam)
     assert (grid > 0).any()
     assert loss.tobytes() == grid.tobytes()
+
+
+def test_a_standing_van_evaluates_each_path_once(app_config, layout, quiet_channel):
+    # the van reaches paths it does not cover; every frame holds the same nose position,
+    # so one evaluation per path serves all 1,000 frames
+    ctx = build_link_context(layout.links, quiet_channel, app_config.build_patterns(layout))
+    van = app_config.catalog["van"]
+    with mock.patch.object(propagation, "segment_loss",
+                           wraps=propagation.segment_loss) as evaluate:
+        loss = passage_loss(ctx, van, 2.0, 0.0, 1000, 2.5, 0.01)
+    pairs = sum(call.args[2].shape[-1] for call in evaluate.call_args_list)
+    assert 0 < pairs <= len(van.segments) * ctx.ends.shape[-1]
+    grid = obstruction_loss(van, Pose(np.full((1000, 1), 2.0), 2.5, 1), ctx.ends, ctx.lam)
+    assert (grid > 0).any()
+    assert loss.tobytes() == grid.tobytes()

@@ -12,6 +12,7 @@ from radiobarrier.geometry import LayoutConfig, build_layout
 from radiobarrier.propagation import AntennaPattern, ChannelConfig, fspl
 from radiobarrier.simulator import (
     RSSI_STEP_DB,
+    PassageEvent,
     SimulationConfig,
     _draw_event,
     _event_rng,
@@ -20,6 +21,7 @@ from radiobarrier.simulator import (
     dumps_compact,
     generate_dataset,
     load_dataset,
+    read_events,
     save_dataset,
     simulate_passage,
 )
@@ -263,6 +265,45 @@ def test_dataset_round_trip(tmp_path, layout, patterns, app_config):
     p2 = tmp_path / "ds2.jsonl"
     save_dataset(loaded, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def _event(rssi):
+    return PassageEvent(1, "van", "passenger_car", 10.0, 5.0, 2.5, rssi, 0.01)
+
+
+def test_an_event_copies_an_array_someone_can_still_write():
+    owned, raw = np.zeros((4, 3)), bytearray(96)
+    view = owned[1:].view()
+    view.flags.writeable = False  # read-only, but `owned` still writes its memory
+    over_bytes = np.frombuffer(raw, np.float64).reshape(4, 3)
+    over_bytes.flags.writeable = False  # read-only, but `raw` still writes its memory
+    frozen = np.zeros((4, 3))
+    frozen.flags.writeable = False
+    events = [_event(given) for given in
+              (owned, view, over_bytes, frozen.astype(np.float32), [[0.0] * 3])]
+    owned[:], raw[:8] = 5.0, b"\xff" * 8
+    for ev in events:
+        assert ev.rssi.dtype == np.float64 and not ev.rssi.flags.writeable
+        assert not ev.rssi.any()
+    assert _event(frozen[1:]).rssi.base is frozen  # nobody can write its memory: kept
+
+
+def test_the_events_of_one_read_share_one_read_only_array(tmp_path, layout, patterns,
+                                                          app_config):
+    ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                          {"van": 2, "bus": 2}, app_config.sim, seed=3)
+    p = tmp_path / "ds.jsonl"
+    save_dataset(ds, p)
+    _, events, _ = read_events(p)
+    for got in (ds.events, events):
+        assert all(not ev.rssi.flags.writeable and not ev.rssi.base.flags.writeable
+                   for ev in got)
+    assert all(ev.rssi.base is events[0].rssi.base for ev in events)
+    assert len(events[0].rssi.base) == sum(len(ev.rssi) for ev in events)
+    for a, b in zip(ds.events, events):
+        assert np.array_equal(a.rssi, b.rssi) and not np.shares_memory(a.rssi, b.rssi)
+    with pytest.raises(ValueError):
+        events[0].rssi.base[0, 0] = 0.0
 
 
 def _encode(counts):
