@@ -41,7 +41,8 @@ from .pipeline import (
     save_features_csv,
     save_segments,
 )
-from .simulator import baseline_rssi, generate_dataset, load_dataset, save_dataset
+from .simulator import (baseline_rssi, config_fingerprint, generate_dataset, load_dataset,
+                        save_dataset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,11 +168,16 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _fingerprint(cfg, layout) -> str:
+    """The fingerprint in the header of the datasets `cfg` generates on `layout`."""
+    return config_fingerprint(layout, cfg.channel, cfg.build_patterns(layout), cfg.sim)
+
+
 def _cmd_detect(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     dataset = load_dataset(args.dataset)
-    records, summary = detect_dataset(dataset, layout, cfg.detection)
+    records, summary = detect_dataset(dataset, layout, cfg.detection, _fingerprint(cfg, layout))
     out = _write_outputs(args, [args.dataset], {
         "segments.jsonl": lambda path: save_segments(records, path, layout, args.dataset,
                                                      dataset.sha256)})
@@ -187,7 +193,8 @@ def _cmd_features(args) -> int:
     cfg = resolve_config(args.config)
     layout = cfg.build_layout()
     # the records hold the dataset; they are freed before the table is written
-    table = featurize_records(load_segments(args.segments, layout), layout, cfg.features)
+    table = featurize_records(load_segments(args.segments, layout, _fingerprint(cfg, layout)),
+                              layout, cfg.features)
     out = _write_outputs(args, [args.segments],
                          {"features.csv": lambda path: save_features_csv(table, path)})
     print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")

@@ -67,9 +67,6 @@ class KnnClassifier:
         self._y = y
         return self
 
-    def predict_one(self, query) -> str:
-        return self.predict(np.asarray(query, dtype=float)[None])[0]
-
     def predict(self, X) -> np.ndarray:
         """The label of each row of `X`, as a scan of every training row would give it."""
         rows, dists = self._neighbours(X)

@@ -23,10 +23,9 @@ together in blocks that double the same way; the next quiet window is the one
 before the onset plus the closing frame.
 
 Features are made for many segments at once too, in batches of up to
-FEATURE_BATCH_FRAMES frames, and `estimate_speed`, `estimate_length` and
-`extract_features` are the one-segment cases.  Sums add left to right, the
-grid is np.linspace's and the drop profile is blended as np.interp blends it,
-so a row is the same floats whichever batch its segment falls in.
+FEATURE_BATCH_FRAMES frames.  Sums add left to right, the grid is
+np.linspace's and the drop profile is blended as np.interp blends it, so a
+row is the same floats whichever batch its segment falls in.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import csv
 import io
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
@@ -258,32 +257,11 @@ def _build_segments(streams, dts, opened, closes, baselines, cfg) -> List[EventS
             for (s, start, end), base, win in zip(spans, baselines.tolist(), windows)]
 
 
-def estimate_speed(segment: EventSegment, layout: SensorLayout) -> float:
-    """Speed from onset-time differences between direct links.
-
-    Averages delta_x / delta_onset over all pairs of direct links with
-    distinct along-road positions; releases are ignored because they carry
-    the vehicle length.
-    """
-    speeds, _, checks = _estimates(segment.windows[None], layout)
-    _raise_first(checks[:2])
-    return float(speeds[0])
-
-
-def estimate_length(segment: EventSegment, speed: float, layout: SensorLayout) -> float:
-    """Vehicle length from occlusion durations on direct links.
-
-    Direct links cross the road at a single along-road position, so their
-    occlusion window needs no body-width correction.
-    """
-    _, lengths, checks = _estimates(segment.windows[None], layout, np.array([speed], dtype=float))
-    _raise_first(checks[2:])
-    return float(lengths[0])
-
-
-def _estimates(windows, layout, speeds=None):
-    """Per (links x 2) window array of a stack: its speed unless `speeds` are given, its length
-    at that speed, and the checks of both in the order they run.  Terms add left to right."""
+def _estimates(windows, layout):
+    """Per (links x 2) window array of a stack: its speed, the mean |dx / d onset| over pairs
+    of crossed direct links with distinct onsets; its length, that speed times their mean
+    onset-to-release span (a direct link crosses the road at one x); and the checks of both in
+    the order they run.  Terms add left to right."""
     direct = _link_indices(layout, "direct")
     x = [layout.links[j].endpoints[0][0] for j in direct]
     onset, span = windows[:, direct, 0], windows[:, direct, 1] - windows[:, direct, 0]
@@ -296,7 +274,7 @@ def _estimates(windows, layout, speeds=None):
         gap = np.where(moved, onset[:, b] - onset[:, a], 1.0)
         total += np.where(moved, np.abs((x[b] - x[a]) / gap), 0.0)
         count += moved
-    speeds = total / np.maximum(count, 1) if speeds is None else speeds
+    speeds = total / np.maximum(count, 1)
     durations = np.zeros(n)
     for column in np.where(crossed, span, 0.0).T:
         durations += column
@@ -307,35 +285,20 @@ def _estimates(windows, layout, speeds=None):
         (~crossed.any(axis=1), EstimationError("no direct-link occlusion window available"))]
 
 
-def _raise_first(checks, event_ids=None) -> None:
+def _raise_first(checks, event_ids) -> None:
     """Raise the error of the first check that the first record failing one fails; `checks`
     are (mask over records, error) in the order they run, `event_ids` name the records."""
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
         i = int(failed.any(axis=0).argmax())
-        with _for_event(event_ids[i]) if event_ids else nullcontext():
+        with _for_event(event_ids[i]):
             raise checks[int(failed[:, i].argmax())][1]
-
-
-def drop_magnitude(trace, baseline) -> float:
-    """Depth of the deepest dip below baseline, in dB, clamped at 0; of the deepest
-    over all links for a (frames x links) trace and one baseline per link."""
-    trace = np.asarray(trace, dtype=np.float64)
-    if trace.size == 0:
-        raise InputDataError("empty trace slice")
-    return float(_deepest(np.atleast_1d(np.asarray(baseline) - trace.min(axis=0))))
 
 
 def _deepest(dips):
     """The largest of `dips` along the last axis, clamped at 0."""
     deepest = dips.max(axis=-1)
     return np.where(deepest > 0.0, deepest, 0.0)
-
-
-def event_drop_magnitude(segment: EventSegment, layout: SensorLayout) -> float:
-    """Per-event drop: largest per-link drop over the cross-street links."""
-    indices = _link_indices(layout, "direct")
-    return drop_magnitude(segment.rssi[:, indices], np.array(segment.baselines)[indices])
 
 
 def _link_indices(layout: SensorLayout, links_used: str) -> List[int]:
@@ -385,29 +348,6 @@ class FeatureTable:
     def columns(self) -> Tuple[str, ...]:
         profile = self.values.shape[1] - len(SCALAR_COLUMNS)
         return SCALAR_COLUMNS + tuple(f"f_{i}" for i in range(profile))
-
-
-def extract_features(
-    segment: EventSegment,
-    speed: float,
-    length: float,
-    cfg: FeatureConfig,
-    layout: SensorLayout,
-) -> np.ndarray:
-    """One feature-table row: speed, length, drop magnitude, then the drop profile.
-
-    Each profiled link's baseline-relative drop series is linearly
-    interpolated onto resample_points equally spaced instants of
-    [t_start, t_end] and the links are concatenated in layout order, so the
-    width depends only on the configuration, never on the segment duration.
-    """
-    _raise_first([_too_short([segment])])
-    return _feature_rows([segment], [speed], [length], cfg, layout)[0]
-
-
-def _too_short(segments):
-    return (np.array([s.t_end <= s.t_start for s in segments], dtype=bool),
-            InputDataError("degenerate zero-duration segment"))
 
 
 def _feature_rows(segments, speeds, lengths, cfg, layout) -> np.ndarray:
@@ -487,10 +427,12 @@ def detect_dataset(
     dataset: Dataset,
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
+    fingerprint: Optional[str] = None,
 ) -> Tuple[List[SegmentRecord], DetectionSummary]:
-    """Run detection over every event of a dataset recorded with this layout's links; the
-    events with the same baseline window are detected together."""
-    _layout_link_ids("dataset", dataset.metadata["link_ids"], layout)
+    """Run detection over every event of a dataset recorded with this layout's links and, if a
+    config `fingerprint` is given, generated under it; the events with the same baseline window
+    are detected together."""
+    _layout_link_ids("dataset", dataset.metadata, layout, fingerprint)
     events, checked = dataset.events, []
     for event in events:
         with _for_event(event.event_id):
@@ -518,11 +460,16 @@ def _for_event(event_id: int):
         raise type(exc)(f"event {event_id}: {exc}") from exc
 
 
-def _layout_link_ids(source: str, link_ids, layout: SensorLayout) -> List[int]:
+def _layout_link_ids(source: str, header, layout: SensorLayout, fingerprint=None) -> List[int]:
+    """The layout's link ids, if `header` lists them and names `fingerprint` (unless None)."""
     expected = [link.id for link in layout.links]
-    if link_ids != expected:
-        raise ConfigurationError(f"{source} was recorded on links {link_ids}, "
+    if header["link_ids"] != expected:
+        raise ConfigurationError(f"{source} was recorded on links {header['link_ids']}, "
                                  f"the configured layout has links {expected}")
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise ConfigurationError(f"{source} was generated under config fingerprint "
+                                 f"{header.get('fingerprint')}, this config's is {fingerprint}; "
+                                 f"pass the --config that generated it")
     return expected
 
 
@@ -545,12 +492,14 @@ def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, 
     } for rec in records))
 
 
-def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
+def load_segments(path, layout: SensorLayout,
+                  fingerprint: Optional[str] = None) -> List[SegmentRecord]:
     """Read a segments file detected on this layout's links; each segment is a read-only view
-    of its event's trace in the dataset the header names, whose SHA-256 must still match.  The
-    dataset is read once: the bytes that are hashed are the bytes that are parsed."""
+    of its event's trace in the dataset the header names, whose SHA-256 must still match and,
+    if a config `fingerprint` is given, which was generated under it.  The dataset is read
+    once: the bytes that are hashed are the bytes that are parsed."""
     header, lines, _ = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
-    link_ids = _layout_link_ids(f"segments file {path}", header["link_ids"], layout)
+    link_ids = _layout_link_ids(f"segments file {path}", header, layout)
     if not isinstance(header.get("dataset"), str):
         raise InputDataError(f"{path}: header does not name the dataset")
     dataset = Path(path).parent / header["dataset"]
@@ -558,7 +507,7 @@ def load_segments(path, layout: SensorLayout) -> List[SegmentRecord]:
     if sha256 != header.get("dataset_sha256"):
         raise InputDataError(f"{dataset} is not the dataset {path} was detected from: "
                              f"its SHA-256 differs")
-    _layout_link_ids(f"dataset {dataset}", dataset_header["link_ids"], layout)
+    _layout_link_ids(f"dataset {dataset}", dataset_header, layout, fingerprint)
     by_id = {event.event_id: event for event in events}
     keys = {str(link_id): j for j, link_id in enumerate(link_ids)}  # in layout order
     found = [by_id.get(raw["event_id"]) for _, raw in lines]
@@ -606,7 +555,9 @@ def featurize_records(
     segments = [rec.segment for rec in records]
     windows = np.array([s.windows for s in segments]).reshape(len(segments), len(layout.links), 2)
     speeds, lengths, checks = _estimates(windows, layout)
-    _raise_first(checks + [_too_short(segments)], [rec.event_id for rec in records])
+    too_short = np.array([s.t_end <= s.t_start for s in segments], dtype=bool)
+    _raise_first(checks + [(too_short, InputDataError("degenerate zero-duration segment"))],
+                 [rec.event_id for rec in records])
     lens, rows, first = np.array([len(s.rssi) for s in segments]), [], 0
     while first < len(segments):
         last = first + max(1, int((np.cumsum(lens[first:]) <= FEATURE_BATCH_FRAMES).sum()))
@@ -740,10 +691,13 @@ def dataset_drop_stats(
     layout: SensorLayout,
     det_cfg: DetectionConfig = DetectionConfig(),
 ) -> Tuple[Dict[str, Dict[str, float]], List[Tuple[int, str, float]]]:
-    """Per label, the count, mean, std, min and max of the detected events'
-    `event_drop_magnitude`; and per event, (event id, label, drop)."""
+    """Per label, the count, mean, std, min and max of the detected events' drop
+    magnitudes, as the feature table's drop_magnitude column holds them; and per event,
+    (event id, label, drop)."""
     records, _ = detect_dataset(dataset, layout, det_cfg)
-    drops = [(r.event_id, r.label, event_drop_magnitude(r.segment, layout))
+    direct = _link_indices(layout, "direct")
+    drops = [(r.event_id, r.label,
+              float(_deepest((np.array(r.segment.baselines) - r.segment.rssi.min(axis=0))[direct])))
              for r in records]
     present = {label for _, label, _ in drops}
     if not all(label in present for label in LABELS):

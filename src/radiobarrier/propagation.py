@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -382,15 +382,3 @@ def received_rssi(ctx: LinkContext, rssi, rng=None) -> np.ndarray:
             raise ValueError("a random generator is required when noise_sigma > 0")
         rssi = rssi + rng.normal(0.0, ctx.noise_sigma, size=np.shape(rssi))
     return np.maximum(rssi, ctx.rssi_floor)
-
-
-def link_rssi(
-    link: RadioLink,
-    channel: ChannelConfig,
-    patterns: Mapping[int, AntennaPattern],
-    scene: Optional[Tuple[VehicleSpec, Pose]] = None,
-    rng=None,
-) -> float:
-    """RSSI in dBm on one link for the given scene state; noise as in `received_rssi`."""
-    ctx = build_link_context((link,), channel, patterns)
-    return float(received_rssi(ctx, noiseless_rssi(ctx, *(scene or ())), rng)[0])

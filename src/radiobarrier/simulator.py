@@ -83,6 +83,11 @@ class PassageEvent:
             rssi.flags.writeable = False
         object.__setattr__(self, "rssi", rssi)
 
+    def __setstate__(self, state) -> None:
+        # unpickling runs no __post_init__, and pickle protocols below 5 drop the flag
+        self.__dict__.update(state)
+        self.rssi.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -24,19 +24,21 @@ from radiobarrier.learn import (
 )
 from radiobarrier.pipeline import (
     DetectionConfig,
+    SegmentRecord,
     detect_events,
-    estimate_length,
-    estimate_speed,
     feature_matrix,
     featurize_dataset,
+    featurize_records,
     reflection_study,
 )
 from radiobarrier.propagation import (
     AntennaPattern,
     ChannelConfig,
+    build_link_context,
     fspl,
     knife_edge_loss,
-    link_rssi,
+    noiseless_rssi,
+    received_rssi,
 )
 from radiobarrier.simulator import (
     SimulationConfig,
@@ -93,7 +95,8 @@ def test_criterion_1_friis_oracle():
         # receiver floor out of the way
         chan = ChannelConfig(frequency=f, tx_power=p, reflection_magnitude=0.0,
                              noise_sigma=0.0, rssi_floor=-1e9)
-        got = link_rssi(link, chan, omni)
+        ctx = build_link_context((link,), chan, omni)
+        got = float(received_rssi(ctx, noiseless_rssi(ctx))[0])
         want = p - fspl(math.dist(*link.endpoints), f)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-9
@@ -242,8 +245,8 @@ def test_criterion_8_estimator_accuracy(cfg):
                                   seed=0, sim=SimulationConfig())
             segments = detect_events(ev.rssi, ev.dt, layout, det)
             assert len(segments) == 1
-            v = estimate_speed(segments[0], layout)
-            L = estimate_length(segments[0], v, layout)
+            record = SegmentRecord(1, vehicle.type_name, vehicle.label, segments[0])
+            v, L = featurize_records([record], layout).values[0, :2]
             worst_speed = max(worst_speed, abs(v - speed) / speed)
             worst_length = max(worst_length, abs(L - vehicle.total_length) / vehicle.total_length)
     ok = worst_speed <= 0.02 and worst_length <= 0.05
@@ -264,7 +267,7 @@ def test_criterion_9_learner_properties(bench, cfg, tmp_path):
 
     # k = 1 training accuracy
     knn1 = KnnClassifier(k=1).fit(X, y)
-    self_acc = float(np.mean([knn1.predict_one(row) == lab for row, lab in zip(X, y)]))
+    self_acc = float(np.mean([knn1.predict(row[None])[0] == lab for row, lab in zip(X, y)]))
     knn_ok = self_acc == 1.0
 
     # SVM KKT residuals on a converged fit

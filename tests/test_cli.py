@@ -519,6 +519,28 @@ def test_detect_with_other_layout_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "out" / "segments.jsonl").exists()
 
 
+def test_data_generated_under_another_config_exits_2(tmp_path, capsys):
+    # the same links 3 m apart: read under the default 5 m, a 4.5 m car measured 8.96 m
+    config, gen, det = tmp_path / "spacing.ini", tmp_path / "gen", tmp_path / "det"
+    config.write_text("[layout]\nspacing_m = 3.0\n")
+    assert run(["generate", "--config", str(config), "--mix", "passenger car=1,truck=1",
+                "--seed", "4", "--out", str(gen)]) == 0
+    assert run(["detect", "--config", str(config), "--dataset", str(gen / "dataset.jsonl"),
+                "--out", str(det)]) == 0
+    capsys.readouterr()
+    generated = json.loads((gen / "dataset.jsonl").read_text().splitlines()[0])["fingerprint"]
+    for argv, output in ((["detect", "--dataset", str(gen / "dataset.jsonl")], "segments.jsonl"),
+                         (["features", "--segments", str(det / "segments.jsonl")],
+                          "features.csv")):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "--config" in err
+        assert generated in err and len(set(re.findall(r"\b[0-9a-f]{16}\b", err))) == 2
+        assert not (tmp_path / "out" / output).exists()
+    assert run(["features", "--config", str(config), "--segments", str(det / "segments.jsonl"),
+                "--out", str(tmp_path / "out")]) == 0
+
+
 def _edit_line(source, target, index, edit):
     lines = source.read_text().splitlines()
     lines[index] = edit(lines[index])

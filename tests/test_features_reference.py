@@ -5,8 +5,8 @@ kept as the oracle: one segment at a time, a Python sum over the direct links
 that crossed, Python's max(0.0, ...) for the drop magnitude and one
 `np.interp` call per profiled link.  Windows are read
 from the (links x 2) array, NaN for a link that never crossed.  The batched
-`featurize_records` and its one-record cases must give the same floats, bit
-for bit, and the same first error, with its type, message and event.
+`featurize_records` must give the same floats, bit for bit, and the same
+first error, with its type, message and event.
 """
 from itertools import combinations
 from unittest import mock
@@ -20,8 +20,7 @@ from radiobarrier import pipeline
 from radiobarrier.config import default_config
 from radiobarrier.errors import EstimationError, InputDataError
 from radiobarrier.pipeline import (SCALAR_COLUMNS, EventSegment, FeatureConfig, SegmentRecord,
-                                   detect_dataset, estimate_length, estimate_speed,
-                                   extract_features, featurize_records)
+                                   dataset_drop_stats, detect_dataset, featurize_records)
 
 from test_detect_reference import benchmark_dataset
 
@@ -155,22 +154,6 @@ def test_batched_features_match_reference(layout, case):
     assert got == outcome(reference_table, records, layout, cfg)
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(case=segment_batches())
-def test_one_record_cases_match_reference(layout, case):
-    records, cfg, _ = case
-    for rec in records:
-        seg = rec.segment
-        speed = outcome(estimate_speed, seg, layout)
-        assert speed == outcome(reference_speed, seg, layout)
-        estimated = [] if speed[0] is EstimationError else [reference_speed(seg, layout)]
-        for speed in [12.5, 0.0, -1.0, *estimated]:
-            assert outcome(estimate_length, seg, speed, layout) == \
-                outcome(reference_length, seg, speed, layout)
-        assert outcome(extract_features, seg, 9.5, 4.25, cfg, layout) == \
-            outcome(reference_features, seg, 9.5, 4.25, cfg, layout)
-
-
 @pytest.mark.parametrize("seed", [42, 7])
 def test_benchmark_features_match_reference(seed):
     dataset, layout, det = benchmark_dataset(seed)
@@ -179,3 +162,14 @@ def test_benchmark_features_match_reference(seed):
     table = featurize_records(records, layout, cfg)
     assert len(table) == 300
     assert table.values.tobytes() == reference_table(records, layout, cfg).tobytes()
+
+
+def test_study_drops_are_the_feature_tables():
+    # dataset_drop_stats and the drop_magnitude column: one expression, the same bits
+    dataset, layout, det = benchmark_dataset(42)
+    _, drops = dataset_drop_stats(dataset, layout, det)
+    table = featurize_records(detect_dataset(dataset, layout, det)[0], layout, FeatureConfig())
+    assert [(event_id, label) for event_id, label, _ in drops] == \
+        list(zip(table.event_ids, table.labels))
+    column = table.values[:, SCALAR_COLUMNS.index("drop_magnitude")]
+    assert np.array([drop for *_, drop in drops]).tobytes() == column.tobytes()

@@ -1,4 +1,7 @@
 import ast
+import builtins
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -40,11 +43,32 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def library_section():
+    """The README's "Library use" section, up to the next heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_example_runs(capsys):
     # the documented API: the example runs as printed, against the top-level names
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     mean, std = map(float, capsys.readouterr().out.split())
     assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+
+def test_readme_library_section_names_only_existing_callables():
+    # each `name(` or `Class.method(` is an attribute of a radiobarrier module or a builtin
+    modules = [importlib.import_module(f"radiobarrier.{info.name}")
+               for info in pkgutil.iter_modules(radiobarrier.__path__)]
+
+    def resolves(name):
+        for owner in (builtins, *modules):
+            for attr in name.split("."):
+                owner = getattr(owner, attr, None)
+            if owner is not None:
+                return True
+        return False
+
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", library_section()))
+    assert names and sorted(name for name in names if not resolves(name)) == []

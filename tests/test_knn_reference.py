@@ -133,13 +133,3 @@ def test_matches_reference_on_a_profile_sized_fold(cells):
     model = KnnClassifier(k=3).fit(X[:240], y[:240])
     with mock.patch.object(learn, "KNN_BATCH_CELLS", cells):
         assert_same_neighbours(model, X[240:])
-
-
-def test_predict_one_is_the_one_row_case():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(20, 3))
-    model = KnnClassifier(k=3).fit(X, np.array(["A", "B"] * 10))
-    queries = rng.normal(size=(10, 3))
-    assert [model.predict_one(q) for q in queries] == model.predict(queries).tolist()
-    with pytest.raises(InputDataError, match=r"query has \(2,\) features, model expects 3"):
-        model.predict(queries[:, :2])

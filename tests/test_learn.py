@@ -26,7 +26,7 @@ from radiobarrier.learn import (
 
 def test_knn_nearest_point():
     model = KnnClassifier(k=1).fit(np.array([[0.0], [10.0]]), np.array(["A", "B"]))
-    assert model.predict_one(np.array([1.0])) == "A"
+    assert model.predict(np.array([[1.0]]))[0] == "A"
 
 
 def test_knn_degenerate_k_equals_n():
@@ -35,7 +35,7 @@ def test_knn_degenerate_k_equals_n():
     model = KnnClassifier(k=5).fit(X, y)
     # with k = n every query sees the whole set: majority class wins anywhere
     for q in (-100.0, 0.0, 10.5, 500.0):
-        assert model.predict_one(np.array([q])) == "A"
+        assert model.predict(np.array([[q]]))[0] == "A"
 
 
 def brute_force_knn(X, y, k, query):
@@ -67,7 +67,7 @@ def test_knn_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         q = rng.uniform(-1.0, 7.0, size=2)
-        assert model.predict_one(q) == brute_force_knn(X, y, 3, q)
+        assert model.predict(q[None])[0] == brute_force_knn(X, y, 3, q)
 
 
 def test_knn_k1_self_prediction_is_perfect():
@@ -75,7 +75,7 @@ def test_knn_k1_self_prediction_is_perfect():
     X = rng.normal(size=(30, 4))
     y = np.array(["A", "B"] * 15)
     model = KnnClassifier(k=1).fit(X, y)
-    assert all(model.predict_one(row) == lab for row, lab in zip(X, y))
+    assert all(model.predict(row[None])[0] == lab for row, lab in zip(X, y))
 
 
 def test_knn_k_larger_than_n_rejected():
@@ -85,8 +85,8 @@ def test_knn_k_larger_than_n_rejected():
 
 def test_knn_dimension_mismatch():
     model = KnnClassifier(k=1).fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(["A", "B"]))
-    with pytest.raises(InputDataError):
-        model.predict_one(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InputDataError, match=r"query has \(3,\) features, model expects 2"):
+        model.predict(np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_knn_nan_query_with_tied_labels_names_the_row():
@@ -146,7 +146,7 @@ def test_knn_feature_scaling_is_noop():
     scaled = KnnClassifier(k=3).fit(X * 250.0, y)
     queries = np.random.default_rng(2).normal(3.0, 3.0, size=(50, 2))
     for q in queries:
-        assert base.predict_one(q) == scaled.predict_one(q * 250.0)
+        assert base.predict(q[None])[0] == scaled.predict(q[None] * 250.0)[0]
 
 
 def test_svm_single_class_rejected():

@@ -20,14 +20,10 @@ from radiobarrier.pipeline import (
     FeatureConfig,
     SCALAR_COLUMNS,
     FeatureTable,
+    SegmentRecord,
     dataset_drop_stats,
     detect_dataset,
     detect_events,
-    drop_magnitude,
-    estimate_length,
-    estimate_speed,
-    event_drop_magnitude,
-    extract_features,
     feature_matrix,
     featurize_dataset,
     featurize_records,
@@ -62,6 +58,16 @@ def passage(layout, patterns, channel, vehicle, speed=10.0, seed=0, sim=None):
     return simulate_passage(layout, channel, patterns, vehicle, speed,
                             centered_lane(layout, vehicle), seed=seed,
                             sim=sim or SimulationConfig())
+
+
+def feature_row(seg, layout, cfg=FeatureConfig()):
+    """The feature-table row featurize_records makes of one segment."""
+    return featurize_records([SegmentRecord(1, "van", "passenger_car", seg)], layout, cfg).values[0]
+
+
+def estimates(seg, layout):
+    """(est_speed, est_length) of one segment."""
+    return tuple(feature_row(seg, layout)[:2])
 
 
 # -- detection ------------------------------------------------------------------
@@ -187,9 +193,7 @@ def test_restricted_topology_pipeline(app_config, quiet_channel):
     car = app_config.catalog["passenger car"]
     ev = simulate_passage(lay, quiet_channel, pat, car, 10.0,
                           centered_lane(lay, car), seed=0, sim=SimulationConfig())
-    seg = detect_events(ev.rssi, ev.dt, lay, DET)[0]
-    v = estimate_speed(seg, lay)
-    L = estimate_length(seg, v, lay)
+    v, L = estimates(detect_events(ev.rssi, ev.dt, lay, DET)[0], lay)
     assert v == pytest.approx(10.0, rel=0.02)
     assert L == pytest.approx(4.5, rel=0.05)
 
@@ -216,39 +220,41 @@ def synthetic_segment(layout, spans, dt=0.01, n_links=9):
 def test_speed_from_two_onsets(layout):
     seg = synthetic_segment(layout, {1: (0.0, 0.5), 5: (0.5, 1.0)})
     # link 1 sits at x=0, link 5 at x=5: 5 m in 0.5 s
-    assert estimate_speed(seg, layout) == pytest.approx(10.0)
+    assert estimates(seg, layout)[0] == pytest.approx(10.0)
 
 
 def test_speed_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=12.0)
     seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
-    assert estimate_speed(seg, layout) == pytest.approx(12.0, rel=0.02)
+    assert estimates(seg, layout)[0] == pytest.approx(12.0, rel=0.02)
 
 
 def test_equal_onsets_rejected(layout):
     seg = synthetic_segment(layout, {1: (0.2, 0.5), 5: (0.2, 1.0)})
     with pytest.raises(EstimationError):
-        estimate_speed(seg, layout)
+        estimates(seg, layout)
 
 
 def test_one_direct_link_is_not_enough(layout):
     seg = synthetic_segment(layout, {1: (0.2, 0.5), 2: (0.3, 0.6)})
     with pytest.raises(EstimationError):
-        estimate_speed(seg, layout)
+        estimates(seg, layout)
 
 
 def test_length_simple_arithmetic(layout):
-    seg = synthetic_segment(layout, {1: (0.10, 0.55)})
-    assert estimate_length(seg, 10.0, layout) == pytest.approx(4.5)
+    # 0.45 s of occlusion on both links; the length is linear in the speed, so at 10 m/s
+    # it is est_length * 10 / est_speed
+    seg = synthetic_segment(layout, {1: (0.10, 0.55), 5: (0.30, 0.75)})
+    speed, length = estimates(seg, layout)
+    assert length * 10.0 / speed == pytest.approx(4.5)
 
 
 def test_length_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=10.0)
     seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
-    speed = estimate_speed(seg, layout)
-    assert estimate_length(seg, speed, layout) == pytest.approx(4.5, rel=0.05)
+    assert estimates(seg, layout)[1] == pytest.approx(4.5, rel=0.05)
 
 
 def test_truck_length_includes_gap(signature_layout, signature_patterns, app_config,
@@ -258,8 +264,7 @@ def test_truck_length_includes_gap(signature_layout, signature_patterns, app_con
     truck = app_config.catalog["truck"]
     ev = passage(signature_layout, signature_patterns, chan, truck, speed=10.0)
     seg = detect_events(ev.rssi, ev.dt, signature_layout, DET)[0]
-    speed = estimate_speed(seg, signature_layout)
-    assert estimate_length(seg, speed, signature_layout) == pytest.approx(15.8, rel=0.05)
+    assert estimates(seg, signature_layout)[1] == pytest.approx(15.8, rel=0.05)
 
 
 def test_length_scale_consistency(layout, patterns, quiet_channel, app_config):
@@ -268,38 +273,46 @@ def test_length_scale_consistency(layout, patterns, quiet_channel, app_config):
     for speed in (7.0, 14.0):
         ev = passage(layout, patterns, quiet_channel, van, speed=speed)
         seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
-        v = estimate_speed(seg, layout)
-        lengths.append(estimate_length(seg, v, layout))
+        lengths.append(estimates(seg, layout)[1])
     assert lengths[0] == pytest.approx(lengths[1], rel=0.05)
 
 
 # -- drop magnitude -----------------------------------------------------------------
 
-def test_drop_magnitude_flat_trace():
-    assert drop_magnitude([-54.5, -54.5, -54.5], -54.5) == 0.0
+def drop_of(layout, trace, baselines):
+    """The drop_magnitude in the feature row of a segment of the (frames x links) `trace`."""
+    seg = EventSegment(start=0, dt=0.01, baselines=tuple(baselines), rssi=trace,
+                       windows=windows_of(layout, {1: (0.0, 0.5), 5: (0.5, 1.0)}))
+    return feature_row(seg, layout)[SCALAR_COLUMNS.index("drop_magnitude")]
 
 
-def test_drop_magnitude_subtraction():
-    assert drop_magnitude([-60.0, -80.0, -70.0], -54.5) == pytest.approx(25.5)
+def on_every_link(series):
+    return np.tile(np.array(series)[:, None], (1, 9))
 
 
-def test_drop_magnitude_clamped_at_zero():
-    assert drop_magnitude([-50.0], -54.5) == 0.0
+def test_drop_magnitude_flat_trace(layout):
+    assert drop_of(layout, on_every_link([-54.5, -54.5, -54.5]), [-54.5] * 9) == 0.0
 
 
-def test_drop_magnitude_empty_rejected():
-    with pytest.raises(InputDataError):
-        drop_magnitude([], -54.5)
+def test_drop_magnitude_subtraction(layout):
+    assert drop_of(layout, on_every_link([-60.0, -80.0, -70.0]), [-54.5] * 9) == \
+        pytest.approx(25.5)
 
 
-def test_drop_magnitude_of_many_links_is_the_deepest_link_drop():
+def test_drop_magnitude_clamped_at_zero(layout):
+    # two frames: a featurized segment spans some time
+    assert drop_of(layout, on_every_link([-50.0, -50.0]), [-54.5] * 9) == 0.0
+
+
+def test_drop_magnitude_of_many_links_is_the_deepest_link_drop(layout):
+    direct = [j for j, link in enumerate(layout.links) if link.kind == "direct"]
     rng = np.random.default_rng(0)
     for _ in range(50):
         trace = rng.normal(-60.0, 6.0, size=(30, 9)).round(1)
         baselines = rng.normal(-60.0, 3.0, size=9).round(1)
-        # the per-link loop the array form replaced
-        deepest = max(max(0.0, b - float(np.min(trace[:, j]))) for j, b in enumerate(baselines))
-        assert drop_magnitude(trace, baselines) == deepest
+        # the per-link loop the array form replaced, over the direct links
+        deepest = max(max(0.0, baselines[j] - float(np.min(trace[:, j]))) for j in direct)
+        assert drop_of(layout, trace, baselines.tolist()) == deepest
 
 
 # -- features ---------------------------------------------------------------------
@@ -310,10 +323,10 @@ def test_resample_constant_drop(layout):
         start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
         rssi=np.full((n, 9), -50.0),
-        windows=windows_of(layout, {1: (0.0, (n - 1) * 0.01)}),
+        windows=windows_of(layout, {1: (0.0, (n - 1) * 0.01), 5: (0.1, (n - 1) * 0.01)}),
     )
     assert seg.t_start == 0.0 and seg.t_end == (n - 1) * 0.01
-    row = extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
+    row = feature_row(seg, layout)
     profile = row[len(SCALAR_COLUMNS):]
     assert len(profile) == 9 * 32
     assert all(x == pytest.approx(10.0) for x in profile)
@@ -326,25 +339,22 @@ def test_resample_two_points_are_endpoints(layout):
         start=0, dt=0.01,
         baselines=tuple([-40.0] * 9),
         rssi=np.tile(-40.0 - drops[:, None], (1, 9)),
-        windows=windows_of(layout, {1: (0.0, 0.03)}),
+        windows=windows_of(layout, {1: (0.0, 0.03), 5: (0.01, 0.03)}),
     )
     assert seg.t_start == 0.0 and seg.t_end == 0.03
-    cfg = FeatureConfig(resample_points=2)
-    row = extract_features(seg, 10.0, 4.5, cfg, layout)
+    row = feature_row(seg, layout, FeatureConfig(resample_points=2))
     per_link = tuple(row[len(SCALAR_COLUMNS):][:2])
     assert per_link == (pytest.approx(1.0), pytest.approx(2.0))
 
 
 def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
-    rows = []
-    for speed in (6.0, 18.0):  # very different durations
+    records = []
+    for event_id, speed in ((1, 6.0), (2, 18.0)):  # very different durations
         ev = passage(layout, patterns, quiet_channel, car, speed=speed)
-        seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
-        v = estimate_speed(seg, layout)
-        L = estimate_length(seg, v, layout)
-        rows.append(extract_features(seg, v, L, FeatureConfig(), layout))
-    table = FeatureTable((1, 2), ("passenger car",) * 2, ("passenger_car",) * 2, np.array(rows))
+        records.append(SegmentRecord(event_id, "passenger car", "passenger_car",
+                                     detect_events(ev.rssi, ev.dt, layout, DET)[0]))
+    table = featurize_records(records, layout)
     assert feature_matrix(table, "both").shape[1] == 9 * 32 + 1
     assert table.columns[len(SCALAR_COLUMNS):] == tuple(f"f_{i}" for i in range(288))
     X = feature_matrix(table, "both")
@@ -390,11 +400,11 @@ def test_degenerate_segment_rejected(layout):
         start=100, dt=0.01,
         baselines=tuple([-40.0] * 9),
         rssi=np.full((1, 9), -50.0),
-        windows=(),
+        windows=windows_of(layout, {1: (1.0, 1.01), 5: (1.5, 1.51)}),
     )
     assert seg.t_start == seg.t_end == 1.0
-    with pytest.raises(InputDataError):
-        extract_features(seg, 10.0, 4.5, FeatureConfig(), layout)
+    with pytest.raises(InputDataError, match="degenerate zero-duration segment"):
+        feature_row(seg, layout)
 
 
 # -- serialization round trips ------------------------------------------------------

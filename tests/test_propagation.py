@@ -27,11 +27,11 @@ from radiobarrier.propagation import (
     fspl,
     gain_toward,
     knife_edge_loss,
-    link_rssi,
     noiseless_rssi,
     obstruction_loss,
     passage_loss,
     path_rssi,
+    received_rssi,
     wavelength,
 )
 
@@ -185,24 +185,23 @@ def test_knife_edge_monotone_over_transition():
     assert losses[0] == pytest.approx(0.0, abs=0.01)
 
 
-# -- link_rssi ------------------------------------------------------------------
+# -- the RSSI of single links --------------------------------------------------------
 
-def test_link_rssi_friis_case():
+def test_one_link_friis_case():
     # no vehicle, reflection off, omni 0 dBi, sigma 0, d = 7 m
     chan = ChannelConfig(tx_power=2.5, ground_reflection_enabled=False, noise_sigma=0.0)
-    value = link_rssi(simple_link(), chan, {1: OMNI, 2: OMNI})
-    assert value == pytest.approx(2.5 - 56.96, abs=0.01)
+    ctx = build_link_context((simple_link(),), chan, {1: OMNI, 2: OMNI})
+    assert received_rssi(ctx, noiseless_rssi(ctx))[0] == pytest.approx(2.5 - 56.96, abs=0.01)
 
 
-def test_link_rssi_zero_reflection_matches_disabled():
+def test_one_link_zero_reflection_matches_disabled():
     patterns = {1: OMNI, 2: OMNI}
     for z, d in [(0.4, 6.0), (1.2, 9.0), (0.8, 7.0)]:
-        link = simple_link(d=d, z=z)
-        off = link_rssi(link, ChannelConfig(ground_reflection_enabled=False, noise_sigma=0.0),
-                        patterns)
-        zero = link_rssi(link, ChannelConfig(reflection_magnitude=0.0, noise_sigma=0.0),
-                         patterns)
-        assert zero == off
+        off, zero = (received_rssi(ctx, noiseless_rssi(ctx)) for ctx in (
+            build_link_context((simple_link(d=d, z=z),), chan, patterns)
+            for chan in (ChannelConfig(ground_reflection_enabled=False, noise_sigma=0.0),
+                         ChannelConfig(reflection_magnitude=0.0, noise_sigma=0.0))))
+        assert zero[0] == off[0]
 
 
 def test_friis_equivalence_random_geometries():
@@ -217,21 +216,21 @@ def test_friis_equivalence_random_geometries():
         p = float(rng.uniform(-10.0, 20.0))
         link = RadioLink(1, 1, 2, "direct", ((0.0, 0.0, z1), (0.0, d, z2)))
         chan = ChannelConfig(frequency=f, tx_power=p, reflection_magnitude=0.0, noise_sigma=0.0)
-        got = link_rssi(link, chan, patterns)
+        ctx = build_link_context((link,), chan, patterns)
+        got = float(received_rssi(ctx, noiseless_rssi(ctx))[0])
         want = p - fspl(math.dist(*link.endpoints), f)
         assert abs(got - want) <= 1e-9
 
 
 def test_car_blocks_harder_than_trailer_deck():
     # same low link: a car body vs an elevated trailer deck overhead
-    chan = ChannelConfig(noise_sigma=0.0)
-    patterns = {1: OMNI, 2: OMNI}
-    link = simple_link(z=0.6)
+    ctx = build_link_context((simple_link(z=0.6),), ChannelConfig(noise_sigma=0.0),
+                             {1: OMNI, 2: OMNI})
     car = VehicleSpec("passenger car", "passenger_car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
     trailer = VehicleSpec("truck", "truck", (BodySegment(9.0, 4.0, 1.2),), 2.5)
-    rssi_car = link_rssi(link, chan, patterns, scene=(car, Pose(2.0, 2.6)))
-    rssi_trailer = link_rssi(link, chan, patterns, scene=(trailer, Pose(4.0, 2.25)))
-    assert rssi_car < rssi_trailer
+    rssi_car = received_rssi(ctx, noiseless_rssi(ctx, car, Pose(2.0, 2.6)))
+    rssi_trailer = received_rssi(ctx, noiseless_rssi(ctx, trailer, Pose(4.0, 2.25)))
+    assert rssi_car[0] < rssi_trailer[0]
 
 
 def test_vehicle_capped_by_constructive_bound():
@@ -250,48 +249,46 @@ def test_vehicle_capped_by_constructive_bound():
         chan = ChannelConfig(frequency=f, reflection_magnitude=g, noise_sigma=0.0)
         lane = float(rng.uniform(0.5, d - 1.8 - 0.5))
         front = float(rng.uniform(-1.0, 5.0))
-        patterns = {1: OMNI, 2: OMNI}
-        with_vehicle = link_rssi(link, chan, patterns, scene=(car, Pose(front, lane)))
-        without = link_rssi(link, chan, patterns)
+        ctx = build_link_context((link,), chan, {1: OMNI, 2: OMNI})
+        with_vehicle = received_rssi(ctx, noiseless_rssi(ctx, car, Pose(front, lane)))[0]
+        without = received_rssi(ctx, noiseless_rssi(ctx))[0]
         friis = chan.tx_power - fspl(d, f)
         assert with_vehicle <= friis + bound
         assert with_vehicle <= without + bound
 
 
 def test_reciprocity(layout, patterns, quiet_channel):
-    for link in layout.links:
-        fwd = link_rssi(link, quiet_channel, patterns)
-        swapped = RadioLink(link.id, link.rx_id, link.tx_id, link.kind,
-                            (link.endpoints[1], link.endpoints[0]))
-        back = link_rssi(swapped, quiet_channel, patterns)
-        assert back == pytest.approx(fwd, abs=1e-12)
+    swapped = [RadioLink(link.id, link.rx_id, link.tx_id, link.kind,
+                         (link.endpoints[1], link.endpoints[0])) for link in layout.links]
+    fwd, back = (received_rssi(ctx, noiseless_rssi(ctx)) for ctx in
+                 (build_link_context(links, quiet_channel, patterns)
+                  for links in (layout.links, swapped)))
+    assert back == pytest.approx(fwd, abs=1e-12)
 
 
 def test_noise_requires_generator():
-    chan = ChannelConfig(noise_sigma=1.0)
+    ctx = build_link_context((simple_link(),), ChannelConfig(noise_sigma=1.0), {1: OMNI, 2: OMNI})
     with pytest.raises(ValueError):
-        link_rssi(simple_link(), chan, {1: OMNI, 2: OMNI})
+        received_rssi(ctx, noiseless_rssi(ctx))
 
 
 def test_noise_is_seed_deterministic():
-    chan = ChannelConfig(noise_sigma=1.0)
-    patterns = {1: OMNI, 2: OMNI}
-    a = link_rssi(simple_link(), chan, patterns, rng=np.random.default_rng(5))
-    b = link_rssi(simple_link(), chan, patterns, rng=np.random.default_rng(5))
-    assert a == b
+    ctx = build_link_context((simple_link(),), ChannelConfig(noise_sigma=1.0), {1: OMNI, 2: OMNI})
+    a, b = (received_rssi(ctx, noiseless_rssi(ctx), np.random.default_rng(5)) for _ in range(2))
+    assert a[0] == b[0]
 
 
 def test_coincident_endpoints_rejected():
     link = RadioLink(1, 1, 2, "direct", ((0.0, 0.0, 0.6), (0.0, 0.0, 0.6)))
     with pytest.raises(ValueError):
-        link_rssi(link, ChannelConfig(noise_sigma=0.0), {1: OMNI, 2: OMNI})
+        build_link_context((link,), ChannelConfig(noise_sigma=0.0), {1: OMNI, 2: OMNI})
 
 
 def test_rssi_floor_clamps():
     chan = ChannelConfig(tx_power=-80.0, ground_reflection_enabled=False,
                          noise_sigma=0.0, rssi_floor=-100.0)
-    value = link_rssi(simple_link(d=20.0), chan, {1: OMNI, 2: OMNI})
-    assert value == -100.0
+    ctx = build_link_context((simple_link(d=20.0),), chan, {1: OMNI, 2: OMNI})
+    assert received_rssi(ctx, noiseless_rssi(ctx))[0] == -100.0
 
 
 def test_trace_smooth_inside_trough():

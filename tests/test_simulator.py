@@ -220,6 +220,8 @@ def test_parallel_generation_identical(tmp_path, layout, patterns, app_config):
                               mix, app_config.sim, seed=11, jobs=1)
     parallel = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                                 mix, app_config.sim, seed=11, jobs=2)
+    # the pool's events are unpickled, which runs no __post_init__: read-only all the same
+    assert not any(ev.rssi.flags.writeable for ev in serial.events + parallel.events)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_dataset(serial, p1)
     save_dataset(parallel, p2)
