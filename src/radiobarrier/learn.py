@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import count
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -140,13 +141,15 @@ class SvmClassifier:
     The solver is the maximal-violating-pair SMO of Fan, Chen & Lin,
     "Working Set Selection Using Second Order Information for Training
     SVM", JMLR 6 (2005), as used by LIBSVM.  It keeps the dual gradient
-    G = Q alpha - e (Q_ij = y_i y_j K_ij) up to date, picks i as the most
-    violating index of I_up and j of I_low by the second-order gain, and
-    stops when the KKT gap m(alpha) - M(alpha) is at most ``tol`` (Keerthi
-    et al., Neural Computation 13, 2001).  ``tol`` therefore also bounds
-    ``max_kkt_residual``.  ``n_iter`` counts pair updates; reaching
-    ``max_iter`` of them raises ``TrainingError``.  There is no randomness:
-    the same data gives bit-identical coefficients.
+    G = Q alpha - e (Q_ij = y_i y_j K_ij) as yg = -y G in two masked arrays,
+    yg on I_up (-inf elsewhere) and yg on I_low (+inf elsewhere), which each
+    pair update changes in place.  It picks i as the most violating index of
+    I_up and j of I_low by the second-order gain, whose denominators it
+    computes once per fit, and stops when the KKT gap m(alpha) - M(alpha) is
+    at most ``tol`` (Keerthi et al., Neural Computation 13, 2001).  ``tol``
+    therefore also bounds ``max_kkt_residual``.  ``n_iter`` counts pair
+    updates; reaching ``max_iter`` of them raises ``TrainingError``.  There
+    is no randomness: the same data gives bit-identical coefficients.
     """
 
     def __init__(
@@ -202,42 +205,50 @@ class SvmClassifier:
         Xs = (X - self.mean) / self.std
         K = self._kernel_matrix(Xs, Xs)
         diag = np.diag(K)
-        C, tol = self.C, self.tol
+        C, tol = float(self.C), self.tol
+        curvature = np.maximum(diag[:, None] + diag - 2.0 * K, _TAU)  # a of every pair
 
-        alphas = np.zeros(len(Xs))
-        grad = -np.ones(len(Xs))  # G = Q alpha - e at alpha = 0
-        self.n_iter = 0
-        while True:
-            yg = -ysign * grad
-            up = np.where(ysign > 0, alphas < C, alphas > 0)
-            low = np.where(ysign > 0, alphas > 0, alphas < C)
-            i = int(np.argmax(np.where(up, yg, -np.inf)))
-            m = yg[i]
-            M = np.where(low, yg, np.inf).min()
-            if m - M <= tol:
+        ys, alphas = ysign.tolist(), [0.0] * len(ysign)
+        # yg = -y G on I_up (else -inf) and on I_low (else +inf); G = -e at alpha = 0
+        g_up, g_low = g = np.where(ysign > 0, [[1.0], [np.inf]], [[-np.inf], [-1.0]])
+
+        def yg(k):  # every row is in I_up or in I_low
+            return g_up.item(k) if g_up.item(k) != -np.inf else g_low.item(k)
+
+        for n_iter in count():
+            i = int(g_up.argmax())
+            m, M = g_up.item(i), g_low.item(g_low.argmin())
+            if m - M <= tol or n_iter >= self.max_iter:
                 break
-            if self.n_iter >= self.max_iter:
-                raise TrainingError(
-                    f"SVM did not converge after {self.n_iter} pair updates "
-                    f"(KKT gap {m - M:.3g}, tol {tol})"
-                )
-            b = m - yg
-            a = np.maximum(K[i, i] + diag - 2.0 * K[i], _TAU)
-            j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+            b, a = m - g_low, curvature[i]
+            j = int(np.where(b > 0, b * b / a, -np.inf).argmax())  # 0 if no b_j > 0 (tol < 0)
             # alpha_i += y_i t and alpha_j -= y_j t keep sum(y alpha) fixed; the
             # unclipped optimum is t = b_j / a_j.  A multiplier whose room runs
             # out lands exactly on its bound, so round-off never leaves it free.
-            steps = ((i, ysign[i]), (j, -ysign[j]))
+            steps = ((i, ys[i]), (j, -ys[j]))
             room = [C - alphas[k] if d > 0 else alphas[k] for k, d in steps]
-            t = min(b[j] / a[j], *room)
+            t = min((m - yg(j)) / a.item(j), *room)
             for (k, d), r in zip(steps, room):
                 old = alphas[k]
                 alphas[k] = (C if d > 0 else 0.0) if t == r else old + d * t
-                grad += ((alphas[k] - old) * ysign[k]) * ysign * K[k]
-            self.n_iter += 1
+                # G += dG is yg -= (dalpha_k y_k) K_k; y = +-1, so it rounds alike but for 0's sign
+                g -= ((alphas[k] - old) * ys[k]) * K[k]
+            for k in (i, j):  # i and j may have changed sets
+                value = yg(k)
+                inside = (alphas[k] < C, alphas[k] > 0)  # (I_up, I_low) where y = +1
+                up, low = inside if ys[k] > 0 else inside[::-1]
+                g_up[k], g_low[k] = (value if up else -np.inf), (value if low else np.inf)
 
+        self.n_iter = n_iter
+        # G is never -0 (it starts at -1; only -0 + -0 sums to -0): yg takes -y G's zeros
+        g_up, g_low = -ysign * (0.0 - ysign * g)
+        m, M = g_up[i], g_low.min()
+        if not m - M <= tol:
+            raise TrainingError(f"SVM did not converge after {n_iter} pair updates "
+                                f"(KKT gap {m - M:.3g}, tol {tol})")
+        alphas = np.array(alphas)
         free = (alphas > 0) & (alphas < C)
-        self.bias = float(yg[free].mean()) if free.any() else float(m + M) / 2.0
+        self.bias = float(g_up[free].mean()) if free.any() else float(m + M) / 2.0
         self.max_kkt_residual = self._max_residual(alphas, ysign, K, self.bias)
         if self.max_kkt_residual > tol:
             raise TrainingError(

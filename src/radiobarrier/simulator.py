@@ -11,8 +11,6 @@ import base64
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -212,9 +210,12 @@ def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
             batch.append(draw)
             size += frames
 
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        done = (pool.map if pool else map)(_simulate_passages, *zip(*batches))
-        events = [event for batch in done for event in batch]
+    done = map(_simulate_passages, *zip(*batches))
+    if jobs > 1:  # the pool loads multiprocessing, which a serial run does without
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs) as pool:
+            done = list(pool.map(_simulate_passages, *zip(*batches)))
+    events = [event for batch in done for event in batch]
 
     metadata = {
         "format": FORMAT_NAME,
@@ -241,13 +242,14 @@ _SAMPLE = np.dtype("<i2")
 
 def _encode_samples(rssi: np.ndarray) -> str:
     counts = rssi / RSSI_STEP_DB
-    whole = np.round(counts)
-    bad = (counts != whole) | (whole < np.iinfo(_SAMPLE).min) | (whole > np.iinfo(_SAMPLE).max)
+    with np.errstate(invalid="ignore"):  # a count the cast cannot hold comes back unequal
+        whole = counts.astype(_SAMPLE)
+    bad = whole != counts
     if bad.any():
         raise ConfigurationError(
             f"a dataset stores each RSSI sample as an int16 count of {RSSI_STEP_DB} dB steps, "
             f"which {float(rssi[bad][0])!r} dB is not")
-    return base64.b64encode(whole.astype(_SAMPLE).tobytes()).decode("ascii")
+    return base64.b64encode(whole.tobytes()).decode("ascii")
 
 
 def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) -> bytes:
@@ -267,13 +269,14 @@ def dumps_compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def write_records(path, header: Mapping, records: Iterable[Mapping]) -> None:
-    """Write `header`, then one line per record, each as `dumps_compact` renders it, line
-    by line into a ".partial" file that replaces `path` once every record is written."""
+def write_records(path, header: Mapping, records: Iterable, render=dumps_compact) -> None:
+    """Write `header` as `dumps_compact` renders it, then one line per record as `render` does,
+    line by line into a ".partial" file that replaces `path` once every record is written."""
     partial = Path(path).with_name(Path(path).name + ".partial")
     try:
         with partial.open("w") as out:
-            out.writelines(dumps_compact(record) + "\n" for record in chain([header], records))
+            lines = chain([dumps_compact(header)], map(render, records))
+            out.writelines(line + "\n" for line in lines)
         partial.replace(path)
     finally:
         partial.unlink(missing_ok=True)
@@ -364,13 +367,18 @@ _EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": 
                  "values": str}
 
 
+def _event_line(ev: PassageEvent) -> str:
+    """`dumps_compact` of the event's line, without the encoder scanning the samples:
+    "values" is the last key in sorted order, and no base64 character needs escaping."""
+    line = dumps_compact({**{key: getattr(ev, key) for key in _EVENT_FIELDS
+                             if key not in ("frames", "values")}, "frames": len(ev.rssi)})
+    return f'{line[:-1]},"values":"{_encode_samples(ev.rssi)}"}}'
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write `dataset`; a sample that is not a whole int16 count of RSSI_STEP_DB raises
     ConfigurationError and leaves no file."""
-    write_records(path, dataset.metadata, (
-        {**{key: getattr(ev, key) for key in _EVENT_FIELDS if key not in ("frames", "values")},
-         "frames": len(ev.rssi), "values": _encode_samples(ev.rssi)}
-        for ev in dataset.events))
+    write_records(path, dataset.metadata, dataset.events, render=_event_line)
 
 
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:

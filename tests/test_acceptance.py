@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from radiobarrier.config import build_patterns, default_config
-from radiobarrier.geometry import LayoutConfig, Pose, RadioLink, build_layout
+from radiobarrier.geometry import LayoutConfig, RadioLink, build_layout
 from radiobarrier.learn import (
     KnnClassifier,
     LengthThresholdClassifier,
@@ -23,7 +23,6 @@ from radiobarrier.learn import (
     stratified_folds,
 )
 from radiobarrier.pipeline import (
-    DetectionConfig,
     SegmentRecord,
     detect_events,
     feature_matrix,

@@ -1,8 +1,10 @@
 import ast
 import builtins
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,19 +30,31 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 def test_modules_use_every_name_they_import():
-    # __init__.py is exempt: it imports to re-export
+    # the package's __init__.py is exempt: it imports to re-export
+    package = Path(radiobarrier.__file__).parent
     unused = []
-    for path in sorted(Path(radiobarrier.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        if path == package / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (
                     isinstance(node, ast.ImportFrom) and node.module != "__future__"):
-                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                unused += [f"{path.parent.name}/{path.name}:{node.lineno} {alias.name}"
+                           for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures loads multiprocessing, socket and subprocess; only
+    # `generate --jobs` above 1 needs it, so every other command goes without
+    code = ("import sys, radiobarrier.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(radiobarrier.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
 
 
 def library_section():

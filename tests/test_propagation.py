@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiobarrier.geometry import (
-    BodySegment,
-    LayoutConfig,
-    Pose,
-    RadioLink,
-    VehicleSpec,
-    build_layout,
-)
+from radiobarrier.geometry import BodySegment, Pose, RadioLink, VehicleSpec
 from radiobarrier import propagation
 from radiobarrier.propagation import (
     SPEED_OF_LIGHT,

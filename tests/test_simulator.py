@@ -1,6 +1,6 @@
 import base64
 import json
-import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -344,6 +344,20 @@ def test_save_refuses_samples_that_are_not_whole_steps(tmp_path, layout, pattern
     with pytest.raises(ConfigurationError, match="int16 count"):
         save_dataset(simulator.Dataset(events=(exact,), metadata={}), p)
     assert not p.exists()
+
+
+@pytest.mark.parametrize("count", [0.5, -2.5, 32767.5, 32768.0, -32769.0, 1e300,
+                                   np.nan, np.inf, -np.inf])
+def test_encode_refuses_each_count_int16_cannot_hold(count):
+    rssi = np.array([[-60.0, -61.0], [count * RSSI_STEP_DB, -62.0]])
+    with pytest.raises(ConfigurationError, match=re.escape(f"which {count * RSSI_STEP_DB!r} dB is not")):
+        simulator._encode_samples(rssi)
+
+
+def test_encode_keeps_the_int16_edges():
+    rssi = np.array([[-32768.0, 32767.0, -0.0, 0.0, -1.0]]) * RSSI_STEP_DB
+    assert base64.b64decode(simulator._encode_samples(rssi)) == \
+        np.array([-32768, 32767, 0, 0, -1], dtype="<i2").tobytes()
 
 
 def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patterns,
