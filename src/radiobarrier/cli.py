@@ -367,11 +367,19 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When `command` names a subcommand, only its subparser is built:
+    a command line that starts with that name parses, and fails, as with every one."""
     parser = _Parser(prog="radiobarrier",
                      description="Roadside radio-link vehicle detection and classification")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    names = "generate baseline detect features crossval evaluate study report".split()
+    one = command in names  # the usage line still lists every command
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                **({"metavar": "{%s}" % ",".join(names)} if one else {}))
+
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help) if name == command or not one else None
 
     def add_common(p, config=True, seed=True):
         if config:
@@ -380,33 +388,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_at_least(0), default=0,
                            help="master random seed, at least 0")
 
-    p = sub.add_parser("generate", help="simulate a labelled dataset")
-    add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mix", help="per-type event counts, e.g. 'passenger car=50,truck=50'")
-    p.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="parallel workers, at least 1 (same output for any value)")
-    p.set_defaults(func=_cmd_generate)
+    if p := add_parser("generate", help="simulate a labelled dataset"):
+        add_common(p)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--mix", help="per-type event counts, e.g. 'passenger car=50,truck=50'")
+        p.add_argument("--jobs", type=_at_least(1), default=1,
+                       help="parallel workers, at least 1 (same output for any value)")
+        p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("baseline", help="print the vehicle-free per-link RSSI table")
-    add_common(p, seed=False)
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=_cmd_baseline)
+    if p := add_parser("baseline", help="print the vehicle-free per-link RSSI table"):
+        add_common(p, seed=False)
+        p.add_argument("--out", help="optional output directory")
+        p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("detect", help="segment a dataset into passages")
-    add_common(p, seed=False)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_detect)
+    if p := add_parser("detect", help="segment a dataset into passages"):
+        add_common(p, seed=False)
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("features", help="turn segments into a feature table")
-    add_common(p, seed=False)
-    p.add_argument("--segments", required=True, help="segments file from 'detect'")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_features)
+    if p := add_parser("features", help="turn segments into a feature table"):
+        add_common(p, seed=False)
+        p.add_argument("--segments", required=True, help="segments file from 'detect'")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_features)
 
-    def add_learning(name, help):
-        p = sub.add_parser(name, help=help)
+    def add_learning(p):
         add_common(p, config=False)
         p.add_argument("--table", required=True, help="feature table from 'features'")
         p.add_argument("--features", dest="feature_set",
@@ -416,34 +423,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--C", type=float, default=10.0)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--out", help="optional output directory")
-        return p
 
-    p = add_learning("crossval", "k-fold cross-validation on a feature table")
-    p.add_argument("--algos", default="knn,svm", help="comma list of knn,svm,length")
-    p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(func=_cmd_crossval)
+    if p := add_parser("crossval", help="k-fold cross-validation on a feature table"):
+        add_learning(p)
+        p.add_argument("--algos", default="knn,svm", help="comma list of knn,svm,length")
+        p.add_argument("--folds", type=int, default=5)
+        p.set_defaults(func=_cmd_crossval)
 
-    p = add_learning("evaluate", "train/test split recognition-rate report")
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.set_defaults(func=_cmd_evaluate)
+    if p := add_parser("evaluate", help="train/test split recognition-rate report"):
+        add_learning(p)
+        p.add_argument("--test-fraction", type=float, default=0.25)
+        p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("study", help="ground-reflection drop comparison (on vs off)")
-    add_common(p)
-    p.add_argument("--mix", help="per-type event counts")
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=_cmd_study)
+    if p := add_parser("study", help="ground-reflection drop comparison (on vs off)"):
+        add_common(p)
+        p.add_argument("--mix", help="per-type event counts")
+        p.add_argument("--out", help="optional output directory")
+        p.set_defaults(func=_cmd_study)
 
-    p = sub.add_parser("report", help="render saved results as a text or markdown table")
-    p.add_argument("--input", required=True, help="results JSON from crossval/evaluate/study")
-    p.add_argument("--markdown", action="store_true")
-    p.set_defaults(func=_cmd_report)
+    if p := add_parser("report", help="render saved results as a text or markdown table"):
+        p.add_argument("--input", required=True, help="results JSON from crossval/evaluate/study")
+        p.add_argument("--markdown", action="store_true")
+        p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -344,22 +344,32 @@ def passage_loss(ctx: LinkContext, vehicle: VehicleSpec, start_x, speed, frames,
 
 def path_rssi(ctx: LinkContext, loss: np.ndarray) -> np.ndarray:
     """Noise-free RSSI of every link of `ctx`, one row per row of `loss`, which holds the
-    knife-edge loss on each path of `ctx`; a row without loss is the vehicle-free level."""
+    knife-edge loss on each path of `ctx`; a cell (row, link) without loss on the link's
+    direct path or either leg of its ground bounce carries the link's vehicle-free level."""
     n = len(ctx.base_db)
     m = (loss.shape[1] - n) // 2  # bounces
-    touched = loss.any(axis=1)
-    hit = np.concatenate([np.zeros((1, loss.shape[1])), loss[touched]])
-    loss_refl = np.zeros((len(hit), n))
-    loss_refl[:, ctx.bounces] = hit[:, n:n + m] + hit[:, n + m:]
-    # 10 ** (-loss / 20), which is exactly 1 where the loss is 0
-    a_d, a_r = (np.power(10.0, -x / 20.0, out=np.ones(x.shape), where=x > 0.0)
-                for x in (hit[:, :n], loss_refl))
-    a_r *= ctx.a_r0
-    amp = np.hypot(a_d + a_r * np.cos(ctx.phase), a_r * np.sin(ctx.phase))
-    level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
-    np.log10(amp, out=level, where=amp > 0.0)
-    levels = ctx.base_db + 20.0 * level  # the vehicle-free level, then each touched row
-    return levels[np.where(touched, np.cumsum(touched), 0)]
+    loss_refl = legs = loss[:, n:n + m] + loss[:, n + m:]
+    if m < n:  # a link without a bounce has no bounce loss
+        loss_refl = np.zeros((len(loss), n))
+        loss_refl[:, ctx.bounces] = legs
+    hit = (loss[:, :n] > 0.0) | (loss_refl > 0.0)
+    cell = np.flatnonzero(hit)
+    row, link = np.divmod(cell, n)
+
+    def levels(x_d, x_r, link):  # of the cells of `link` with those direct and bounce losses
+        # 10 ** (-loss / 20), which is exactly 1 where the loss is 0
+        a_d, a_r = (np.power(10.0, -x / 20.0, out=np.ones(x.shape), where=x > 0.0)
+                    for x in (x_d, x_r))
+        a_r *= ctx.a_r0[link]
+        amp = np.hypot(a_d + a_r * np.cos(ctx.phase)[link], a_r * np.sin(ctx.phase)[link])
+        level = np.full(amp.shape, -np.inf)  # a fully cancelled sum has no level
+        np.log10(amp, out=level, where=amp > 0.0)
+        return ctx.base_db[link] + 20.0 * level
+
+    rssi = np.tile(levels(np.zeros(n), np.zeros(n), np.arange(n)), (len(loss), 1))  # vehicle-free
+    rssi.ravel()[cell] = levels(loss.ravel()[row * loss.shape[1] + link], loss_refl.ravel()[cell],
+                                link)
+    return rssi
 
 
 def noiseless_rssi(ctx: LinkContext, vehicle: Optional[VehicleSpec] = None,
@@ -373,12 +383,22 @@ def noiseless_rssi(ctx: LinkContext, vehicle: Optional[VehicleSpec] = None,
     return path_rssi(ctx, loss).reshape(nose.shape + (-1,))
 
 
-def received_rssi(ctx: LinkContext, rssi, rng=None) -> np.ndarray:
+def received_rssi(ctx: LinkContext, rssi, rng=None, rows=None) -> np.ndarray:
     """What a receiver reports for the noise-free `rssi`: Gaussian noise of the
     channel's sigma, drawn from the caller's generator (required when sigma > 0),
-    then the floor."""
+    then the floor.  With `rows`, `rng` is a sequence of generators, and the k-th
+    draws the noise of the next rows[k] rows."""
+    out = np.empty(np.shape(rssi))
     if ctx.noise_sigma > 0.0:
         if rng is None:
             raise ValueError("a random generator is required when noise_sigma > 0")
-        rssi = rssi + rng.normal(0.0, ctx.noise_sigma, size=np.shape(rssi))
-    return np.maximum(rssi, ctx.rssi_floor)
+        if rows is None:
+            rng.standard_normal(out=out)
+        elif sum(rows) != len(out):
+            raise ValueError(f"blocks of {sum(rows)} rows do not cover {len(out)} rows")
+        else:
+            for gen, block in zip(rng, np.split(out, np.cumsum(rows)[:-1])):
+                gen.standard_normal(out=block)
+        out *= ctx.noise_sigma  # as rng.normal(0.0, sigma) scales each draw
+        rssi = np.add(out, rssi, out=out)
+    return np.maximum(rssi, ctx.rssi_floor, out=out)

@@ -150,10 +150,9 @@ def _simulate_passages(layout: SensorLayout, ctx: LinkContext, vehicle: VehicleS
     loss = passage_loss(ctx, vehicle, [-sim.pre_roll * v for v in speeds], speeds, frames,
                         lanes, sim.dt)
     cuts = np.cumsum(frames)[:-1]
-    rssi = np.concatenate([received_rssi(ctx, trace, rng)
-                           for trace, rng in zip(np.split(path_rssi(ctx, loss), cuts), rngs)])
-    if step is not None:
-        rssi = np.round(rssi / step) * step
+    rssi = received_rssi(ctx, path_rssi(ctx, loss), rngs, frames)
+    if step is not None:  # np.round(rssi / step) * step, in place
+        np.multiply(np.round(np.divide(rssi, step, out=rssi), out=rssi), step, out=rssi)
     rssi.flags.writeable = False  # the events' traces are views of it
     return [PassageEvent(event_id, vehicle.type_name, vehicle.label, speed, vehicle.total_length,
                          lane_y, trace, sim.dt)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import radiobarrier
-from radiobarrier.cli import main
+from radiobarrier.cli import build_parser, main
 from radiobarrier.geometry import TYPE_LABELS
 from radiobarrier.pipeline import load_features_csv
 from radiobarrier.simulator import dumps_compact
@@ -315,6 +315,42 @@ def test_usage_error_exit_code(capsys):
     assert run([]) == 1
     assert run(["generate"]) == 1  # --out is required
     capsys.readouterr()
+
+
+def parse_outcome(parser, argv, capsys):
+    """What parsing `argv` leaves: the namespace or the exit code, and stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+# each command's required options, so that a bad option reaches the top-level parser
+REQUIRED = {"generate": ["--out", "o"], "baseline": [], "detect": ["--dataset", "d", "--out", "o"],
+            "features": ["--segments", "s", "--out", "o"], "crossval": ["--table", "t"],
+            "evaluate": ["--table", "t"], "study": [], "report": ["--input", "i"]}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_one_command_parser_parses_and_fails_as_the_full_one(capsys, command):
+    full = build_parser()
+    assert "{%s}" % ",".join(REQUIRED) in parse_outcome(full, ["--help"], capsys)[1]
+    for argv in ([command, "--help"], [command, "--bogus"], [command, *REQUIRED[command]],
+                 [command, *REQUIRED[command], "--bogus", "1"], [command, "--seed", "x"]):
+        want = parse_outcome(full, argv, capsys)
+        assert parse_outcome(build_parser(command), argv, capsys) == want
+        if not isinstance(want[0], dict):  # main exits as the full parser does
+            assert want[0] in (0, 1) and (run(argv), *capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["frobnicate"], ["-x", "generate"]])
+def test_a_line_without_a_known_command_builds_every_command(capsys, argv):
+    parser = build_parser(argv[0] if argv else None)
+    assert parse_outcome(parser, ["--help"], capsys) == parse_outcome(build_parser(), ["--help"],
+                                                                      capsys)
+    assert (run(argv), *capsys.readouterr()) == parse_outcome(build_parser(), argv, capsys)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
