@@ -498,7 +498,8 @@ def load_segments(path, layout: SensorLayout,
     of its event's trace in the dataset the header names, whose SHA-256 must still match and,
     if a config `fingerprint` is given, which was generated under it.  The dataset is read
     once: the bytes that are hashed are the bytes that are parsed."""
-    header, lines, _ = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS)
+    header, lines, _ = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS,
+                                   "rerun `detect` on its dataset")
     link_ids = _layout_link_ids(f"segments file {path}", header, layout)
     if not isinstance(header.get("dataset"), str):
         raise InputDataError(f"{path}: header does not name the dataset")

@@ -11,7 +11,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -24,10 +24,11 @@ from .propagation import (AntennaPattern, ChannelConfig, LinkContext, build_link
                           noiseless_rssi, passage_loss, path_rssi, received_rssi)
 
 FORMAT_NAME = "radiobarrier-dataset"
-FORMAT_VERSION = 2
-# Datasets hold RSSI in whole-dB steps, as a 2.4 GHz radio reports it.  The
-# step also makes the bytes independent of the CPU's SIMD level: the exact
-# channel model differs in the last bits between ufunc implementations.
+FORMAT_VERSION = 3
+# Datasets hold RSSI in whole-dB steps, one signed byte each (-128..127 dB), as
+# a 2.4 GHz radio reports it.  The step also makes the bytes independent of the
+# CPU's SIMD level: the exact channel model differs in the last bits between
+# ufunc implementations.
 RSSI_STEP_DB = 1.0
 BATCH_FRAMES = 4096  # frames of one vehicle type per kernel call, a few passages
 
@@ -96,10 +97,11 @@ class Dataset:
 
 def config_fingerprint(layout: SensorLayout, channel: ChannelConfig,
                        patterns: Mapping[int, AntennaPattern], sim: SimulationConfig) -> str:
-    """Stable hash of every field of everything that shapes a trace, for provenance checks."""
-    blob = json.dumps([asdict(layout), asdict(channel),
-                       sorted((node_id, asdict(p)) for node_id, p in patterns.items()),
-                       asdict(sim), RSSI_STEP_DB], sort_keys=True)
+    """Stable hash of every field of everything that shapes a trace, for provenance checks;
+    the encoder turns each dataclass into the dict of its fields, without `asdict`'s copies."""
+    blob = json.dumps([layout, channel, sorted(patterns.items()), sim, RSSI_STEP_DB],
+                      sort_keys=True, default=lambda obj: {f.name: getattr(obj, f.name)
+                                                           for f in dataclass_fields(obj)})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -233,10 +235,10 @@ def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
 # Serialization: one header line, then one record per line.  Floats are
 # spelled as Python's repr, the shortest string that reads back to the same
 # float, so files reproduce byte-for-byte; an RSSI matrix is one string, the
-# standard base64 of its samples as little-endian int16 counts of
-# RSSI_STEP_DB in row-major order.
+# standard base64 of its samples as int8 counts of RSSI_STEP_DB in
+# row-major order.
 
-_SAMPLE = np.dtype("<i2")
+_SAMPLE = np.dtype("i1")
 
 
 def _encode_samples(rssi: np.ndarray) -> str:
@@ -246,7 +248,7 @@ def _encode_samples(rssi: np.ndarray) -> str:
     bad = whole != counts
     if bad.any():
         raise ConfigurationError(
-            f"a dataset stores each RSSI sample as an int16 count of {RSSI_STEP_DB} dB steps, "
+            f"a dataset stores each RSSI sample as an int8 count of {RSSI_STEP_DB} dB steps, "
             f"which {float(rssi[bad][0])!r} dB is not")
     return base64.b64encode(whole.tobytes()).decode("ascii")
 
@@ -303,15 +305,17 @@ def finite_array(where: str, key: str, value, shape: Tuple[Optional[int], ...]) 
     return array
 
 
-def read_records(path, format_name: str, version: int, fields: Mapping[str, type]):
+def read_records(path, format_name: str, version: int, fields: Mapping[str, type], remedy: str):
     """Read a file written by `write_records`, rejecting any line that does not fit its header.
 
-    The header must name `format_name` at `version`, list the `link_ids` and
-    count the records in `event_count`.  Every line must hold each key of
-    `fields`, which include "event_id", with a value of its type, and no two
-    lines the same event_id.  Keys not in `fields` are ignored.  Returns the
-    header, per line its location for messages and its `fields`, and the
-    SHA-256 of the bytes that were read.
+    The header must name `format_name` at `version`; the message on another
+    version ends in `remedy`, which says how to write the file anew.  The
+    header must also list the `link_ids` and count the records in
+    `event_count`.  Every line must hold each key of `fields`, which include
+    "event_id", with a value of its type, and no two lines the same event_id.
+    Keys not in `fields` are ignored.  Returns the header, per line its
+    location for messages and its `fields`, and the SHA-256 of the bytes that
+    were read.
     """
     path = Path(path)
     try:
@@ -325,9 +329,12 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{path}: bad header line: {exc}") from exc
-    if not (isinstance(header, dict) and header.get("format") == format_name
-            and header.get("version") == version):
-        raise InputDataError(f"{path} is not a {format_name} file of version {version}")
+    if not (isinstance(header, dict) and header.get("format") == format_name):
+        raise InputDataError(f"{path} is not a {format_name} file")
+    if header.get("version") != version:
+        raise InputDataError(f"{path} is a {format_name} file of version "
+                             f"{header.get('version')!r}, but this program reads version "
+                             f"{version}: {remedy}")
     link_ids = header.get("link_ids")
     if not isinstance(link_ids, list) or not link_ids:
         raise InputDataError(f"{path}: header lacks the list of link_ids")
@@ -375,7 +382,7 @@ def _event_line(ev: PassageEvent) -> str:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write `dataset`; a sample that is not a whole int16 count of RSSI_STEP_DB raises
+    """Write `dataset`; a sample that is not a whole int8 count of RSSI_STEP_DB raises
     ConfigurationError and leaves no file."""
     write_records(path, dataset.metadata, dataset.events, render=_event_line)
 
@@ -383,7 +390,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:
     """The header and the events of a dataset file, rejecting any line that does not fit, and
     the SHA-256 of the bytes that were parsed.  The traces are views of one read-only array."""
-    header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS)
+    header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS,
+                                          "regenerate it with `generate` and the same `--seed`")
     links = len(header["link_ids"])
     raw = b"".join([_decode_samples(where, "values", rec.pop("values"), (rec["frames"], links))
                     for where, rec in records])

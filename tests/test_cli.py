@@ -195,8 +195,8 @@ def _cells(text, markdown):
 # SHA-256 of the README chain's outputs on seed 42 with the default mix of 50
 # events per type; any change to what the chain computes shows here
 SEED_42_CHAIN = {
-    "dataset.jsonl": "439085c162d61ed6819c1f3ec8080bb731662226d5fe70080a267a1782e2eb8c",
-    "segments.jsonl": "97f55044d61c4814ea9686d4ef725cd4ce6a6cc53b3bf53ec33ba74d18c51427",
+    "dataset.jsonl": "62f5ae2d9004c630828ae48619932012d36416489ed170ce170377acebd06139",
+    "segments.jsonl": "cba2631e02090378776390cf2384d547794d4053937a13c30e43352c68851151",
     "features.csv": "ef1fb936e1d3501c58bd6723be442eda48d4b3bdf0d69babab3a6ddb2665d8f9",
     "crossval.json": "917dd2586416c08eda4dc616acdca3477d9a92b30d9b501fb9399f6a46a44c47",
 }
@@ -238,7 +238,7 @@ def test_seed_42_chain_outputs_are_pinned(seed_42_chain):
 # ground-reflection study, which simulates every event with the reflection on and off
 PINNED_OUTPUTS = {
     ("generate", "--seed", "7"): (
-        "dataset.jsonl", "5c304b4845ee185f8c67995120b70246086e3680c1099f54f373c9a0008f2af4"),
+        "dataset.jsonl", "9df866dc1640b0ea8e6d407c9d62091dd030748f333c6912092f87fe893cdba6"),
     ("study", "--seed", "42"): (
         "study.json", "27527cb80d3299655c9ab78df55ae756d73d7cd5578e7de5ba9374148c79f8f7"),
 }
@@ -494,9 +494,9 @@ def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
      "speed_max_mps = 'inf': not a finite number"),
     ("[vehicle.truck]\nsegments = inf:3.8:0.45\n", "bad number in segment spec 'inf:3.8:0.45'"),
     ("[layout]\nspacing_m = 5%\n", "spacing_m = '5%'"),
-    ("[channel]\ntx_power_dbm = 40000\n", "as an int16 count of 1.0 dB steps"),
+    ("[channel]\ntx_power_dbm = 200\n", "as an int8 count of 1.0 dB steps"),
 ], ids=["dt_inf", "dt_nan", "noise_nan", "phase_in_degrees", "layout_key", "vehicle_key",
-        "segment_spec", "percent_sign", "rssi_beyond_int16"])
+        "segment_spec", "percent_sign", "rssi_beyond_int8"])
 def test_unusable_config_values_exit_2(tmp_path, capsys, text, needle):
     _generate_exits_2(tmp_path, capsys, text, needle)
 
@@ -628,12 +628,12 @@ def test_features_on_bad_segments_exits_3(run_copy, capsys, index, edit, needle)
 
 
 def _counts(record):
-    """The RSSI step counts of a dataset line, as a writable flat int16 array."""
-    return np.frombuffer(base64.b64decode(record["values"]), "<i2").copy()
+    """The RSSI step counts of a dataset line, as a writable flat int8 array."""
+    return np.frombuffer(base64.b64decode(record["values"]), "i1").copy()
 
 
 def _encode(counts):
-    return base64.b64encode(counts.astype("<i2").tobytes()).decode("ascii")
+    return base64.b64encode(counts.astype("i1").tobytes()).decode("ascii")
 
 
 def _edit_one_sample(line):
@@ -658,6 +658,17 @@ def test_detect_names_the_event_too_short_for_its_baseline_window(run_copy, caps
     assert run(["detect", "--dataset", str(dataset), "--out", str(run_copy / "out")]) == 3
     assert ("input error: event 3: stream of 30 samples is shorter than the 50-sample "
             "baseline window") in capsys.readouterr().err
+
+
+def test_detect_on_a_dataset_of_version_2_says_how_to_regenerate_it(run_copy, capsys):
+    # version 2 held int16 counts; its files stop loading and must be generated anew
+    dataset = _edit_line(run_copy / "gen" / "dataset.jsonl", run_copy / "gen" / "dataset.jsonl",
+                         0, _edit_record(lambda r: r.update(version=2)))
+    assert run(["detect", "--dataset", str(dataset), "--out", str(run_copy / "out")]) == 3
+    assert (f"input error: {dataset} is a radiobarrier-dataset file of version 2, but this "
+            "program reads version 3: regenerate it with `generate` and the same `--seed`"
+            ) in capsys.readouterr().err
+    assert not (run_copy / "out" / "segments.jsonl").exists()
 
 
 @pytest.mark.parametrize("edit, code, message", [
@@ -921,7 +932,7 @@ def _mutate(lines, data):
             if data.draw(st.booleans(), label="delete cell"):
                 counts = np.delete(counts, col)
             else:
-                counts[col] = data.draw(st.integers(-2**15, 2**15 - 1))
+                counts[col] = data.draw(st.integers(-2**7, 2**7 - 1))
             record["values"] = _encode(counts)
         else:
             key = data.draw(st.sampled_from(sorted(record)))

@@ -1,10 +1,15 @@
 import base64
 import json
 import re
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radiobarrier import simulator
 from radiobarrier.errors import ConfigurationError, InputDataError
@@ -309,13 +314,13 @@ def test_the_events_of_one_read_share_one_read_only_array(tmp_path, layout, patt
 
 
 def _encode(counts):
-    """Standard base64 of little-endian int16 RSSI step counts, as a dataset line stores them."""
-    return base64.b64encode(np.asarray(counts).astype("<i2").tobytes()).decode("ascii")
+    """Standard base64 of int8 RSSI step counts, as a dataset line stores them."""
+    return base64.b64encode(np.asarray(counts).astype("i1").tobytes()).decode("ascii")
 
 
 def _counts(record):
-    """The RSSI step counts of a dataset line, as a writable flat int16 array."""
-    return np.frombuffer(base64.b64decode(record["values"]), "<i2").copy()
+    """The RSSI step counts of a dataset line, as a writable flat int8 array."""
+    return np.frombuffer(base64.b64decode(record["values"]), "i1").copy()
 
 
 def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config):
@@ -325,7 +330,7 @@ def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config)
     save_dataset(ds, p)
     lines = p.read_text().splitlines()
     assert lines[0] == dumps_compact(ds.metadata)
-    assert json.loads(lines[0])["version"] == 2
+    assert json.loads(lines[0])["version"] == 3
     for ev, line in zip(ds.events, lines[1:]):
         record = {
             "event_id": ev.event_id, "type_name": ev.type_name, "label": ev.label,
@@ -341,23 +346,46 @@ def test_save_refuses_samples_that_are_not_whole_steps(tmp_path, layout, pattern
     exact = simulate_passage(layout, app_config.channel, patterns, car, 10.0,
                              centered_lane(layout, car), 1, app_config.sim, event_id=1)
     p = tmp_path / "ds.jsonl"
-    with pytest.raises(ConfigurationError, match="int16 count"):
+    with pytest.raises(ConfigurationError, match="int8 count"):
         save_dataset(simulator.Dataset(events=(exact,), metadata={}), p)
     assert not p.exists()
 
 
-@pytest.mark.parametrize("count", [0.5, -2.5, 32767.5, 32768.0, -32769.0, 1e300,
+@pytest.mark.parametrize("count", [0.5, -2.5, 127.5, 128.0, -129.0, 1e300,
                                    np.nan, np.inf, -np.inf])
-def test_encode_refuses_each_count_int16_cannot_hold(count):
+def test_encode_refuses_each_count_int8_cannot_hold(count):
     rssi = np.array([[-60.0, -61.0], [count * RSSI_STEP_DB, -62.0]])
     with pytest.raises(ConfigurationError, match=re.escape(f"which {count * RSSI_STEP_DB!r} dB is not")):
         simulator._encode_samples(rssi)
 
 
-def test_encode_keeps_the_int16_edges():
-    rssi = np.array([[-32768.0, 32767.0, -0.0, 0.0, -1.0]]) * RSSI_STEP_DB
+def test_encode_keeps_the_int8_edges():
+    rssi = np.array([[-128.0, 127.0, -0.0, 0.0, -1.0]]) * RSSI_STEP_DB
     assert base64.b64decode(simulator._encode_samples(rssi)) == \
-        np.array([-32768, 32767, 0, 0, -1], dtype="<i2").tobytes()
+        np.array([-128, 127, 0, 0, -1], dtype="i1").tobytes()
+
+
+# the int8 step counts of one to three events on one to nine links
+COUNT_MATRICES = st.integers(1, 9).flatmap(lambda links: st.lists(
+    arrays(np.int8, st.tuples(st.integers(1, 50), st.just(links))), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(matrices=COUNT_MATRICES)
+def test_every_int8_count_matrix_reads_back_bit_identical(matrices):
+    links = matrices[0].shape[1]
+    events = tuple(PassageEvent(event_id, "van", "passenger_car", 10.0, 5.0, 2.5,
+                                counts * RSSI_STEP_DB, 0.01)
+                   for event_id, counts in enumerate(matrices, start=1))
+    metadata = {"format": simulator.FORMAT_NAME, "version": simulator.FORMAT_VERSION,
+                "link_ids": list(range(1, links + 1)), "event_count": len(events)}
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "ds.jsonl"
+        save_dataset(simulator.Dataset(events=events, metadata=metadata), p)
+        _, loaded, _ = read_events(p)
+    assert [ev.rssi.tobytes() for ev in loaded] == [ev.rssi.tobytes() for ev in events]
+    assert all(ev.rssi.dtype == np.float64 and ev.rssi.shape == (len(counts), links)
+               for ev, counts in zip(loaded, matrices))
 
 
 def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patterns,
