@@ -29,24 +29,9 @@ from .simulator import SimulationConfig
 
 
 @dataclass(frozen=True)
-class AntennaConfig:
-    kind: str = "directional"
-    peak_gain: float = 7.1  # dBi
-    azimuth_beamwidth: float = 60.0  # deg
-    elevation_beamwidth: float = 30.0  # deg
-    downtilt: float = 5.0  # deg
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("omni", "directional"):
-            raise ConfigurationError(f"[antenna] kind must be omni or directional, not {self.kind!r}")
-        if not (0 < self.azimuth_beamwidth < math.inf and 0 < self.elevation_beamwidth < math.inf):
-            raise ConfigurationError("[antenna] beamwidths must be finite and positive")
-
-
-@dataclass(frozen=True)
 class AppConfig:
     layout_cfg: LayoutConfig
-    antenna: AntennaConfig
+    antenna: AntennaPattern  # every node's but the boresight, which build_patterns sets
     channel: ChannelConfig
     sim: SimulationConfig
     detection: DetectionConfig
@@ -57,23 +42,9 @@ class AppConfig:
         return build_layout(self.layout_cfg)
 
     def build_patterns(self, layout: SensorLayout) -> Dict[int, AntennaPattern]:
-        return build_patterns(layout, self.antenna)
-
-
-def build_patterns(layout: SensorLayout, antenna: AntennaConfig) -> Dict[int, AntennaPattern]:
-    """One pattern per node, boresight facing straight across the road."""
-    patterns = {}
-    for node in layout.nodes:
-        boresight = 90.0 if node.role == "transmitter" else -90.0
-        patterns[node.id] = AntennaPattern(
-            kind=antenna.kind,
-            peak_gain=antenna.peak_gain,
-            boresight_azimuth=boresight,
-            downtilt=antenna.downtilt,
-            azimuth_beamwidth=antenna.azimuth_beamwidth,
-            elevation_beamwidth=antenna.elevation_beamwidth,
-        )
-    return patterns
+        """The antenna at every node, boresight facing straight across the road."""
+        return {node.id: replace(self.antenna, boresight_azimuth=90.0 if node.role == "transmitter"
+                                 else -90.0) for node in layout.nodes}
 
 
 def _finite(text: str) -> float:
@@ -135,7 +106,7 @@ def default_catalog() -> Dict[str, VehicleSpec]:
 def default_config() -> AppConfig:
     return AppConfig(
         layout_cfg=LayoutConfig(),
-        antenna=AntennaConfig(),
+        antenna=AntennaPattern("directional", peak_gain=7.1, downtilt=5.0),
         channel=ChannelConfig(),
         sim=SimulationConfig(),
         detection=DetectionConfig(),
@@ -230,13 +201,11 @@ def _speed_range(parsed: dict, default: Tuple[float, float]) -> Tuple[float, flo
 def load_config(path) -> AppConfig:
     """Read an INI configuration file; missing keys fall back to defaults."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(path.read_text())
-    except configparser.Error as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, configparser.Error) as exc:  # missing, a directory, not UTF-8
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     if cp.defaults():
         raise ConfigurationError(f"[DEFAULT] unknown keys {sorted(cp.defaults())}; "
                                  "each key belongs in the section it configures")
@@ -271,12 +240,13 @@ def load_config(path) -> AppConfig:
     sim = parts["simulation"]
     sim.update(speed_range=_speed_range(sim, d.sim.speed_range), speed_overrides=speed_overrides)
     try:
+        antenna = replace(d.antenna, **parts["antenna"])
         channel = replace(d.channel, **parts["channel"])
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     return AppConfig(
         layout_cfg=replace(d.layout_cfg, **parts["layout"]),
-        antenna=replace(d.antenna, **parts["antenna"]),
+        antenna=antenna,
         channel=channel,
         sim=replace(d.sim, **sim),
         detection=replace(d.detection, **parts["detection"]),

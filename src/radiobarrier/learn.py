@@ -476,37 +476,40 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The model `save_model` wrote to `path`; any other file raises InputDataError."""
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"model file {path} does not exist")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: not a model file: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT:
+        payload = json.loads(path.read_bytes().decode())
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
+        raise InputDataError(f"cannot read model file {path}: {exc}") from exc
+    if not (isinstance(payload, dict) and payload.get("format") == MODEL_FORMAT):
         raise InputDataError(f"{path} is not a {MODEL_FORMAT} file")
-    algo = payload["algo"]
-    if algo == "knn":
-        model = KnnClassifier(k=payload["k"])
+    if payload.get("version") != MODEL_VERSION:
+        raise InputDataError(f"{path} is a {MODEL_FORMAT} file of version "
+                             f"{payload.get('version')!r}, this program reads {MODEL_VERSION}")
+    try:
+        algo = payload["algo"]
+        if algo == "length_threshold":
+            model = LengthThresholdClassifier()
+            model.threshold = payload["threshold"]
+            return model
+        if algo == "knn":
+            model = KnnClassifier(k=payload["k"])
+            model._X = np.array(payload["X"])
+            model._y = np.array(payload["y"])
+        elif algo == "svm":
+            model = SvmClassifier(
+                kernel=payload["kernel"], C=payload["C"], gamma=payload["gamma"], tol=payload["tol"]
+            )
+            model.classes = tuple(payload["classes"])
+            model.support_vectors = np.array(payload["support_vectors"])
+            model.dual_coef = np.array(payload["dual_coef"])
+            model.bias = payload["bias"]
+            model.max_kkt_residual = payload["max_kkt_residual"]
+        else:
+            raise InputDataError(f"unknown model algo {algo!r}")
         model.mean = np.array(payload["mean"])
         model.std = np.array(payload["std"])
-        model._X = np.array(payload["X"])
-        model._y = np.array(payload["y"])
         return model
-    if algo == "svm":
-        model = SvmClassifier(
-            kernel=payload["kernel"], C=payload["C"], gamma=payload["gamma"], tol=payload["tol"]
-        )
-        model.classes = tuple(payload["classes"])
-        model.mean = np.array(payload["mean"])
-        model.std = np.array(payload["std"])
-        model.support_vectors = np.array(payload["support_vectors"])
-        model.dual_coef = np.array(payload["dual_coef"])
-        model.bias = payload["bias"]
-        model.max_kkt_residual = payload["max_kkt_residual"]
-        return model
-    if algo == "length_threshold":
-        model = LengthThresholdClassifier()
-        model.threshold = payload["threshold"]
-        return model
-    raise InputDataError(f"unknown model algo {algo!r}")
+    except (KeyError, TypeError, ValueError) as exc:  # a key missing, a value mistyped
+        raise InputDataError(f"{path} does not hold a usable model: {exc!r}") from exc

@@ -35,7 +35,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,8 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, EstimationError, InputDataError
 from .geometry import LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
-from .simulator import (Dataset, SimulationConfig, finite_array, generate_dataset,
-                        read_events, read_records, write_records)
+from .simulator import (Dataset, SimulationConfig, generate_dataset, read_events,
+                        read_records, write_records)
 
 # Stream frames read in one round of detection: a few dozen events' medians per call
 DETECT_BATCH_FRAMES = 8192
@@ -285,14 +285,11 @@ def _estimates(windows, layout):
         (~crossed.any(axis=1), EstimationError("no direct-link occlusion window available"))]
 
 
-def _raise_first(checks, event_ids) -> None:
-    """Raise the error of the first check that the first record failing one fails; `checks`
-    are (mask over records, error) in the order they run, `event_ids` name the records."""
-    failed = np.array([mask for mask, _ in checks])
-    if failed.any():
-        i = int(failed.any(axis=0).argmax())
-        with _for_event(event_ids[i]):
-            raise checks[int(failed[:, i].argmax())][1]
+def _first_failure(masks) -> Optional[Tuple[int, int]]:
+    """(record, check) of the first check that the first record failing one fails, or None;
+    `masks` hold one boolean per record for each check, in the order the checks run."""
+    failed = np.flatnonzero(np.array(masks, dtype=bool).T)  # record by record, check by check
+    return divmod(int(failed[0]), len(masks)) if failed.size else None
 
 
 def _deepest(dips):
@@ -408,9 +405,10 @@ def featurize_dataset(
 
 SEGMENTS_FORMAT = "radiobarrier-segments"
 SEGMENTS_VERSION = 3
-# Keys of a segment line with their types.
+# Keys of a segment line with their types, and the types of the numbers in its lists.
 _SEGMENT_FIELDS = {"event_id": int, "start_index": int, "frames": int,
                    "baselines": list, "windows": dict}
+_FLOAT, _JSON_NUMBER = frozenset([float]), frozenset([int, float])
 
 
 @dataclass(frozen=True)
@@ -492,6 +490,20 @@ def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, 
     } for rec in records))
 
 
+def _json_numbers(value, count: int) -> list:
+    """`value` as floats if it is a list of `count` JSON numbers, else `count` NaNs.  A JSON
+    number is an int or a float, not a bool; an int beyond the float range is not finite."""
+    if type(value) is list and len(value) == count:
+        if _FLOAT.issuperset(map(type, value)):  # as the writer spells every number: no copy
+            return value
+        if _JSON_NUMBER.issuperset(map(type, value)):
+            try:
+                return list(map(float, value))
+            except OverflowError:
+                pass
+    return [math.nan] * count
+
+
 def load_segments(path, layout: SensorLayout,
                   fingerprint: Optional[str] = None) -> List[SegmentRecord]:
     """Read a segments file detected on this layout's links; each segment is a read-only view
@@ -512,34 +524,30 @@ def load_segments(path, layout: SensorLayout,
     by_id = {event.event_id: event for event in events}
     keys = {str(link_id): j for j, link_id in enumerate(link_ids)}  # in layout order
     found = [by_id.get(raw["event_id"]) for _, raw in lines]
+    sizes = [0 if event is None else len(event.rssi) for event in found]
     bounds = [(raw["start_index"], raw["start_index"] + raw["frames"]) for _, raw in lines]
-    windows = np.full((len(lines), len(keys), 2), np.nan)
-    try:  # every line at once; on a fault, line by line below, to name the line at fault
-        cells = np.array([(i, keys[key]) for i, (_, raw) in enumerate(lines)
-                          for key in raw["windows"]], dtype=np.intp).reshape(-1, 2).T
-        given = np.array([span for _, raw in lines for span in raw["windows"].values()]
-                         or np.empty((0, 2)), dtype=np.float64)
-        baselines = np.array([raw["baselines"] for _, raw in lines]
-                             or np.empty((0, len(keys))), dtype=np.float64)
-        if not (given.shape == (cells.shape[1], 2) and baselines.shape == windows.shape[:2]
-                and np.isfinite(given).all() and np.isfinite(baselines).all()
-                and all(event is not None and 0 <= start < stop <= len(event.rssi)
-                        for event, (start, stop) in zip(found, bounds))):
-            raise ValueError("a line does not fit")
-        windows[tuple(cells)] = given
-    except (KeyError, TypeError, ValueError, OverflowError):
-        for (where, raw), event, (start, stop) in zip(lines, found, bounds):
-            if event is None:
-                raise InputDataError(f"{where}: event {raw['event_id']} is not in {dataset}")
-            if not 0 <= start < stop <= len(event.rssi):
-                raise InputDataError(f"{where}: frames [{start}, {stop}) do not fit the "
-                                     f"{len(event.rssi)} frames of event {event.event_id}")
-            if unknown := sorted(set(raw["windows"]) - set(keys)):
-                raise InputDataError(f"{where}: windows name links {unknown} outside {link_ids}")
-            for key in (key for key in keys if key in raw["windows"]):
-                finite_array(where, f"window {key}", raw["windows"][key], (2,))
-            finite_array(where, "baselines", raw["baselines"], (len(link_ids),))
-        raise InputDataError(f"{path}: its segment lines do not fit {dataset}")
+    windows = np.array(list(chain.from_iterable([_json_numbers(raw["windows"].get(key), 2)
+                                                 for _, raw in lines for key in keys]))
+                       ).reshape(len(lines), len(keys), 2)  # NaN: no window
+    given = np.array([key in raw["windows"] for _, raw in lines for key in keys], dtype=bool)
+    bad_windows = given.reshape(windows.shape[:2]) & ~np.isfinite(windows).all(axis=2)
+    baselines = np.array([_json_numbers(raw["baselines"], len(keys)) for _, raw in lines]
+                         ).reshape(len(lines), len(keys))
+    first = _first_failure([  # one mask over the lines per check, in the order of the messages
+        [event is None for event in found],
+        [not 0 <= start < stop <= size for (start, stop), size in zip(bounds, sizes)],
+        [not raw["windows"].keys() <= keys.keys() for _, raw in lines],
+        bad_windows.any(axis=1),
+        ~np.isfinite(baselines).all(axis=1)])
+    if first is not None:
+        i, check = first
+        (where, raw), (start, stop) = lines[i], bounds[i]
+        raise InputDataError(f"{where}: " + (
+            f"event {raw['event_id']} is not in {dataset}",
+            f"frames [{start}, {stop}) do not fit the {sizes[i]} frames of event {raw['event_id']}",
+            f"windows name links {sorted(raw['windows'].keys() - keys)} outside {link_ids}",
+            f"window {link_ids[bad_windows[i].argmax()]} is not a pair of finite JSON numbers",
+            f"baselines are not {len(link_ids)} finite JSON numbers, one per link")[check])
     return [SegmentRecord(event.event_id, event.type_name, event.label,
                           EventSegment(start=start, dt=event.dt, baselines=tuple(base),
                                        rssi=event.rssi[start:stop], windows=win))
@@ -557,8 +565,10 @@ def featurize_records(
     windows = np.array([s.windows for s in segments]).reshape(len(segments), len(layout.links), 2)
     speeds, lengths, checks = _estimates(windows, layout)
     too_short = np.array([s.t_end <= s.t_start for s in segments], dtype=bool)
-    _raise_first(checks + [(too_short, InputDataError("degenerate zero-duration segment"))],
-                 [rec.event_id for rec in records])
+    checks.append((too_short, InputDataError("degenerate zero-duration segment")))
+    if (failed := _first_failure([mask for mask, _ in checks])) is not None:
+        with _for_event(records[failed[0]].event_id):
+            raise checks[failed[1]][1]
     lens, rows, first = np.array([len(s.rssi) for s in segments]), [], 0
     while first < len(segments):
         last = first + max(1, int((np.cumsum(lens[first:]) <= FEATURE_BATCH_FRAMES).sum()))

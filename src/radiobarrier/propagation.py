@@ -88,9 +88,15 @@ class AntennaPattern:
 
     def __post_init__(self) -> None:
         if self.kind not in ("omni", "directional"):
-            raise ValueError(f"unknown antenna kind {self.kind!r}")
-        if self.azimuth_beamwidth <= 0 or self.elevation_beamwidth <= 0:
-            raise ValueError("beamwidths must be positive")
+            raise ValueError(f"antenna kind must be omni or directional, not {self.kind!r}")
+        if not (0 < self.azimuth_beamwidth < math.inf and 0 < self.elevation_beamwidth < math.inf):
+            raise ValueError("antenna beamwidths must be finite and positive")
+        # antenna_gain's roll-off at the largest offsets: 180 deg in azimuth, 90 deg plus the tilt
+        d_az = 180.0 / self.azimuth_beamwidth
+        d_el = (90.0 + abs(self.downtilt)) / self.elevation_beamwidth
+        if not math.isfinite(12.0 * (d_az * d_az + d_el * d_el)):
+            fields = "azimuth_beamwidth" if d_az >= d_el else "elevation_beamwidth and downtilt"
+            raise ValueError(f"antenna roll-off overflows a float: {fields} out of range")
 
 
 @dataclass(frozen=True)
@@ -120,10 +126,9 @@ def antenna_gain(pattern: AntennaPattern, delta_azimuth: float, delta_elevation:
     """
     if pattern.kind == "omni":
         return pattern.peak_gain
-    rolloff = 12.0 * (
-        (delta_azimuth / pattern.azimuth_beamwidth) ** 2
-        + (delta_elevation / pattern.elevation_beamwidth) ** 2
-    )
+    d_az = delta_azimuth / pattern.azimuth_beamwidth
+    d_el = delta_elevation / pattern.elevation_beamwidth
+    rolloff = 12.0 * (d_az * d_az + d_el * d_el)  # x * x saturates to inf where x ** 2 raises
     return pattern.peak_gain - min(rolloff, 20.0)
 
 

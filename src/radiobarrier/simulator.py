@@ -292,19 +292,6 @@ def _field(where: str, key: str, value, kind: type):
     return value
 
 
-def finite_array(where: str, key: str, value, shape: Tuple[Optional[int], ...]) -> np.ndarray:
-    """`value` as a finite float64 array of `shape`, where None matches any length."""
-    try:
-        array = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
-        raise InputDataError(f"{where}: {key} is not numeric: {exc}") from exc
-    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise InputDataError(f"{where}: {key} of shape {array.shape} does not fit {shape}")
-    if not np.isfinite(array).all():
-        raise InputDataError(f"{where}: {key} holds a non-finite number")
-    return array
-
-
 def read_records(path, format_name: str, version: int, fields: Mapping[str, type], remedy: str):
     """Read a file written by `write_records`, rejecting any line that does not fit its header.
 

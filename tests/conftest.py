@@ -1,7 +1,7 @@
 import pytest
 from dataclasses import replace
 
-from radiobarrier.config import build_patterns, default_config
+from radiobarrier.config import default_config
 from radiobarrier.geometry import LayoutConfig, build_layout
 
 
@@ -34,4 +34,4 @@ def signature_layout(app_config):
 
 @pytest.fixture(scope="session")
 def signature_patterns(app_config, signature_layout):
-    return build_patterns(signature_layout, app_config.antenna)
+    return app_config.build_patterns(signature_layout)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiobarrier.config import build_patterns, default_config
+from radiobarrier.config import default_config
 from radiobarrier.geometry import LayoutConfig, RadioLink, build_layout
 from radiobarrier.learn import (
     KnnClassifier,
@@ -204,7 +204,7 @@ def test_criterion_6_ground_reflection_gap(cfg):
 def test_criterion_7_trailer_signature(cfg):
     # tallest sanctioned mounting (1.2 m) puts the deck into the paths
     layout = build_layout(LayoutConfig(tx_height=1.2, rx_height=1.2))
-    patterns = build_patterns(layout, cfg.antenna)
+    patterns = cfg.build_patterns(layout)
     chan = replace(cfg.channel, noise_sigma=0.0)
     base = baseline_rssi(layout, chan, patterns)
     truck = cfg.catalog["truck"]
@@ -232,7 +232,7 @@ def test_criterion_7_trailer_signature(cfg):
 def test_criterion_8_estimator_accuracy(cfg):
     # calibration setup: tallest mounting, ground bounce off, no noise
     layout = build_layout(LayoutConfig(tx_height=1.2, rx_height=1.2))
-    patterns = build_patterns(layout, cfg.antenna)
+    patterns = cfg.build_patterns(layout)
     chan = replace(cfg.channel, noise_sigma=0.0, ground_reflection_enabled=False)
     det = cfg.detection
     worst_speed = 0.0

@@ -394,6 +394,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"[antenna]\nkind = \xff\n"),
+], ids=["a_directory", "not_utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make):
+    make(tmp_path / "config.ini")
+    assert run(["baseline", "--config", str(tmp_path / "config.ini")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     code = run(["detect", "--dataset", str(tmp_path / "missing.jsonl"),
                 "--out", str(tmp_path / "out")])
@@ -463,6 +473,20 @@ def test_zero_beamwidth_exits_2(tmp_path, capsys, command, key):
     config.write_text(f"[antenna]\n{key} = 0\n")
     assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "beamwidths must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("azimuth_beamwidth_deg", "1e-300", "azimuth_beamwidth"),
+    ("elevation_beamwidth_deg", "1e-300", "elevation_beamwidth"),
+    ("downtilt_deg", "1e300", "downtilt"),
+])
+def test_antenna_roll_off_that_overflows_exits_2(tmp_path, capsys, key, value, field):
+    # the roll-off at the largest offset from boresight must be a finite float
+    config = tmp_path / "overflow.ini"
+    config.write_text(f"[antenna]\n{key} = {value}\n")
+    assert run(["baseline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "antenna roll-off overflows a float" in err and field in err
 
 
 def _generate_exits_2(tmp_path, capsys, text, needle):
@@ -684,13 +708,30 @@ def test_features_names_the_event_it_cannot_featurize(run_copy, capsys, edit, co
     assert not (run_copy / "out" / "features.csv").exists()
 
 
-@pytest.mark.parametrize("span", [[1.0, float("nan")], [1.0], "soon"],
-                         ids=["not_finite", "one_number", "not_numbers"])
+@pytest.mark.parametrize("span", [[1.0, float("nan")], [1.0], "soon", ["1.0", "1.2"],
+                                  [True, 1.2], [10**400, 1.2]],
+                         ids=["not_finite", "one_number", "not_numbers", "strings", "a_boolean",
+                              "an_int_beyond_float"])
 def test_features_names_the_link_of_a_bad_window(run_copy, capsys, span):
     segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
                           1, _edit_record(lambda r: r["windows"].update({"5": span})))
     assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == 3
     assert "window 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda baselines: [str(b) for b in baselines],
+    lambda baselines: [True, *baselines[1:]],
+    lambda baselines: baselines[:8],
+    lambda baselines: [10**400, *baselines[1:]],
+], ids=["strings", "a_boolean", "eight_numbers", "an_int_beyond_float"])
+def test_features_names_bad_baselines(run_copy, capsys, edit):
+    # one finite JSON number per link: a string or a boolean is not read as a number
+    segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
+                          1, _edit_record(lambda r: r.update(baselines=edit(r["baselines"]))))
+    assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == 3
+    assert f"{segments}:2: baselines" in capsys.readouterr().err
+    assert not (run_copy / "out" / "features.csv").exists()
 
 
 @pytest.mark.parametrize("change, needle", [

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from radiobarrier.errors import InputDataError, TrainingError
 from radiobarrier.learn import (
+    MODEL_FORMAT,
+    MODEL_VERSION,
     KnnClassifier,
     LengthThresholdClassifier,
     SvmClassifier,
@@ -508,5 +511,33 @@ def test_threshold_round_trip(tmp_path):
 def test_load_model_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"format\": \"something-else\"}")
+    with pytest.raises(InputDataError):
+        load_model(p)
+
+
+def _saved_threshold_model(path):
+    model = LengthThresholdClassifier().fit(np.array([4.0, 12.0]),
+                                            np.array(["passenger_car", "truck"]))
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: p.write_text("[1, 2]"),
+    lambda p: p.write_text(json.dumps({"format": MODEL_FORMAT, "version": MODEL_VERSION})),
+    lambda p: p.write_text(json.dumps({"format": MODEL_FORMAT, "version": MODEL_VERSION,
+                                       "algo": "knn"})),
+    lambda p: p.write_text(json.dumps({"format": MODEL_FORMAT, "version": MODEL_VERSION,
+                                       "algo": "knn", "k": "3"})),
+    lambda p: p.write_bytes(b'{"format": "\xff"}'),
+    lambda p: p.mkdir(),
+    lambda p: p.write_text(json.dumps({**_saved_threshold_model(p), "version": 2})),
+    lambda p: p.write_text(json.dumps({key: value for key, value
+                                       in _saved_threshold_model(p).items() if key != "version"})),
+], ids=["not_an_object", "no_algo", "knn_without_k", "k_not_a_number", "not_utf8", "a_directory",
+        "another_version", "no_version"])
+def test_load_model_refuses_a_malformed_file(tmp_path, write):
+    p = tmp_path / "model.json"
+    write(p)
     with pytest.raises(InputDataError):
         load_model(p)

@@ -185,11 +185,10 @@ def test_min_duration_below_dt_rejected(layout, patterns, quiet_channel):
 
 def test_restricted_topology_pipeline(app_config, quiet_channel):
     # the 2-links-per-receiver field topology still supports the estimators
-    from radiobarrier.config import build_patterns
     from radiobarrier.geometry import LayoutConfig, build_layout
 
     lay = build_layout(LayoutConfig(links_per_receiver=2))
-    pat = build_patterns(lay, app_config.antenna)
+    pat = app_config.build_patterns(lay)
     car = app_config.catalog["passenger car"]
     ev = simulate_passage(lay, quiet_channel, pat, car, 10.0,
                           centered_lane(lay, car), seed=0, sim=SimulationConfig())
