@@ -140,10 +140,8 @@ def _cmd_generate(args) -> int:
     layout = cfg.build_layout()
     patterns = cfg.build_patterns(layout)
     mix = _parse_mix(args.mix) if args.mix else {t: 50 for t in cfg.catalog}
-    dataset = generate_dataset(
-        layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
-        seed=args.seed, jobs=args.jobs,
-    )
+    dataset = generate_dataset(layout, cfg.channel, patterns, cfg.catalog, mix, cfg.sim,
+                               seed=args.seed)
     out = _write_outputs(args, [], {"dataset.jsonl": lambda path: save_dataset(dataset, path)})
     print(f"wrote {len(dataset.events)} events to {out / 'dataset.jsonl'}")
     return EXIT_OK
@@ -392,8 +390,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--mix", help="per-type event counts, e.g. 'passenger car=50,truck=50'")
-        p.add_argument("--jobs", type=_at_least(1), default=1,
-                       help="parallel workers, at least 1 (same output for any value)")
+        p.add_argument("--jobs", type=_at_least(1), choices=[1], default=1,
+                       help="accepted only as 1, for scripts that pass it")
         p.set_defaults(func=_cmd_generate)
 
     if p := add_parser("baseline", help="print the vehicle-free per-link RSSI table"):

@@ -102,6 +102,10 @@ def build_layout(config: LayoutConfig) -> SensorLayout:
         raise ConfigurationError("post spacing must be positive")
     if config.tx_height <= 0 or config.rx_height <= 0:
         raise ConfigurationError("node heights must be positive")
+    bounce_y = config.tx_height / (config.tx_height + config.rx_height) * config.road_width
+    if not 0.0 < bounce_y < config.road_width:
+        raise ConfigurationError(f"tx_height_m = {config.tx_height!r} and rx_height_m = "
+                                 f"{config.rx_height!r} put the ground bounce on a road side")
     k = config.links_per_receiver
     if k is not None and (k not in (2, 3) or k > n):
         raise ConfigurationError(

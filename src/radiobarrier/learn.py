@@ -441,38 +441,34 @@ def evaluate_predictions(y_true, predictions: Mapping[str, Sequence], type_names
 # ---------------------------------------------------------------------------
 # Model persistence: self-describing text, round-trips predictions exactly.
 
+# Per model kind: its class, the constructor arguments a file holds, and each fitted
+# attribute by its file key, with the function that rebuilds it from JSON.
+_MODEL_FIELDS = {
+    "knn": (KnnClassifier, ("k",),
+            {"mean": ("mean", np.array), "std": ("std", np.array), "X": ("_X", np.array),
+             "y": ("_y", np.array)}),
+    "svm": (SvmClassifier, ("kernel", "C", "gamma", "tol"),
+            {"classes": ("classes", tuple), "mean": ("mean", np.array),
+             "std": ("std", np.array), "support_vectors": ("support_vectors", np.array),
+             "dual_coef": ("dual_coef", np.array), "bias": ("bias", float),
+             "max_kkt_residual": ("max_kkt_residual", float)}),
+    "length_threshold": (LengthThresholdClassifier, (), {"threshold": ("threshold", float)}),
+}
+
+
 def save_model(model, path) -> None:
-    if isinstance(model, KnnClassifier):
-        payload = {
-            "algo": "knn",
-            "k": model.k,
-            "mean": model.mean.tolist(),
-            "std": model.std.tolist(),
-            "X": model._X.tolist(),
-            "y": model._y.tolist(),
-        }
-    elif isinstance(model, SvmClassifier):
-        payload = {
-            "algo": "svm",
-            "kernel": model.kernel,
-            "C": model.C,
-            "gamma": model.gamma,
-            "tol": model.tol,
-            "classes": list(model.classes),
-            "mean": model.mean.tolist(),
-            "std": model.std.tolist(),
-            "support_vectors": model.support_vectors.tolist(),
-            "dual_coef": model.dual_coef.tolist(),
-            "bias": model.bias,
-            "max_kkt_residual": model.max_kkt_residual,
-        }
-    elif isinstance(model, LengthThresholdClassifier):
-        payload = {"algo": "length_threshold", "threshold": model.threshold}
+    for algo, (cls, args, fitted) in _MODEL_FIELDS.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TrainingError(f"cannot persist model of type {type(model)!r}")
-    payload["format"] = MODEL_FORMAT
-    payload["version"] = MODEL_VERSION
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    if any(getattr(model, attr) is None for attr, _ in fitted.values()):
+        raise TrainingError(f"cannot persist an unfitted {type(model).__name__}")
+    payload = {key: getattr(model, key) for key in args}
+    payload.update({key: getattr(model, attr) for key, (attr, _) in fitted.items()})
+    payload.update(algo=algo, format=MODEL_FORMAT, version=MODEL_VERSION)
+    text = json.dumps(payload, sort_keys=True, indent=1, default=np.ndarray.tolist)
+    Path(path).write_text(text + "\n")
 
 
 def load_model(path):
@@ -488,28 +484,12 @@ def load_model(path):
         raise InputDataError(f"{path} is a {MODEL_FORMAT} file of version "
                              f"{payload.get('version')!r}, this program reads {MODEL_VERSION}")
     try:
-        algo = payload["algo"]
-        if algo == "length_threshold":
-            model = LengthThresholdClassifier()
-            model.threshold = payload["threshold"]
-            return model
-        if algo == "knn":
-            model = KnnClassifier(k=payload["k"])
-            model._X = np.array(payload["X"])
-            model._y = np.array(payload["y"])
-        elif algo == "svm":
-            model = SvmClassifier(
-                kernel=payload["kernel"], C=payload["C"], gamma=payload["gamma"], tol=payload["tol"]
-            )
-            model.classes = tuple(payload["classes"])
-            model.support_vectors = np.array(payload["support_vectors"])
-            model.dual_coef = np.array(payload["dual_coef"])
-            model.bias = payload["bias"]
-            model.max_kkt_residual = payload["max_kkt_residual"]
-        else:
-            raise InputDataError(f"unknown model algo {algo!r}")
-        model.mean = np.array(payload["mean"])
-        model.std = np.array(payload["std"])
+        if payload["algo"] not in _MODEL_FIELDS:
+            raise InputDataError(f"unknown model algo {payload['algo']!r}")
+        cls, args, fitted = _MODEL_FIELDS[payload["algo"]]
+        model = cls(**{key: payload[key] for key in args})
+        for key, (attr, rebuild) in fitted.items():
+            setattr(model, attr, rebuild(payload[key]))
         return model
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, a value mistyped
         raise InputDataError(f"{path} does not hold a usable model: {exc!r}") from exc

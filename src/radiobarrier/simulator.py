@@ -3,7 +3,7 @@
 Every passage is fully determined by (configs, seed): speeds, lane offsets
 and per-sample noise all flow from a per-event seed derived from the dataset
 seed and the event id, so datasets regenerate bit-identically and events can
-be simulated in any order or in parallel.
+be simulated in any order.
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ FORMAT_VERSION = 3
 # ufunc implementations.
 RSSI_STEP_DB = 1.0
 BATCH_FRAMES = 4096  # frames of one vehicle type per kernel call, a few passages
+# Most frames one passage may have.  Generation peaks at about 370-440 B per frame
+# with the default 9 links, so a passage at the bound needs about 0.35 GiB.
+MAX_FRAMES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,6 @@ class PassageEvent:
             rssi.flags.writeable = False
         object.__setattr__(self, "rssi", rssi)
 
-    def __setstate__(self, state) -> None:
-        # unpickling runs no __post_init__, and pickle protocols below 5 drop the flag
-        self.__dict__.update(state)
-        self.rssi.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -133,7 +131,13 @@ def simulate_passage(layout: SensorLayout, channel: ChannelConfig,
 def _frame_count(layout: SensorLayout, vehicle: VehicleSpec, speed: float,
                  sim: SimulationConfig) -> int:
     total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
-    return int(math.ceil(total_time / sim.dt)) + 1
+    frames = total_time / sim.dt
+    if not frames <= MAX_FRAMES:  # NaN fails too
+        raise ConfigurationError(
+            f"a passage at {speed:.3g} m/s would take {frames:.3g} frames, more than the "
+            f"{MAX_FRAMES:,} allowed: set by dt_s, pre_roll_s, post_roll_s, the array length "
+            f"of spacing_m and nodes_per_side, and speed_min_mps")
+    return int(math.ceil(frames)) + 1
 
 
 def _simulate_passages(layout: SensorLayout, ctx: LinkContext, vehicle: VehicleSpec,
@@ -180,13 +184,12 @@ def _draw_event(layout: SensorLayout, vehicle: VehicleSpec, sim: SimulationConfi
 
 def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
                      patterns: Mapping[int, AntennaPattern], catalog: Mapping[str, VehicleSpec],
-                     mix: Mapping[str, int], sim: SimulationConfig, seed: int,
-                     jobs: int = 1) -> Dataset:
+                     mix: Mapping[str, int], sim: SimulationConfig, seed: int) -> Dataset:
     """Simulate `mix[type]` passages per vehicle type into one dataset, with
     every RSSI sample rounded to a multiple of RSSI_STEP_DB.
 
-    Results are byte-identical for any `jobs` value because every event owns
-    a seed derived from (seed, event_id).
+    Every event owns a seed derived from (seed, event_id), so its trace does not
+    depend on the other events of the mix.
     """
     counts = {t: int(mix.get(t, 0)) for t in catalog}
     unknown = set(mix) - set(catalog)
@@ -207,16 +210,12 @@ def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
             frames = _frame_count(layout, vehicle, draw[1], sim)
             if size + frames > BATCH_FRAMES:
                 batch, size = [], 0
-                batches.append((layout, ctx, vehicle, sim, batch, RSSI_STEP_DB))
+                batches.append((vehicle, batch))
             batch.append(draw)
             size += frames
 
-    done = map(_simulate_passages, *zip(*batches))
-    if jobs > 1:  # the pool loads multiprocessing, which a serial run does without
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(jobs) as pool:
-            done = list(pool.map(_simulate_passages, *zip(*batches)))
-    events = [event for batch in done for event in batch]
+    events = [event for vehicle, draws in batches
+              for event in _simulate_passages(layout, ctx, vehicle, sim, draws, RSSI_STEP_DB)]
 
     metadata = {
         "format": FORMAT_NAME,

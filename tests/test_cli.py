@@ -49,13 +49,11 @@ def test_generate_is_deterministic(tmp_path):
     assert a == b
 
 
-def test_generate_jobs_flag_is_byte_identical(tmp_path):
-    for name, jobs in (("serial", "1"), ("parallel", "2")):
-        code = run(["generate", "--out", str(tmp_path / name), "--jobs", jobs,
-                    "--mix", "passenger car=2,van=2", "--seed", "8"])
-        assert code == 0
-    assert (tmp_path / "serial" / "dataset.jsonl").read_bytes() == \
-        (tmp_path / "parallel" / "dataset.jsonl").read_bytes()
+def test_generate_refuses_jobs_above_1(tmp_path, capsys):
+    # generation runs in one process; the flag stays for scripts that pass 1
+    assert run(["generate", "--out", str(tmp_path), "--mix", "truck=1", "--jobs", "2"]) == 1
+    assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.jsonl").exists()
 
 
 _ENABLED_SIMD_TARGETS = """
@@ -494,8 +492,10 @@ def _generate_exits_2(tmp_path, capsys, text, needle):
     config.write_text(text)
     assert run(["generate", "--config", str(config), "--mix", "truck=1",
                 "--out", str(tmp_path / "out")]) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
     assert not (tmp_path / "out" / "dataset.jsonl").exists()
+    return err
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -523,6 +523,32 @@ def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
         "segment_spec", "percent_sign", "rssi_beyond_int8"])
 def test_unusable_config_values_exit_2(tmp_path, capsys, text, needle):
     _generate_exits_2(tmp_path, capsys, text, needle)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("simulation", "dt_s", "1e-300"), ("layout", "spacing_m", "1e300"),
+    ("simulation", "pre_roll_s", "1e300"), ("simulation", "post_roll_s", "1e300"),
+    ("layout", "spacing_m", "1e6"), ("simulation", "pre_roll_s", "1e6"),
+    ("simulation", "post_roll_s", "1e6"),
+])
+def test_a_passage_of_too_many_frames_exits_2(tmp_path, capsys, section, key, value):
+    # refused from the frame count alone, before the traces are allocated
+    err = _generate_exits_2(tmp_path, capsys, f"[{section}]\n{key} = {value}\n",
+                            "frames, more than the 1,000,000 allowed")
+    assert key in err
+
+
+@pytest.mark.parametrize("command", ["baseline", "generate"])
+@pytest.mark.parametrize("key, value", [("tx_height_m", "1e300"), ("rx_height_m", "1e-300")])
+def test_heights_that_put_the_bounce_on_a_road_side_exit_2(tmp_path, capsys, command, key,
+                                                           value):
+    # tx / (tx + rx) rounds to 1.0, so the bounce point would sit on the receivers' side
+    config = tmp_path / "heights.ini"
+    config.write_text(f"[layout]\n{key} = {value}\n")
+    assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "put the ground bounce on a road side" in err
+    assert "tx_height_m" in err and "rx_height_m" in err
 
 
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.25"])

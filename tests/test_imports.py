@@ -48,8 +48,8 @@ def test_modules_use_every_name_they_import():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # concurrent.futures loads multiprocessing, socket and subprocess; only
-    # `generate --jobs` above 1 needs it, so every other command goes without
+    # concurrent.futures loads multiprocessing, socket and subprocess; no command
+    # runs a process pool, so none loads them
     code = ("import sys, radiobarrier.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(radiobarrier.__file__).parents[1])}

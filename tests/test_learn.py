@@ -508,6 +508,30 @@ def test_threshold_round_trip(tmp_path):
     assert loaded.threshold == model.threshold
 
 
+@pytest.mark.parametrize("make", [
+    lambda X, y: KnnClassifier(k=3).fit(X, y),
+    lambda X, y: SvmClassifier(kernel="rbf", C=10.0).fit(X, y),
+    lambda X, y: SvmClassifier(kernel="linear", C=1.0).fit(X, y),
+    lambda X, y: LengthThresholdClassifier().fit(
+        X[:, 0], np.where(y == "pos", "truck", "passenger_car")),
+], ids=["knn", "svm_rbf", "svm_linear", "length_threshold"])
+def test_a_loaded_model_saves_the_same_bytes(tmp_path, make):
+    # a field that is written but not read back would be missing from the second file
+    p = tmp_path / "model.json"
+    save_model(make(*blobs(seed=14)), p)
+    first = p.read_bytes()
+    save_model(load_model(p), p)
+    assert p.read_bytes() == first
+
+
+@pytest.mark.parametrize("model", [KnnClassifier(), SvmClassifier(),
+                                   LengthThresholdClassifier()], ids=lambda m: type(m).__name__)
+def test_save_model_refuses_an_unfitted_model(tmp_path, model):
+    with pytest.raises(TrainingError, match="cannot persist an unfitted"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_load_model_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"format\": \"something-else\"}")

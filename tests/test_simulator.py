@@ -219,36 +219,15 @@ def test_event_traces_independent_of_mix(layout, patterns, app_config):
     assert big.events[0].true_speed == small.events[0].true_speed
 
 
-def test_parallel_generation_identical(tmp_path, layout, patterns, app_config):
-    mix = {"passenger car": 2, "bus": 2}
-    serial = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
-                              mix, app_config.sim, seed=11, jobs=1)
-    parallel = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
-                                mix, app_config.sim, seed=11, jobs=2)
-    # the pool's events are unpickled, which runs no __post_init__: read-only all the same
-    assert not any(ev.rssi.flags.writeable for ev in serial.events + parallel.events)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_dataset(serial, p1)
-    save_dataset(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_batches_that_do_not_divide_the_mix(tmp_path, layout, patterns, app_config,
-                                            monkeypatch):
-    # 7 passages of 273 to 716 frames per type fill batches of 1,000 frames unevenly,
-    # and a pool of 3 gets them unevenly; each event equals its one-passage simulation
+def test_batches_that_do_not_divide_the_mix(layout, patterns, app_config, monkeypatch):
+    # 7 passages of 273 to 716 frames per type fill batches of 1,000 frames unevenly;
+    # each event equals its one-passage simulation
     monkeypatch.setattr(simulator, "BATCH_FRAMES", 1000)
     mix = {t: 7 for t in app_config.catalog}
-    serial = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
-                              mix, app_config.sim, seed=13, jobs=1)
-    parallel = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
-                                mix, app_config.sim, seed=13, jobs=3)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_dataset(serial, p1)
-    save_dataset(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert [ev.event_id for ev in serial.events] == list(range(1, 7 * len(mix) + 1))
-    for ev in serial.events:
+    dataset = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                               mix, app_config.sim, seed=13)
+    assert [ev.event_id for ev in dataset.events] == list(range(1, 7 * len(mix) + 1))
+    for ev in dataset.events:
         vehicle = app_config.catalog[ev.type_name]
         _, speed, lane_y, rng = _draw_event(layout, vehicle, app_config.sim, 13, ev.event_id)
         alone = simulate_passage(layout, app_config.channel, patterns, vehicle, speed, lane_y,
