@@ -15,5 +15,5 @@ from .errors import (
 )
 from .config import default_config
 from .learn import KnnClassifier, cross_validate
-from .pipeline import feature_matrix, featurize_dataset
+from .pipeline import detect_dataset, feature_matrix, featurize_records
 from .simulator import generate_dataset

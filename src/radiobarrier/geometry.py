@@ -51,11 +51,6 @@ class RadioLink:
     def length(self) -> float:
         return math.dist(*self.endpoints)
 
-    @property
-    def delta_x(self) -> float:
-        """Along-road offset between the endpoints."""
-        return self.endpoints[1][0] - self.endpoints[0][0]
-
 
 @dataclass(frozen=True)
 class SensorLayout:
@@ -63,14 +58,6 @@ class SensorLayout:
     links: Tuple[RadioLink, ...]
     road_width: float
     array_length: float
-
-    @property
-    def transmitters(self) -> Tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.role == "transmitter")
-
-    @property
-    def receivers(self) -> Tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.role == "receiver")
 
 
 @dataclass(frozen=True)

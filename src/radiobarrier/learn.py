@@ -441,18 +441,42 @@ def evaluate_predictions(y_true, predictions: Mapping[str, Sequence], type_names
 # ---------------------------------------------------------------------------
 # Model persistence: self-describing text, round-trips predictions exactly.
 
+def _floats(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float64 array if every entry is finite."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError("an entry is not a finite number")
+    return array.astype(np.float64)
+
+
+def _labels(value) -> np.ndarray:
+    """A JSON list of strings as a numpy string array."""
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise ValueError("is not a list of strings")
+    return np.array(value, dtype=str)
+
+
+def _class_pair(value) -> Tuple[str, str]:
+    classes = tuple(_labels(value).tolist())
+    if len(classes) != 2 or classes[0] == classes[1]:
+        raise ValueError("is not two distinct strings")
+    return classes
+
+
 # Per model kind: its class, the constructor arguments a file holds, and each fitted
-# attribute by its file key, with the function that rebuilds it from JSON.
+# attribute by its file key, with the function that rebuilds it from JSON and its shape
+# (None for the SVM's classes): one letter per axis, and one size per letter in a model.
 _MODEL_FIELDS = {
     "knn": (KnnClassifier, ("k",),
-            {"mean": ("mean", np.array), "std": ("std", np.array), "X": ("_X", np.array),
-             "y": ("_y", np.array)}),
+            {"X": ("_X", _floats, "nd"), "y": ("_y", _labels, "n"),
+             "mean": ("mean", _floats, "d"), "std": ("std", _floats, "d")}),
     "svm": (SvmClassifier, ("kernel", "C", "gamma", "tol"),
-            {"classes": ("classes", tuple), "mean": ("mean", np.array),
-             "std": ("std", np.array), "support_vectors": ("support_vectors", np.array),
-             "dual_coef": ("dual_coef", np.array), "bias": ("bias", float),
-             "max_kkt_residual": ("max_kkt_residual", float)}),
-    "length_threshold": (LengthThresholdClassifier, (), {"threshold": ("threshold", float)}),
+            {"classes": ("classes", _class_pair, None),
+             "support_vectors": ("support_vectors", _floats, "md"),
+             "dual_coef": ("dual_coef", _floats, "m"), "mean": ("mean", _floats, "d"),
+             "std": ("std", _floats, "d"), "bias": ("bias", _floats, ""),
+             "max_kkt_residual": ("max_kkt_residual", _floats, "")}),
+    "length_threshold": (LengthThresholdClassifier, (), {"threshold": ("threshold", _floats, "")}),
 }
 
 
@@ -462,17 +486,19 @@ def save_model(model, path) -> None:
             break
     else:
         raise TrainingError(f"cannot persist model of type {type(model)!r}")
-    if any(getattr(model, attr) is None for attr, _ in fitted.values()):
+    if any(getattr(model, attr) is None for attr, *_ in fitted.values()):
         raise TrainingError(f"cannot persist an unfitted {type(model).__name__}")
     payload = {key: getattr(model, key) for key in args}
-    payload.update({key: getattr(model, attr) for key, (attr, _) in fitted.items()})
+    payload.update({key: getattr(model, attr) for key, (attr, *_) in fitted.items()})
     payload.update(algo=algo, format=MODEL_FORMAT, version=MODEL_VERSION)
     text = json.dumps(payload, sort_keys=True, indent=1, default=np.ndarray.tolist)
     Path(path).write_text(text + "\n")
 
 
 def load_model(path):
-    """The model `save_model` wrote to `path`; any other file raises InputDataError."""
+    """The model `save_model` wrote to `path`; any other file raises InputDataError, as does
+    a fitted field that is not finite numbers or strings or whose shape does not fit the
+    model's other arrays."""
     path = Path(path)
     try:
         payload = json.loads(path.read_bytes().decode())
@@ -488,8 +514,20 @@ def load_model(path):
             raise InputDataError(f"unknown model algo {payload['algo']!r}")
         cls, args, fitted = _MODEL_FIELDS[payload["algo"]]
         model = cls(**{key: payload[key] for key in args})
-        for key, (attr, rebuild) in fitted.items():
-            setattr(model, attr, rebuild(payload[key]))
-        return model
+        stored = {key: payload[key] for key in fitted}
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, a value mistyped
         raise InputDataError(f"{path} does not hold a usable model: {exc!r}") from exc
+    sizes = {}
+    for key, (attr, rebuild, axes) in fitted.items():
+        try:
+            value = rebuild(stored[key])
+        except ValueError as exc:  # not numbers or not strings, or nested unevenly
+            raise InputDataError(f"{path}: {key}: {exc}") from exc
+        shape = np.shape(value)
+        if axes is not None and (len(shape) != len(axes) or any(
+                sizes.setdefault(axis, size) != size for axis, size in zip(axes, shape))):
+            shapes = ", ".join(f"{k} ({', '.join(a)})" for k, (_, _, a) in fitted.items() if a)
+            raise InputDataError(f"{path}: {key} has shape {shape}, and a model's arrays "
+                                 f"must be {shapes}")
+        setattr(model, attr, float(value) if axes == "" else value)
+    return model

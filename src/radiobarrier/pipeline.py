@@ -389,16 +389,6 @@ class DetectionSummary:
         return self.events_detected / self.events_total if self.events_total else 0.0
 
 
-def featurize_dataset(
-    dataset: Dataset,
-    layout: SensorLayout,
-    det_cfg: DetectionConfig = DetectionConfig(),
-    feat_cfg: FeatureConfig = FeatureConfig(),
-) -> Tuple[FeatureTable, DetectionSummary]:
-    records, summary = detect_dataset(dataset, layout, det_cfg)
-    return featurize_records(records, layout, feat_cfg), summary
-
-
 # ---------------------------------------------------------------------------
 # Segment serialization: a header naming the dataset the segments were
 # detected from, then one line per segment locating it in its event's trace.
@@ -711,8 +701,10 @@ def dataset_drop_stats(
               float(_deepest((np.array(r.segment.baselines) - r.segment.rssi.min(axis=0))[direct])))
              for r in records]
     present = {label for _, label, _ in drops}
-    if not all(label in present for label in LABELS):
-        raise InputDataError("drop study needs events of both labels")
+    for label in LABELS:
+        if label not in present:
+            raise InputDataError(f"no {label} passage was detected, and a drop study needs "
+                                 f"events of both labels")
     stats = {}
     for label in LABELS:
         values = [d for _, lab, d in drops if lab == label]
@@ -742,13 +734,24 @@ def reflection_study(
     the reflected ray.  Returns the record ``study.json`` holds, keyed by
     variant "on" and "off": ``variants``, the `dataset_drop_stats` of each
     label, and ``gaps``, the mean passenger_car drop minus the mean truck
-    drop; plus ``drops``, each variant's per-event drops.
+    drop; plus ``drops``, each variant's per-event drops.  A `mix` without a vehicle type of
+    each label, or a variant that detects no passage of one, raises ConfigurationError: the
+    study reads no data, so the config is at fault.
     """
+    held = {catalog[t].label for t, count in mix.items() if t in catalog and count > 0}
+    for label in LABELS:
+        if label not in held and set(mix) <= set(catalog):  # generate_dataset names the rest
+            raise ConfigurationError(f"--mix holds no {label} vehicle type, and a study "
+                                     f"compares both labels")
     study = {"variants": {}, "gaps": {}, "drops": {}}
     for variant, enabled in (("on", True), ("off", False)):
         chan = replace(channel, ground_reflection_enabled=enabled)
         dataset = generate_dataset(layout, chan, patterns, catalog, mix, sim, seed=seed)
-        stats, study["drops"][variant] = dataset_drop_stats(dataset, layout, det_cfg)
+        try:
+            stats, study["drops"][variant] = dataset_drop_stats(dataset, layout, det_cfg)
+        except InputDataError as exc:  # in a dataset this config generated
+            raise ConfigurationError(f"study variant {variant!r} (ground reflection "
+                                     f"{variant}): {exc}") from exc
         study["variants"][variant] = stats
         study["gaps"][variant] = stats["passenger_car"]["mean"] - stats["truck"]["mean"]
     return study

@@ -397,13 +397,12 @@ def received_rssi(ctx: LinkContext, rssi, rng=None, rows=None) -> np.ndarray:
     if ctx.noise_sigma > 0.0:
         if rng is None:
             raise ValueError("a random generator is required when noise_sigma > 0")
-        if rows is None:
-            rng.standard_normal(out=out)
-        elif sum(rows) != len(out):
+        if rows is None:  # one generator draws the one block of every row
+            rng, rows = [rng], [len(out)]
+        if sum(rows) != len(out):
             raise ValueError(f"blocks of {sum(rows)} rows do not cover {len(out)} rows")
-        else:
-            for gen, block in zip(rng, np.split(out, np.cumsum(rows)[:-1])):
-                gen.standard_normal(out=block)
+        for gen, block in zip(rng, np.split(out, np.cumsum(rows)[:-1])):
+            gen.standard_normal(out=block)
         out *= ctx.noise_sigma  # as rng.normal(0.0, sigma) scales each draw
         rssi = np.add(out, rssi, out=out)
     return np.maximum(rssi, ctx.rssi_floor, out=out)

@@ -110,24 +110,6 @@ def baseline_rssi(layout: SensorLayout, channel: ChannelConfig,
     return tuple(received_rssi(ctx, noiseless_rssi(ctx)).tolist())
 
 
-def simulate_passage(layout: SensorLayout, channel: ChannelConfig,
-                     patterns: Mapping[int, AntennaPattern], vehicle: VehicleSpec, speed: float,
-                     lane_y: float, seed, sim: SimulationConfig = SimulationConfig(),
-                     event_id: int = 0, ctx: Optional[LinkContext] = None) -> PassageEvent:
-    """Drive one vehicle through the array and sample every link.
-
-    The nose starts pre_roll seconds before the first post and the run ends
-    post_roll seconds after the tail clears the last post.  `seed` is
-    anything numpy's default_rng accepts, including an existing generator.
-    `ctx` is the context of layout.links under channel and patterns, built
-    here when not given.
-    """
-    if ctx is None:
-        ctx = build_link_context(layout.links, channel, patterns)
-    draw = (event_id, speed, lane_y, np.random.default_rng(seed))
-    return _simulate_passages(layout, ctx, vehicle, sim, [draw])[0]
-
-
 def _frame_count(layout: SensorLayout, vehicle: VehicleSpec, speed: float,
                  sim: SimulationConfig) -> int:
     total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
@@ -375,9 +357,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:
     """The header and the events of a dataset file, rejecting any line that does not fit, and
-    the SHA-256 of the bytes that were parsed.  The traces are views of one read-only array."""
+    the SHA-256 of the bytes that were parsed.  The traces are views of one read-only array.
+    Every line's dt must be the header's, which the config fingerprint covers."""
     header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS,
                                           "regenerate it with `generate` and the same `--seed`")
+    dt = _field(f"{path}: header", "dt", header.get("dt"), float)
+    if not dt > 0:
+        raise InputDataError(f"{path}: header dt {dt!r} is not positive")
+    for where, rec in records:
+        if rec["dt"] != dt:
+            raise InputDataError(f"{where}: dt {rec['dt']!r} differs from the header's {dt!r}")
     links = len(header["link_ids"])
     raw = b"".join([_decode_samples(where, "values", rec.pop("values"), (rec["frames"], links))
                     for where, rec in records])

@@ -1,8 +1,29 @@
-import pytest
 from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from radiobarrier.config import default_config
 from radiobarrier.geometry import LayoutConfig, build_layout
+from radiobarrier.propagation import build_link_context
+from radiobarrier.simulator import SimulationConfig, _simulate_passages
+
+
+def simulate_passage(layout, channel, patterns, vehicle, speed, lane_y, seed,
+                     sim=SimulationConfig(), event_id=0, ctx=None):
+    """Drive one vehicle through the array and sample every link, unrounded.
+
+    The nose starts pre_roll seconds before the first post and the run ends
+    post_roll seconds after the tail clears the last post.  `seed` is
+    anything numpy's default_rng accepts, including an existing generator.
+    `ctx` is the context of layout.links under channel and patterns, built
+    here when not given.  This is the one-passage case of the simulator's
+    batch kernel, without the rounding `generate_dataset` applies.
+    """
+    if ctx is None:
+        ctx = build_link_context(layout.links, channel, patterns)
+    draw = (event_id, speed, lane_y, np.random.default_rng(seed))
+    return _simulate_passages(layout, ctx, vehicle, sim, [draw])[0]
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,9 @@ from radiobarrier.learn import (
 )
 from radiobarrier.pipeline import (
     SegmentRecord,
+    detect_dataset,
     detect_events,
     feature_matrix,
-    featurize_dataset,
     featurize_records,
     reflection_study,
 )
@@ -44,8 +44,9 @@ from radiobarrier.simulator import (
     baseline_rssi,
     generate_dataset,
     save_dataset,
-    simulate_passage,
 )
+
+from conftest import simulate_passage
 
 BENCH_SEED = 42
 
@@ -67,7 +68,8 @@ def bench(cfg):
     mix = {t: 50 for t in cfg.catalog}
     dataset = generate_dataset(layout, cfg.channel, patterns, cfg.catalog, mix,
                                cfg.sim, seed=BENCH_SEED)
-    table, summary = featurize_dataset(dataset, layout, cfg.detection, cfg.features)
+    records, summary = detect_dataset(dataset, layout, cfg.detection)
+    table = featurize_records(records, layout, cfg.features)
     return {
         "layout": layout,
         "patterns": patterns,

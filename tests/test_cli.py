@@ -385,6 +385,25 @@ def test_malformed_mix_exits_2(tmp_path, capsys, command, mix, needle):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("config, mix, needle", [
+    ("", "truck=2", "--mix holds no passenger_car vehicle type"),
+    ("[channel]\nrssi_floor_dbm = 1e300\n", "passenger car=2,truck=2",
+     "study variant 'on' (ground reflection on): no passenger_car passage was detected"),
+    ("[layout]\nrx_height_m = 1e6\n", "passenger car=2,truck=2",
+     "study variant 'on' (ground reflection on): no passenger_car passage was detected"),
+    ("", "lorry=2,truck=2", "mix names unknown vehicle types: ['lorry']"),
+], ids=["mix_of_one_label", "floor_above_every_sample", "receivers_out_of_reach",
+        "unknown_type"])
+def test_study_without_a_passage_of_each_label_exits_2(tmp_path, capsys, config, mix, needle):
+    # study reads no input file: a label it cannot compare is a fault of the config
+    (tmp_path / "study.ini").write_text(config)
+    code = run(["study", "--config", str(tmp_path / "study.ini"), "--mix", mix,
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = run(["generate", "--config", str(tmp_path / "missing.ini"),
                 "--out", str(tmp_path / "out")])
@@ -592,6 +611,25 @@ def test_dataset_line_without_dt_exits_3(workspace, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "input error" in err and "dt" in err
+
+
+@pytest.mark.parametrize("line, old, new, needle", [
+    (1, '"dt":0.01,', '"dt":0.02,', ":2: dt 0.02 differs from the header's 0.01"),
+    (0, '"dt":0.01,', '"dt":0.0,', "header dt 0.0 is not positive"),
+    (0, '"dt":0.01,', '"dt":"0.01",', "header: dt must be of type float"),
+    (0, '"dt":0.01,', '', "header: dt must be of type float, got None"),
+], ids=["line_differs", "header_zero", "header_a_string", "header_without_dt"])
+def test_a_dataset_dt_other_than_the_header_s_exits_3(workspace, tmp_path, capsys,
+                                                      line, old, new, needle):
+    # every line's dt must be the header's, the one the config fingerprint covers
+    lines = (workspace / "gen" / "dataset.jsonl").read_text().splitlines()
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    broken = tmp_path / "dataset.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert run(["detect", "--dataset", str(broken), "--out", str(tmp_path)]) == 3
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "segments.jsonl").exists()
 
 
 def test_detect_with_other_layout_exits_2(workspace, tmp_path, capsys):

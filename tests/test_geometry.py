@@ -56,8 +56,8 @@ def test_degenerate_single_pair():
 def test_layout_geometry(layout):
     assert layout.road_width == 7.0
     assert layout.array_length == 10.0
-    tx_x = sorted(n.position[0] for n in layout.transmitters)
-    rx_x = sorted(n.position[0] for n in layout.receivers)
+    tx_x = sorted(n.position[0] for n in layout.nodes if n.role == "transmitter")
+    rx_x = sorted(n.position[0] for n in layout.nodes if n.role == "receiver")
     assert tx_x == rx_x == [0.0, 5.0, 10.0]
     assert all(n.position[2] == 0.6 for n in layout.nodes)
 

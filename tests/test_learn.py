@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -546,6 +547,14 @@ def _saved_threshold_model(path):
     return json.loads(path.read_text())
 
 
+def _saved_model(path, model, **edits):
+    """The JSON of `model` fitted on 3-feature blobs, with `edits` to its fields."""
+    X, y = blobs(seed=15)
+    save_model(model.fit(np.hstack([X, X[:, :1] * 2.0]), y), path)
+    payload = json.loads(path.read_text())
+    return {**payload, **{key: edit(payload[key]) for key, edit in edits.items()}}
+
+
 @pytest.mark.parametrize("write", [
     lambda p: p.write_text("[1, 2]"),
     lambda p: p.write_text(json.dumps({"format": MODEL_FORMAT, "version": MODEL_VERSION})),
@@ -558,10 +567,34 @@ def _saved_threshold_model(path):
     lambda p: p.write_text(json.dumps({**_saved_threshold_model(p), "version": 2})),
     lambda p: p.write_text(json.dumps({key: value for key, value
                                        in _saved_threshold_model(p).items() if key != "version"})),
+    lambda p: p.write_text(json.dumps(_saved_model(p, KnnClassifier(1), mean=lambda _: "abc"))),
+    lambda p: p.write_text(json.dumps(_saved_model(p, KnnClassifier(1), mean=lambda _: [0.0]))),
+    lambda p: p.write_text(json.dumps(_saved_model(p, SvmClassifier(),
+                                                   dual_coef=lambda c: c[:-1]))),
+    lambda p: p.write_text(json.dumps(_saved_model(p, KnnClassifier(1),
+                                                   y=lambda y: [len(l) for l in y]))),
+    lambda p: p.write_text(json.dumps(_saved_model(p, SvmClassifier(),
+                                                   classes=lambda c: [c[0], c[0]]))),
+    lambda p: p.write_text(json.dumps(_saved_model(p, SvmClassifier(),
+                                                   dual_coef=lambda c: [None, *c[1:]]))),
 ], ids=["not_an_object", "no_algo", "knn_without_k", "k_not_a_number", "not_utf8", "a_directory",
-        "another_version", "no_version"])
+        "another_version", "no_version", "knn_mean_not_numbers", "knn_mean_of_one_feature",
+        "svm_dual_coef_one_short", "knn_labels_not_strings", "svm_classes_not_distinct",
+        "svm_dual_coef_not_finite"])
 def test_load_model_refuses_a_malformed_file(tmp_path, write):
     p = tmp_path / "model.json"
     write(p)
     with pytest.raises(InputDataError):
+        load_model(p)
+
+
+@pytest.mark.parametrize("model, key, edit", [
+    (KnnClassifier(1), "mean", lambda _: "abc"),
+    (KnnClassifier(1), "mean", lambda _: [0.0]),
+    (SvmClassifier(), "dual_coef", lambda c: c[:-1]),
+], ids=["knn_mean_not_numbers", "knn_mean_of_one_feature", "svm_dual_coef_one_short"])
+def test_load_model_names_the_field_it_refuses(tmp_path, model, key, edit):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(_saved_model(p, model, **{key: edit})))
+    with pytest.raises(InputDataError, match=re.escape(f"{p}: {key}")):
         load_model(p)

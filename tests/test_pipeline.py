@@ -25,7 +25,6 @@ from radiobarrier.pipeline import (
     detect_dataset,
     detect_events,
     feature_matrix,
-    featurize_dataset,
     featurize_records,
     load_features_csv,
     load_segments,
@@ -39,8 +38,9 @@ from radiobarrier.simulator import (
     generate_dataset,
     read_events,
     save_dataset,
-    simulate_passage,
 )
+
+from conftest import simulate_passage
 
 DET = DetectionConfig()
 
@@ -455,7 +455,7 @@ def test_segments_round_trip(tmp_path, monkeypatch, layout, patterns, app_config
 
 def test_features_csv_round_trip(tmp_path, layout, patterns, app_config):
     ds = small_dataset(layout, patterns, app_config)
-    table, _ = featurize_dataset(ds, layout, DET, FeatureConfig())
+    table = featurize_records(detect_dataset(ds, layout, DET)[0], layout, FeatureConfig())
     p = tmp_path / "features.csv"
     save_features_csv(table, p)
     loaded = load_features_csv(p)

@@ -28,8 +28,9 @@ from radiobarrier.simulator import (
     load_dataset,
     read_events,
     save_dataset,
-    simulate_passage,
 )
+
+from conftest import simulate_passage
 
 OMNI = {i: AntennaPattern(kind="omni") for i in range(1, 7)}
 
@@ -128,7 +129,8 @@ def test_occlusion_duration_matches_geometry(layout, patterns, quiet_channel, ap
     for j, link in enumerate(layout.links):
         blocked = np.flatnonzero(ev.rssi[:, j] < base[j] - 1e-6)
         measured = (len(blocked)) * 0.01
-        expected = (car.total_length + car.width * abs(link.delta_x) / layout.road_width) / speed
+        delta_x = link.endpoints[1][0] - link.endpoints[0][0]
+        expected = (car.total_length + car.width * abs(delta_x) / layout.road_width) / speed
         assert measured == pytest.approx(expected, abs=0.02)
 
 
@@ -330,6 +332,21 @@ def test_save_refuses_samples_that_are_not_whole_steps(tmp_path, layout, pattern
     assert not p.exists()
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_exact_samples_keep_clear_of_the_rounding_boundaries(monkeypatch, layout, patterns,
+                                                             app_config, seed):
+    # generate rounds each exact sample to RSSI_STEP_DB once.  The exact values differ by
+    # about an ulp (7e-15 dB near -60 dB) between numpy's SIMD code paths, so only a sample
+    # that close to a half-step boundary could round apart.  On the default mix the closest
+    # lies 1.4e-7 dB (seed 42) and 2.7e-7 dB (seed 7) from one.
+    monkeypatch.setattr(simulator, "RSSI_STEP_DB", None)
+    exact = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
+                             {t: 50 for t in app_config.catalog}, app_config.sim, seed=seed)
+    counts = np.concatenate([ev.rssi for ev in exact.events]) / RSSI_STEP_DB
+    assert (counts % 1.0 != 0.0).any()  # unrounded
+    assert np.abs(counts % 1.0 - 0.5).min() * RSSI_STEP_DB >= 1e-9
+
+
 @pytest.mark.parametrize("count", [0.5, -2.5, 127.5, 128.0, -129.0, 1e300,
                                    np.nan, np.inf, -np.inf])
 def test_encode_refuses_each_count_int8_cannot_hold(count):
@@ -356,7 +373,7 @@ def test_every_int8_count_matrix_reads_back_bit_identical(matrices):
     events = tuple(PassageEvent(event_id, "van", "passenger_car", 10.0, 5.0, 2.5,
                                 counts * RSSI_STEP_DB, 0.01)
                    for event_id, counts in enumerate(matrices, start=1))
-    metadata = {"format": simulator.FORMAT_NAME, "version": simulator.FORMAT_VERSION,
+    metadata = {"format": simulator.FORMAT_NAME, "version": simulator.FORMAT_VERSION, "dt": 0.01,
                 "link_ids": list(range(1, links + 1)), "event_count": len(events)}
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "ds.jsonl"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from radiobarrier.config import default_config
 from radiobarrier.errors import TrainingError
 from radiobarrier.learn import _TAU, SvmClassifier, _standardize_fit, stratified_folds
-from radiobarrier.pipeline import feature_matrix, featurize_dataset
+from radiobarrier.pipeline import detect_dataset, feature_matrix, featurize_records
 from radiobarrier.simulator import generate_dataset
 
 
@@ -141,8 +141,8 @@ def seed_42_table():
     layout = cfg.build_layout()
     dataset = generate_dataset(layout, cfg.channel, cfg.build_patterns(layout), cfg.catalog,
                                {t: 50 for t in cfg.catalog}, cfg.sim, seed=42)
-    table, _ = featurize_dataset(dataset, layout, cfg.detection, cfg.features)
-    return table
+    records, _ = detect_dataset(dataset, layout, cfg.detection)
+    return featurize_records(records, layout, cfg.features)
 
 
 @pytest.mark.parametrize("kernel", ["rbf", "linear"])
