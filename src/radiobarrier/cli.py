@@ -359,7 +359,8 @@ def _cmd_report(args) -> int:
             table = render_study(result, markdown=args.markdown)
         else:
             raise InputDataError(f"{path}: unknown results kind {kind!r}")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, StopIteration,
+            RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise InputDataError(f"{path}: not a results file: {exc!r}") from exc
     print(table)
     return EXIT_OK

@@ -86,21 +86,18 @@ def default_catalog() -> Dict[str, VehicleSpec]:
     stops blocking a grazing ray, so wheels and underbody gear pull them
     under the nominal deck heights.
     """
-    def make(name, width, segments):
-        return VehicleSpec(name, TYPE_LABELS[name], tuple(segments), width)
-
-    return {
-        "passenger car": make("passenger car", 1.8, [BodySegment(4.5, 1.5, 0.12)]),
-        "small van": make("small van", 1.9, [BodySegment(4.8, 1.9, 0.15)]),
-        "van": make("van", 2.0, [BodySegment(5.4, 2.4, 0.18)]),
-        "transporter": make("transporter", 2.2, [BodySegment(6.0, 2.6, 0.20)]),
-        "bus": make("bus", 2.5, [BodySegment(12.0, 3.5, 0.40)]),
-        "truck": make(
+    return {spec.type_name: spec for spec in (
+        VehicleSpec("passenger car", (BodySegment(4.5, 1.5, 0.12),), 1.8),
+        VehicleSpec("small van", (BodySegment(4.8, 1.9, 0.15),), 1.9),
+        VehicleSpec("van", (BodySegment(5.4, 2.4, 0.18),), 2.0),
+        VehicleSpec("transporter", (BodySegment(6.0, 2.6, 0.20),), 2.2),
+        VehicleSpec("bus", (BodySegment(12.0, 3.5, 0.40),), 2.5),
+        VehicleSpec(
             "truck",
+            (BodySegment(6.0, 3.8, 0.45, gap_after=0.8), BodySegment(9.0, 4.0, 1.2)),
             2.5,
-            [BodySegment(6.0, 3.8, 0.45, gap_after=0.8), BodySegment(9.0, 4.0, 1.2)],
         ),
-    }
+    )}
 
 
 def default_config() -> AppConfig:
@@ -170,9 +167,8 @@ SCHEMA = {
         "include_rssi": ("include_rssi", _boolean),
     },
 }
-# The keys of a [vehicle.<type name>] section; the label defaults to the type's.
+# The keys of a [vehicle.<type name>] section; the type name fixes the label.
 VEHICLE_SCHEMA = {
-    "label": ("label", str),
     "width_m": ("width", _finite),
     "segments": ("segments", parse_segments),
     "speed_min_mps": ("speed_min", _finite),
@@ -231,7 +227,7 @@ def load_config(path) -> AppConfig:
         if "speed_min" in parsed or "speed_max" in parsed:
             speed_overrides[type_name] = _speed_range(parsed, d.sim.speed_range)
         try:
-            catalog[type_name] = VehicleSpec(type_name, **{"label": TYPE_LABELS[type_name], **parsed})
+            catalog[type_name] = VehicleSpec(type_name, **parsed)
         except ValueError as exc:
             raise ConfigurationError(f"[{section}]: {exc}") from exc
 

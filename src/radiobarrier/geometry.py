@@ -158,21 +158,20 @@ class BodySegment:
 @dataclass(frozen=True)
 class VehicleSpec:
     type_name: str
-    label: str
     segments: Tuple[BodySegment, ...]
     width: float = 2.0  # m across the road
 
     def __post_init__(self) -> None:
         if self.type_name not in TYPE_LABELS:
             raise ValueError(f"unknown vehicle type {self.type_name!r}")
-        if self.label != TYPE_LABELS[self.type_name]:
-            raise ValueError(
-                f"label {self.label!r} contradicts the grouping for {self.type_name!r}"
-            )
         if not self.segments:
             raise ValueError("a vehicle needs at least one body segment")
         if self.width <= 0:
             raise ValueError("vehicle width must be positive")
+
+    @property
+    def label(self) -> str:
+        return TYPE_LABELS[self.type_name]
 
     @property
     def total_length(self) -> float:

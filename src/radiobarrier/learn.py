@@ -48,8 +48,8 @@ class KnnClassifier:
     """
 
     def __init__(self, k: int = 3):
-        if k < 1:
-            raise TrainingError("k must be at least 1")
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise TrainingError(f"k must be a whole number of at least 1, got {k!r}")
         self.k = k
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
@@ -449,6 +449,14 @@ def _floats(value) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def _scales(value) -> np.ndarray:
+    """Standard deviations as fit leaves them: finite numbers above 0."""
+    array = _floats(value)
+    if not (array > 0).all():
+        raise ValueError("an entry is not above 0")
+    return array
+
+
 def _labels(value) -> np.ndarray:
     """A JSON list of strings as a numpy string array."""
     if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
@@ -469,12 +477,12 @@ def _class_pair(value) -> Tuple[str, str]:
 _MODEL_FIELDS = {
     "knn": (KnnClassifier, ("k",),
             {"X": ("_X", _floats, "nd"), "y": ("_y", _labels, "n"),
-             "mean": ("mean", _floats, "d"), "std": ("std", _floats, "d")}),
+             "mean": ("mean", _floats, "d"), "std": ("std", _scales, "d")}),
     "svm": (SvmClassifier, ("kernel", "C", "gamma", "tol"),
             {"classes": ("classes", _class_pair, None),
              "support_vectors": ("support_vectors", _floats, "md"),
              "dual_coef": ("dual_coef", _floats, "m"), "mean": ("mean", _floats, "d"),
-             "std": ("std", _floats, "d"), "bias": ("bias", _floats, ""),
+             "std": ("std", _scales, "d"), "bias": ("bias", _floats, ""),
              "max_kkt_residual": ("max_kkt_residual", _floats, "")}),
     "length_threshold": (LengthThresholdClassifier, (), {"threshold": ("threshold", _floats, "")}),
 }
@@ -502,7 +510,7 @@ def load_model(path):
     path = Path(path)
     try:
         payload = json.loads(path.read_bytes().decode())
-    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON or too deep
         raise InputDataError(f"cannot read model file {path}: {exc}") from exc
     if not (isinstance(payload, dict) and payload.get("format") == MODEL_FORMAT):
         raise InputDataError(f"{path} is not a {MODEL_FORMAT} file")
@@ -515,7 +523,7 @@ def load_model(path):
         cls, args, fitted = _MODEL_FIELDS[payload["algo"]]
         model = cls(**{key: payload[key] for key in args})
         stored = {key: payload[key] for key in fitted}
-    except (KeyError, TypeError, ValueError) as exc:  # a key missing, a value mistyped
+    except (KeyError, TypeError, ValueError, TrainingError) as exc:  # a key missing or bad
         raise InputDataError(f"{path} does not hold a usable model: {exc!r}") from exc
     sizes = {}
     for key, (attr, rebuild, axes) in fitted.items():
@@ -530,4 +538,6 @@ def load_model(path):
             raise InputDataError(f"{path}: {key} has shape {shape}, and a model's arrays "
                                  f"must be {shapes}")
         setattr(model, attr, float(value) if axes == "" else value)
+    if isinstance(model, KnnClassifier) and model.k > sizes["n"]:
+        raise InputDataError(f"{path}: k = {model.k} exceeds the {sizes['n']} training rows")
     return model

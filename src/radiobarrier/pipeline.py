@@ -35,7 +35,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,10 +43,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EstimationError, InputDataError
-from .geometry import LABELS, SensorLayout, VehicleSpec
+from .geometry import LABELS, TYPE_LABELS, SensorLayout, VehicleSpec
 from .propagation import AntennaPattern, ChannelConfig
-from .simulator import (Dataset, SimulationConfig, generate_dataset, read_events,
-                        read_records, write_records)
+from .simulator import (Dataset, SimulationConfig, decode_base64, encode_base64,
+                        generate_dataset, read_events, read_records, write_records)
 
 # Stream frames read in one round of detection: a few dozen events' medians per call
 DETECT_BATCH_FRAMES = 8192
@@ -108,7 +108,7 @@ def detect_events(
 ) -> List[EventSegment]:
     """Segment a uniform (frames x links) stream sampled every dt s into vehicle passages."""
     rssi, window = _checked_stream(rssi, dt, layout, cfg)
-    return _detect_streams([rssi], [dt], window, cfg)[0]
+    return _detect_streams([rssi], dt, window, cfg)[0]
 
 
 def _checked_stream(rssi, dt, layout, cfg) -> Tuple[np.ndarray, int]:
@@ -137,8 +137,8 @@ def _checked_stream(rssi, dt, layout, cfg) -> Tuple[np.ndarray, int]:
     return rssi, window
 
 
-def _detect_streams(streams, dts, window, cfg) -> List[List[EventSegment]]:
-    """The segments of each checked stream, all of them with this baseline window."""
+def _detect_streams(streams, dt, window, cfg) -> List[List[EventSegment]]:
+    """The segments of each checked stream, all sampled every dt s, with this baseline window."""
     segments: List[List[EventSegment]] = [[] for _ in streams]
     # open streams: (index, cursor, look-ahead, the `window` quiet frames before the cursor)
     queue = [(s, window, 4 * window, rssi[:window]) for s, rssi in enumerate(streams)
@@ -187,7 +187,7 @@ def _detect_streams(streams, dts, window, cfg) -> List[List[EventSegment]]:
         closes = _first_up(streams, [(s, f + 1) for s, f, *_ in opened],
                            baselines - cfg.release_threshold, 4 * window)
         for (s, _, quiet, _), close, seg in zip(opened, closes, _build_segments(
-                streams, dts, opened, closes, baselines, cfg)):
+                streams, dt, opened, closes, baselines, cfg)):
             if seg.t_end - seg.t_start >= cfg.min_duration:
                 segments[s].append(seg)
             if close is not None and close + 1 < len(streams[s]):
@@ -237,7 +237,7 @@ def _first_up(streams, froms, floors, size) -> List[Optional[int]]:
     return found
 
 
-def _build_segments(streams, dts, opened, closes, baselines, cfg) -> List[EventSegment]:
+def _build_segments(streams, dt, opened, closes, baselines, cfg) -> List[EventSegment]:
     """The segment of each (stream, onset) of `opened`, up to its close or its stream's end."""
     spans = [(s, start, len(streams[s]) - 1 if close is None else close)
              for (s, start, *_), close in zip(opened, closes)]
@@ -249,10 +249,9 @@ def _build_segments(streams, dts, opened, closes, baselines, cfg) -> List[EventS
     first = _first_true(frames <= levels - cfg.drop_threshold, lens)
     last = lens[:, None] - 1 - _first_true(held[::-1], lens[::-1])[::-1]
     starts = np.array([start for _, start, _ in spans])[:, None]
-    dt = np.array([dts[s] for s, *_ in spans])[:, None]
     onset, release = (starts + first) * dt, (starts + last) * dt + dt
     windows = np.where((first < lens[:, None])[..., None], np.stack([onset, release], -1), np.nan)
-    return [EventSegment(start=start, dt=dts[s], baselines=tuple(base),
+    return [EventSegment(start=start, dt=dt, baselines=tuple(base),
                          rssi=streams[s][start:end + 1], windows=win)
             for (s, start, end), base, win in zip(spans, baselines.tolist(), windows)]
 
@@ -392,13 +391,15 @@ class DetectionSummary:
 # ---------------------------------------------------------------------------
 # Segment serialization: a header naming the dataset the segments were
 # detected from, then one line per segment locating it in its event's trace.
+# Its baselines and windows are each one string, the standard base64 of the
+# float64 array in little-endian byte order.
 
 SEGMENTS_FORMAT = "radiobarrier-segments"
-SEGMENTS_VERSION = 3
-# Keys of a segment line with their types, and the types of the numbers in its lists.
+SEGMENTS_VERSION = 4
+# Keys of a segment line with their types
 _SEGMENT_FIELDS = {"event_id": int, "start_index": int, "frames": int,
-                   "baselines": list, "windows": dict}
-_FLOAT, _JSON_NUMBER = frozenset([float]), frozenset([int, float])
+                   "baselines": str, "windows": str}
+_FLOAT64 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -418,23 +419,19 @@ def detect_dataset(
     fingerprint: Optional[str] = None,
 ) -> Tuple[List[SegmentRecord], DetectionSummary]:
     """Run detection over every event of a dataset recorded with this layout's links and, if a
-    config `fingerprint` is given, generated under it; the events with the same baseline window
-    are detected together."""
+    config `fingerprint` is given, generated under it; the events, all sampled every
+    `metadata["dt"]` s, are detected together."""
     _layout_link_ids("dataset", dataset.metadata, layout, fingerprint)
-    events, checked = dataset.events, []
+    dt, events, streams, window = dataset.metadata["dt"], dataset.events, [], None
     for event in events:
         with _for_event(event.event_id):
-            checked.append(_checked_stream(event.rssi, event.dt, layout, det_cfg))
-    found = {}
-    for window in set(window for _, window in checked):
-        batch = [i for i, (_, w) in enumerate(checked) if w == window]
-        found.update(zip(batch, _detect_streams([checked[i][0] for i in batch],
-                                                [events[i].dt for i in batch],
-                                                window, det_cfg)))
+            rssi, window = _checked_stream(event.rssi, dt, layout, det_cfg)
+        streams.append(rssi)
+    found = _detect_streams(streams, dt, window, det_cfg)  # no window read without a stream
     records = [SegmentRecord(event.event_id, event.type_name, event.label,
-                             max(found[i], key=lambda s: s.t_end - s.t_start))
-               for i, event in enumerate(events) if found[i]]
-    segs = sum(map(len, found.values()))
+                             max(segments, key=lambda s: s.t_end - s.t_start))
+               for event, segments in zip(events, found) if segments]
+    segs = sum(map(len, found))
     # every segment but the longest of its event is spurious
     return records, DetectionSummary(len(events), len(records), segs, segs - len(records))
 
@@ -474,24 +471,15 @@ def save_segments(records: Sequence[SegmentRecord], path, layout: SensorLayout, 
         "event_id": rec.event_id,
         "start_index": rec.segment.start,
         "frames": len(rec.segment.rssi),
-        "baselines": list(rec.segment.baselines),
-        "windows": {str(link.id): span for link, span
-                    in zip(layout.links, rec.segment.windows.tolist()) if not math.isnan(span[0])},
+        "baselines": encode_base64(np.asarray(rec.segment.baselines, _FLOAT64)),
+        "windows": encode_base64(np.asarray(rec.segment.windows, _FLOAT64)),
     } for rec in records))
 
 
-def _json_numbers(value, count: int) -> list:
-    """`value` as floats if it is a list of `count` JSON numbers, else `count` NaNs.  A JSON
-    number is an int or a float, not a bool; an int beyond the float range is not finite."""
-    if type(value) is list and len(value) == count:
-        if _FLOAT.issuperset(map(type, value)):  # as the writer spells every number: no copy
-            return value
-        if _JSON_NUMBER.issuperset(map(type, value)):
-            try:
-                return list(map(float, value))
-            except OverflowError:
-                pass
-    return [math.nan] * count
+def _decode_floats(lines, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """The float64 arrays of this `shape` that `key` holds on the lines, one per line."""
+    raw = b"".join([decode_base64(where, key, rec[key], shape, _FLOAT64) for where, rec in lines])
+    return np.frombuffer(raw, _FLOAT64).reshape(len(lines), *shape)
 
 
 def load_segments(path, layout: SensorLayout,
@@ -503,6 +491,8 @@ def load_segments(path, layout: SensorLayout,
     header, lines, _ = read_records(path, SEGMENTS_FORMAT, SEGMENTS_VERSION, _SEGMENT_FIELDS,
                                    "rerun `detect` on its dataset")
     link_ids = _layout_link_ids(f"segments file {path}", header, layout)
+    baselines = _decode_floats(lines, "baselines", (len(link_ids),))
+    windows = _decode_floats(lines, "windows", (len(link_ids), 2))  # onset and release times
     if not isinstance(header.get("dataset"), str):
         raise InputDataError(f"{path}: header does not name the dataset")
     dataset = Path(path).parent / header["dataset"]
@@ -511,22 +501,14 @@ def load_segments(path, layout: SensorLayout,
         raise InputDataError(f"{dataset} is not the dataset {path} was detected from: "
                              f"its SHA-256 differs")
     _layout_link_ids(f"dataset {dataset}", dataset_header, layout, fingerprint)
-    by_id = {event.event_id: event for event in events}
-    keys = {str(link_id): j for j, link_id in enumerate(link_ids)}  # in layout order
+    by_id, dt = {event.event_id: event for event in events}, dataset_header["dt"]
     found = [by_id.get(raw["event_id"]) for _, raw in lines]
     sizes = [0 if event is None else len(event.rssi) for event in found]
     bounds = [(raw["start_index"], raw["start_index"] + raw["frames"]) for _, raw in lines]
-    windows = np.array(list(chain.from_iterable([_json_numbers(raw["windows"].get(key), 2)
-                                                 for _, raw in lines for key in keys]))
-                       ).reshape(len(lines), len(keys), 2)  # NaN: no window
-    given = np.array([key in raw["windows"] for _, raw in lines for key in keys], dtype=bool)
-    bad_windows = given.reshape(windows.shape[:2]) & ~np.isfinite(windows).all(axis=2)
-    baselines = np.array([_json_numbers(raw["baselines"], len(keys)) for _, raw in lines]
-                         ).reshape(len(lines), len(keys))
+    bad_windows = ~(np.isfinite(windows).all(axis=2) | np.isnan(windows).all(axis=2))
     first = _first_failure([  # one mask over the lines per check, in the order of the messages
         [event is None for event in found],
         [not 0 <= start < stop <= size for (start, stop), size in zip(bounds, sizes)],
-        [not raw["windows"].keys() <= keys.keys() for _, raw in lines],
         bad_windows.any(axis=1),
         ~np.isfinite(baselines).all(axis=1)])
     if first is not None:
@@ -535,11 +517,10 @@ def load_segments(path, layout: SensorLayout,
         raise InputDataError(f"{where}: " + (
             f"event {raw['event_id']} is not in {dataset}",
             f"frames [{start}, {stop}) do not fit the {sizes[i]} frames of event {raw['event_id']}",
-            f"windows name links {sorted(raw['windows'].keys() - keys)} outside {link_ids}",
-            f"window {link_ids[bad_windows[i].argmax()]} is not a pair of finite JSON numbers",
-            f"baselines are not {len(link_ids)} finite JSON numbers, one per link")[check])
+            f"window {link_ids[bad_windows[i].argmax()]} is neither two finite times nor two NaNs",
+            f"baselines are not {len(link_ids)} finite numbers, one per link")[check])
     return [SegmentRecord(event.event_id, event.type_name, event.label,
-                          EventSegment(start=start, dt=event.dt, baselines=tuple(base),
+                          EventSegment(start=start, dt=dt, baselines=tuple(base),
                                        rssi=event.rssi[start:stop], windows=win))
             for event, (start, stop), base, win in zip(found, bounds, baselines.tolist(), windows)]
 
@@ -600,7 +581,8 @@ def save_features_csv(table: FeatureTable, path) -> None:
 
 
 def load_features_csv(path) -> FeatureTable:
-    """Read a non-empty feature table, rejecting any row that does not fit its header.
+    """Read a non-empty feature table, rejecting any row that does not fit its header or whose
+    label is not the one its type_name, a known vehicle type, fixes.
 
     The numbers of a table of CRLF lines without a quote, as save_features_csv
     writes one, are parsed in one call; a table that call cannot take is read
@@ -632,6 +614,11 @@ def load_features_csv(path) -> FeatureTable:
                 values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
         except ValueError as exc:
             raise InputDataError(f"{path}:{lineno}: {exc}") from None
+        if TYPE_LABELS.get(row[1]) != row[2]:
+            raise InputDataError(f"{path}:{lineno}: " + (
+                f"label {row[2]!r} is not {TYPE_LABELS[row[1]]!r}, the label of {row[1]!r}"
+                if row[1] in TYPE_LABELS else
+                f"unknown vehicle type {row[1]!r}; known types: {sorted(TYPE_LABELS)}"))
         if first_line.setdefault(event_id, lineno) != lineno:
             raise InputDataError(
                 f"{path}:{lineno}: event_id {event_id} repeats line {first_line[event_id]}")

@@ -19,12 +19,12 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, InputDataError
-from .geometry import SensorLayout, VehicleSpec
+from .geometry import TYPE_LABELS, SensorLayout, VehicleSpec
 from .propagation import (AntennaPattern, ChannelConfig, LinkContext, build_link_context,
                           noiseless_rssi, passage_loss, path_rssi, received_rssi)
 
 FORMAT_NAME = "radiobarrier-dataset"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Datasets hold RSSI in whole-dB steps, one signed byte each (-128..127 dB), as
 # a 2.4 GHz radio reports it.  The step also makes the bytes independent of the
 # CPU's SIMD level: the exact channel model differs in the last bits between
@@ -63,18 +63,16 @@ class PassageEvent:
     """One passage: metadata and the RSSI trace of every link.
 
     `rssi` is a read-only float64 (frames x links) array in dBm, links in
-    layout order; frame i was sampled at t = i * dt.  A float64 array is kept if neither
-    it nor the array owning its memory is writable; anything else is copied.
+    layout order; frame i was sampled at t = i * dt, the dt of its dataset.  A float64 array
+    is kept if neither it nor the array owning its memory is writable; anything else is copied.
     """
 
     event_id: int
     type_name: str
-    label: str
     true_speed: float
     true_length: float
     lane_y: float
     rssi: np.ndarray
-    dt: float
 
     def __post_init__(self) -> None:
         rssi = self.rssi
@@ -84,6 +82,10 @@ class PassageEvent:
             rssi = np.array(rssi, dtype=np.float64)
             rssi.flags.writeable = False
         object.__setattr__(self, "rssi", rssi)
+
+    @property
+    def label(self) -> str:
+        return TYPE_LABELS[self.type_name]
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,7 @@ def _simulate_passages(layout: SensorLayout, ctx: LinkContext, vehicle: VehicleS
     if step is not None:  # np.round(rssi / step) * step, in place
         np.multiply(np.round(np.divide(rssi, step, out=rssi), out=rssi), step, out=rssi)
     rssi.flags.writeable = False  # the events' traces are views of it
-    return [PassageEvent(event_id, vehicle.type_name, vehicle.label, speed, vehicle.total_length,
-                         lane_y, trace, sim.dt)
+    return [PassageEvent(event_id, vehicle.type_name, speed, vehicle.total_length, lane_y, trace)
             for event_id, speed, lane_y, trace in zip(ids, speeds, lanes, np.split(rssi, cuts))]
 
 
@@ -231,18 +232,25 @@ def _encode_samples(rssi: np.ndarray) -> str:
         raise ConfigurationError(
             f"a dataset stores each RSSI sample as an int8 count of {RSSI_STEP_DB} dB steps, "
             f"which {float(rssi[bad][0])!r} dB is not")
-    return base64.b64encode(whole.tobytes()).decode("ascii")
+    return encode_base64(whole)
 
 
-def _decode_samples(where: str, key: str, value: str, shape: Tuple[int, int]) -> bytes:
+def encode_base64(array: np.ndarray) -> str:
+    """The standard base64 of the array's bytes, in row-major order."""
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def decode_base64(where: str, key: str, value: str, shape: Tuple[int, ...],
+                  dtype: np.dtype) -> bytes:
+    """The bytes of the standard base64 string `value`, if they are those of a `dtype` array
+    of this `shape`; a shape with an axis below 1 fits no string."""
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:  # outside the alphabet, bad padding, or not ASCII
         raise InputDataError(f"{where}: {key} is not base64: {exc}") from exc
-    frames, links = shape
-    if frames < 1 or len(raw) != frames * links * _SAMPLE.itemsize:
-        raise InputDataError(f"{where}: {key} holds {len(raw)} bytes, not the samples of "
-                             f"{frames} frames x {links} links")
+    if min(shape) < 1 or len(raw) != math.prod(shape) * dtype.itemsize:
+        raise InputDataError(f"{where}: {key} holds {len(raw)} bytes, not the "
+                             f"{' x '.join(map(str, shape))} {dtype.name} values")
     return raw
 
 
@@ -295,7 +303,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         raise InputDataError(f"{path} is empty")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputDataError(f"{path}: bad header line: {exc}") from exc
     if not (isinstance(header, dict) and header.get("format") == format_name):
         raise InputDataError(f"{path} is not a {format_name} file")
@@ -315,7 +323,7 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
         where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputDataError(f"{where}: bad record line: {exc}") from exc
         if not isinstance(raw, dict):
             raise InputDataError(f"{where}: a record line must be a JSON object")
@@ -336,9 +344,8 @@ def read_records(path, format_name: str, version: int, fields: Mapping[str, type
 
 # Keys of an event line with their types; "values" holds the event's rssi
 # in base64 and "frames" its row count.
-_EVENT_FIELDS = {"event_id": int, "type_name": str, "label": str, "true_speed": float,
-                 "true_length": float, "lane_y": float, "dt": float, "frames": int,
-                 "values": str}
+_EVENT_FIELDS = {"event_id": int, "type_name": str, "true_speed": float, "true_length": float,
+                 "lane_y": float, "frames": int, "values": str}
 
 
 def _event_line(ev: PassageEvent) -> str:
@@ -358,18 +365,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 def read_events(path) -> Tuple[Dict, Tuple[PassageEvent, ...], str]:
     """The header and the events of a dataset file, rejecting any line that does not fit, and
     the SHA-256 of the bytes that were parsed.  The traces are views of one read-only array.
-    Every line's dt must be the header's, which the config fingerprint covers."""
+    The header's dt is every event's; each line's type_name must be a known vehicle type."""
     header, records, sha256 = read_records(path, FORMAT_NAME, FORMAT_VERSION, _EVENT_FIELDS,
                                           "regenerate it with `generate` and the same `--seed`")
     dt = _field(f"{path}: header", "dt", header.get("dt"), float)
     if not dt > 0:
         raise InputDataError(f"{path}: header dt {dt!r} is not positive")
     for where, rec in records:
-        if rec["dt"] != dt:
-            raise InputDataError(f"{where}: dt {rec['dt']!r} differs from the header's {dt!r}")
+        if rec["type_name"] not in TYPE_LABELS:
+            raise InputDataError(f"{where}: unknown vehicle type {rec['type_name']!r}; "
+                                 f"known types: {sorted(TYPE_LABELS)}")
     links = len(header["link_ids"])
-    raw = b"".join([_decode_samples(where, "values", rec.pop("values"), (rec["frames"], links))
-                    for where, rec in records])
+    raw = b"".join([decode_base64(where, "values", rec.pop("values"), (rec["frames"], links),
+                                  _SAMPLE) for where, rec in records])
     rssi = np.frombuffer(raw, _SAMPLE).reshape(-1, links) * RSSI_STEP_DB
     rssi.flags.writeable = False
     ends = np.cumsum([rec["frames"] for _, rec in records]).tolist()

@@ -239,12 +239,13 @@ def test_criterion_8_estimator_accuracy(cfg):
     det = cfg.detection
     worst_speed = 0.0
     worst_length = 0.0
+    sim = SimulationConfig()
     for vehicle in cfg.catalog.values():
         lane = (layout.road_width - vehicle.width) / 2.0
         for speed in (5.0, 8.0, 12.0, 17.0, 23.0, 30.0):
             ev = simulate_passage(layout, chan, patterns, vehicle, speed, lane,
-                                  seed=0, sim=SimulationConfig())
-            segments = detect_events(ev.rssi, ev.dt, layout, det)
+                                  seed=0, sim=sim)
+            segments = detect_events(ev.rssi, sim.dt, layout, det)
             assert len(segments) == 1
             record = SegmentRecord(1, vehicle.type_name, vehicle.label, segments[0])
             v, L = featurize_records([record], layout).values[0, :2]

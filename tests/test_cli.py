@@ -193,8 +193,8 @@ def _cells(text, markdown):
 # SHA-256 of the README chain's outputs on seed 42 with the default mix of 50
 # events per type; any change to what the chain computes shows here
 SEED_42_CHAIN = {
-    "dataset.jsonl": "62f5ae2d9004c630828ae48619932012d36416489ed170ce170377acebd06139",
-    "segments.jsonl": "cba2631e02090378776390cf2384d547794d4053937a13c30e43352c68851151",
+    "dataset.jsonl": "a3b922a045ffe9c28bccdf04ea338b3ac84cce56e102462908ddda1f8d2f8fa3",
+    "segments.jsonl": "93e189055cd44a28ff06c3764dc2fe5ab847ff6f11dc39521fe86de567f6f16c",
     "features.csv": "ef1fb936e1d3501c58bd6723be442eda48d4b3bdf0d69babab3a6ddb2665d8f9",
     "crossval.json": "917dd2586416c08eda4dc616acdca3477d9a92b30d9b501fb9399f6a46a44c47",
 }
@@ -230,13 +230,14 @@ def seed_42_chain(tmp_path_factory):
 
 def test_seed_42_chain_outputs_are_pinned(seed_42_chain):
     assert {name: _sha256(seed_42_chain / name) for name in SEED_42_CHAIN} == SEED_42_CHAIN
+    assert (seed_42_chain / "dataset.jsonl").stat().st_size == 1_391_418
 
 
 # SHA-256 of a single command's output: a second seed through the simulator, and the
 # ground-reflection study, which simulates every event with the reflection on and off
 PINNED_OUTPUTS = {
     ("generate", "--seed", "7"): (
-        "dataset.jsonl", "9df866dc1640b0ea8e6d407c9d62091dd030748f333c6912092f87fe893cdba6"),
+        "dataset.jsonl", "8607dbbc8d3b7fc4b153577677498658fbae23422a370ea8d800ac667399f4ac"),
     ("study", "--seed", "42"): (
         "study.json", "27527cb80d3299655c9ab78df55ae756d73d7cd5578e7de5ba9374148c79f8f7"),
 }
@@ -444,8 +445,8 @@ def test_training_error_exit_code(tmp_path, capsys):
 def test_crossval_with_more_folds_than_the_largest_label_exits_3(tmp_path, capsys):
     # 3 + 2 rows would leave folds S4 and S5 empty, and their accuracies NaN
     table = tmp_path / "features.csv"
-    rows = [f"{i},{label},{label},10.0,{4.0 + i},8.0" for i, label in
-            enumerate(["passenger_car"] * 3 + ["truck"] * 2)]
+    rows = [f"{i},{name},{TYPE_LABELS[name]},10.0,{4.0 + i},8.0" for i, name in
+            enumerate(["passenger car"] * 3 + ["truck"] * 2)]
     table.write_text("event_id,type_name,label,est_speed,est_length,drop_magnitude\n"
                      + "\n".join(rows) + "\n")
     code = run(["crossval", "--table", str(table), "--features", "length", "--folds", "5",
@@ -522,7 +523,10 @@ def _generate_exits_2(tmp_path, capsys, text, needle):
     ("[simulation]\nseed = 5\n", "unknown key 'seed'"),
     ("[detektion]\ndrop_threshold_db = 7\n", "unknown section [detektion]"),
     ("[DEFAULT]\nfoo = 1\n", "[DEFAULT] unknown keys ['foo']"),
-], ids=["misspelt_key", "removed_seed_key", "unknown_section", "default_section_key"])
+    ("[vehicle.truck]\nsegments = 6:3.8:0.45\nlabel = truck\n",
+     "[vehicle.truck] unknown key 'label'"),  # the type name fixes the label
+], ids=["misspelt_key", "removed_seed_key", "unknown_section", "default_section_key",
+        "removed_label_key"])
 def test_unknown_config_entries_exit_2(tmp_path, capsys, text, needle):
     _generate_exits_2(tmp_path, capsys, text, needle)
 
@@ -595,33 +599,41 @@ def test_report_on_a_broken_results_file_exits_3(tmp_path, capsys, content):
     assert f"input error: {target}" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_report_on_json_nested_too_deep_exits_3(tmp_path, capsys):
+    target = tmp_path / "results.json"
+    target.write_text(DEEP_JSON)
+    assert run(["report", "--input", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {target}: not a results file: RecursionError(")
+
+
+@pytest.mark.parametrize("index, where", [(0, "{path}: bad header line"),
+                                          (1, "{path}:2: bad record line")],
+                         ids=["header", "line_2"])
+def test_a_dataset_line_nested_too_deep_exits_3(run_copy, capsys, index, where):
+    path = run_copy / "gen" / "dataset.jsonl"
+    _edit_line(path, path, index, lambda line: DEEP_JSON)
+    assert run(["detect", "--dataset", str(path), "--out", str(run_copy / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {where.format(path=path)}: ")
+    assert not (run_copy / "out").exists()
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert "radiobarrier" in capsys.readouterr().out
 
 
-def test_dataset_line_without_dt_exits_3(workspace, tmp_path, capsys):
-    lines = (workspace / "gen" / "dataset.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    del record["dt"]
-    lines[1] = json.dumps(record)
-    broken = tmp_path / "dataset.jsonl"
-    broken.write_text("\n".join(lines) + "\n")
-    code = run(["detect", "--dataset", str(broken), "--out", str(tmp_path / "out")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "input error" in err and "dt" in err
-
-
 @pytest.mark.parametrize("line, old, new, needle", [
-    (1, '"dt":0.01,', '"dt":0.02,', ":2: dt 0.02 differs from the header's 0.01"),
     (0, '"dt":0.01,', '"dt":0.0,', "header dt 0.0 is not positive"),
     (0, '"dt":0.01,', '"dt":"0.01",', "header: dt must be of type float"),
     (0, '"dt":0.01,', '', "header: dt must be of type float, got None"),
-], ids=["line_differs", "header_zero", "header_a_string", "header_without_dt"])
+], ids=["header_zero", "header_a_string", "header_without_dt"])
 def test_a_dataset_dt_other_than_the_header_s_exits_3(workspace, tmp_path, capsys,
                                                       line, old, new, needle):
-    # every line's dt must be the header's, the one the config fingerprint covers
+    # the header's dt, which the config fingerprint covers, is every event's
     lines = (workspace / "gen" / "dataset.jsonl").read_text().splitlines()
     assert old in lines[line]
     lines[line] = lines[line].replace(old, new, 1)
@@ -680,6 +692,30 @@ def _edit_record(edit):
     return edit_line
 
 
+def _floats(text):
+    """A segments line's base64 array of little-endian float64, as a writable array."""
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def _encode_floats(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _edit_windows(edit):
+    """A segments line edit that calls `edit` on its (links x 2) window array."""
+    def edit_record(record):
+        windows = _floats(record["windows"]).reshape(-1, 2)
+        record["windows"] = _encode_floats(edit(windows))
+    return _edit_record(edit_record)
+
+
+def _set_window(link_id, span):
+    def edit(windows):
+        windows[link_id - 1] = span  # the default layout's links are 1, 2, ... in order
+        return windows
+    return edit
+
+
 @pytest.fixture
 def run_copy(workspace, tmp_path):
     """The workspace's dataset and segments, copied to the same relative paths under tmp_path."""
@@ -699,7 +735,7 @@ def test_features_on_a_moved_run_directory(workspace, run_copy):
 @pytest.mark.parametrize("index, edit, needle", [
     (1, _edit_record(lambda r: r.pop("start_index")), "start_index"),
     (0, lambda line: line[:-1], "header"),
-    (1, _edit_record(lambda r: r["windows"].update({"10": [1.0, 1.2]})), "windows"),
+    (1, _edit_windows(lambda w: np.vstack([w, [1.0, 1.2]])), "windows"),  # a 10th link's
     (1, _edit_record(lambda r: r.update(start_index=-1)), "do not fit"),
     (2, _edit_record(lambda r: r.update(frames=10**6)), "do not fit"),
     (3, _edit_record(lambda r: r.update(frames=0)), "do not fit"),
@@ -754,43 +790,74 @@ def test_detect_on_a_dataset_of_version_2_says_how_to_regenerate_it(run_copy, ca
                          0, _edit_record(lambda r: r.update(version=2)))
     assert run(["detect", "--dataset", str(dataset), "--out", str(run_copy / "out")]) == 3
     assert (f"input error: {dataset} is a radiobarrier-dataset file of version 2, but this "
-            "program reads version 3: regenerate it with `generate` and the same `--seed`"
+            "program reads version 4: regenerate it with `generate` and the same `--seed`"
             ) in capsys.readouterr().err
     assert not (run_copy / "out" / "segments.jsonl").exists()
 
 
+def test_detect_on_a_dataset_of_version_3_says_how_to_regenerate_it(run_copy, capsys):
+    # version 3 lines repeated the header's dt and spelt out the label their type fixes
+    def version_3_line(line):
+        record = json.loads(line)
+        record.update(dt=0.01, label=TYPE_LABELS[record["type_name"]])
+        return dumps_compact(record)
+
+    path = run_copy / "gen" / "dataset.jsonl"
+    _edit_line(path, path, 0, _edit_record(lambda r: r.update(version=3)))
+    for index in range(1, len(path.read_text().splitlines())):
+        _edit_line(path, path, index, version_3_line)
+    assert run(["detect", "--dataset", str(path), "--out", str(run_copy / "out")]) == 3
+    assert (f"input error: {path} is a radiobarrier-dataset file of version 3, but this "
+            "program reads version 4: regenerate it with `generate` and the same `--seed`"
+            ) in capsys.readouterr().err
+    assert not (run_copy / "out" / "segments.jsonl").exists()
+
+
+@pytest.mark.parametrize("type_name", ["bicycle", "bicycle, red", "passenger_car", ""])
+def test_a_dataset_line_of_an_unknown_vehicle_type_exits_3(run_copy, capsys, type_name):
+    # the type name fixes the label: a name outside the grouping has none
+    path = run_copy / "gen" / "dataset.jsonl"
+    _edit_line(path, path, 2, _edit_record(lambda r: r.update(type_name=type_name)))
+    assert run(["detect", "--dataset", str(path), "--out", str(run_copy / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: {path}:3: unknown vehicle type {type_name!r}; "
+        f"known types: {sorted(TYPE_LABELS)}\n")
+    assert not (run_copy / "out" / "segments.jsonl").exists()
+
+
 @pytest.mark.parametrize("edit, code, message", [
-    (lambda r: r.update(frames=1), 3, "input error: event 2: degenerate zero-duration segment"),
-    (lambda r: r.update(windows={"1": r["windows"]["1"], "2": r["windows"]["2"]}), 4,
+    (_edit_record(lambda r: r.update(frames=1)), 3,
+     "input error: event 2: degenerate zero-duration segment"),
+    # links 1 and 2 keep their windows, and no other link has one
+    (_edit_windows(lambda w: np.where(np.arange(len(w))[:, None] < 2, w, np.nan)), 4,
      "training/estimation error: event 2: need onsets on at least two direct links"),
 ], ids=["one_frame", "one_direct_link"])
 def test_features_names_the_event_it_cannot_featurize(run_copy, capsys, edit, code, message):
     segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
-                          2, _edit_record(edit))
+                          2, edit)
     assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == code
     assert message in capsys.readouterr().err
     assert not (run_copy / "out" / "features.csv").exists()
 
 
-@pytest.mark.parametrize("span", [[1.0, float("nan")], [1.0], "soon", ["1.0", "1.2"],
-                                  [True, 1.2], [10**400, 1.2]],
-                         ids=["not_finite", "one_number", "not_numbers", "strings", "a_boolean",
-                              "an_int_beyond_float"])
+@pytest.mark.parametrize("span", [[1.0, float("nan")], [float("nan"), 1.2], [float("inf"), 1.2]],
+                         ids=["not_finite", "one_number", "an_int_beyond_float"])
 def test_features_names_the_link_of_a_bad_window(run_copy, capsys, span):
+    # a window is two finite times, or two NaNs for a link that never dropped
     segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
-                          1, _edit_record(lambda r: r["windows"].update({"5": span})))
+                          1, _edit_windows(_set_window(5, span)))
     assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == 3
-    assert "window 5" in capsys.readouterr().err
+    assert "window 5 is neither two finite times nor two NaNs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [
-    lambda baselines: [str(b) for b in baselines],
-    lambda baselines: [True, *baselines[1:]],
-    lambda baselines: baselines[:8],
-    lambda baselines: [10**400, *baselines[1:]],
+    lambda baselines: ",".join(map(repr, _floats(baselines))),
+    lambda baselines: True,
+    lambda baselines: _encode_floats(_floats(baselines)[:8]),
+    lambda baselines: _encode_floats([float("inf"), *_floats(baselines)[1:]]),
 ], ids=["strings", "a_boolean", "eight_numbers", "an_int_beyond_float"])
 def test_features_names_bad_baselines(run_copy, capsys, edit):
-    # one finite JSON number per link: a string or a boolean is not read as a number
+    # one finite float64 per link, as base64: numbers spelt as text or a boolean are refused
     segments = _edit_line(run_copy / "det" / "segments.jsonl", run_copy / "det" / "segments.jsonl",
                           1, _edit_record(lambda r: r.update(baselines=edit(r["baselines"]))))
     assert run(["features", "--segments", str(segments), "--out", str(run_copy / "out")]) == 3
@@ -854,6 +921,29 @@ def test_a_feature_table_with_a_repeated_event_id_exits_3(workspace, tmp_path, c
     broken = _edit_line(table, tmp_path / "features.csv", 2, _set_cell(0, first))
     assert run([command, "--table", str(broken)]) == 3
     assert capsys.readouterr().err == f"input error: {broken}:3: event_id {first} repeats line 2\n"
+
+
+@pytest.mark.parametrize("cells, needle", [
+    ("bicycle,passenger_car", "unknown vehicle type 'bicycle'; known types: "),
+    ("passenger_car,passenger_car", "unknown vehicle type 'passenger_car'; known types: "),
+    ("truck,passenger_car", "label 'passenger_car' is not 'truck', the label of 'truck'"),
+    ("van,truck", "label 'truck' is not 'passenger_car', the label of 'van'"),
+], ids=["unknown_type", "a_label_for_a_type", "truck_labelled_car", "van_labelled_truck"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["one_call", "row_by_row"])
+@pytest.mark.parametrize("command", ["crossval", "evaluate"])
+def test_a_feature_row_whose_label_is_not_its_type_s_exits_3(workspace, tmp_path, capsys,
+                                                              cells, needle, quoted, command):
+    table = workspace / "feat" / "features.csv"
+    lines = table.read_bytes().split(b"\r\n")
+    event_id, _, _, rest = lines[2].decode().split(",", 3)
+    lines[2] = f"{event_id},{cells},{rest}".encode()
+    if quoted:  # a quoted cell on line 2 sends the table to csv.reader, row by row
+        event_id, type_name, rest = lines[1].decode().split(",", 2)
+        lines[1] = f'{event_id},"{type_name}",{rest}'.encode()
+    broken = tmp_path / "features.csv"
+    broken.write_bytes(b"\r\n".join(lines))
+    assert run([command, "--table", str(broken)]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {broken}:3: {needle}")
 
 
 def test_features_on_segments_from_other_layout_exits_2(workspace, tmp_path, capsys):
@@ -986,6 +1076,21 @@ def mutable_files(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def results_files(mutable_files, tmp_path_factory):
+    """The bytes of the results `report` reads: crossval and evaluate on the 4-event feature
+    table, and a study of 2 events per label."""
+    root = tmp_path_factory.mktemp("results")
+    (root / "features.csv").write_bytes(mutable_files["features.csv"])
+    table = ["--table", str(root / "features.csv"), "--k", "1", "--out", str(root)]
+    assert run(["crossval", "--folds", "2", *table]) == 0
+    assert run(["evaluate", "--test-fraction", "0.5", *table]) == 0
+    assert run(["study", "--mix", "passenger car=2,truck=2", "--seed", "3",
+                "--out", str(root)]) == 0
+    return {name: (root / name).read_bytes()
+            for name in ("crossval.json", "evaluation.json", "study.json")}
+
+
+@pytest.fixture(scope="module")
 def mutable_lines(mutable_files):
     """The lines of the files of `mutable_files`, without their line ends."""
     return {name: data.decode().splitlines() for name, data in mutable_files.items()}
@@ -1063,6 +1168,11 @@ def test_detect_on_mutated_dataset_exits_cleanly(mutable_lines, capsys, data):
     assert code in (exits if files[name] != mutable_lines[name] else (0,))
 
 
+# `report` reads each results file as it is named, and writes nothing
+REPORTED = [(name, ["report", "--input"], name, (0, 3))
+            for name in ("crossval.json", "evaluation.json", "study.json")]
+
+
 # tokens a reader may meet in place of one of a file's own: numbers it cannot hold, JSON
 # words and empty containers, quotes, and bytes that are not UTF-8
 TOKENS = [b"", b"0", b"-1", b"2", b"0.5", b"-0", b"1e999", b"NaN", b"Infinity", b"null",
@@ -1089,15 +1199,18 @@ def _mutate_bytes(data, draw):
     return b"".join(lines[:i] + lines[i:i + 1] * (2 if kind == "duplicate" else 0) + lines[i + 1:])
 
 
-@settings(max_examples=500, deadline=None, database=None, derandomize=True,
+@settings(max_examples=800, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_readers_survive_single_mutations_of_their_bytes(mutable_files, capsys, data):
-    name, command, target, exits = data.draw(st.sampled_from(FUZZED), label="case")
-    files = dict(mutable_files, **{name: _mutate_bytes(mutable_files[name], data.draw)})
+def test_readers_survive_single_mutations_of_their_bytes(mutable_files, results_files, capsys,
+                                                         data):
+    name, command, target, exits = data.draw(st.sampled_from(FUZZED + REPORTED), label="case")
+    intact = {**mutable_files, **results_files}
+    files = dict(intact, **{name: _mutate_bytes(intact[name], data.draw)})
     with tempfile.TemporaryDirectory() as tmp:
         for file, content in files.items():
             (Path(tmp) / file).write_bytes(content)
-        code = run([*command, str(Path(tmp) / target), "--out", str(Path(tmp) / "out")])
+        out = [] if command[0] == "report" else ["--out", str(Path(tmp) / "out")]  # none to report
+        code = run([*command, str(Path(tmp) / target), *out])
     assert "Traceback" not in capsys.readouterr().err
-    assert code in (exits if files[name] != mutable_files[name] else (0,))
+    assert code in (exits if files[name] != intact[name] else (0,))

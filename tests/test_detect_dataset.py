@@ -5,6 +5,7 @@ read one look-ahead block of as many streams as fit in DETECT_BATCH_FRAMES
 frames.  It must find what `detect_events` finds on each event alone, and
 every segment must equal the per-frame oracle's, whatever the batch cap.
 """
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -21,15 +22,17 @@ from test_detect_reference import DT, TIGHT, assert_same_segments, dipped_stream
     reference_detect_events
 
 
-def dataset_of(layout, streams):
-    """A dataset of (dt, rssi) events with ids 1, 2, ..."""
-    events = tuple(PassageEvent(event_id=i, type_name="truck", label="truck", true_speed=10.0,
-                                true_length=10.0, lane_y=2.0, rssi=rssi, dt=dt)
-                   for i, (dt, rssi) in enumerate(streams, start=1))
-    return Dataset(events=events, metadata={"link_ids": [link.id for link in layout.links]})
+def dataset_of(layout, streams, dt=DT, ids=None):
+    """A dataset of `streams` sampled every dt s, as events with these ids, or 1, 2, ..."""
+    events = tuple(PassageEvent(event_id=i, type_name="truck", true_speed=10.0, true_length=10.0,
+                                lane_y=2.0, rssi=rssi)
+                   for i, rssi in zip(ids or range(1, len(streams) + 1), streams))
+    return Dataset(events=events,
+                   metadata={"link_ids": [link.id for link in layout.links], "dt": dt})
 
 
-# Under TIGHT, 20-frame baseline windows at DT and 10-frame ones at 2 * DT, in mixed order.
+# Under TIGHT, 20-frame baseline windows at DT and 10-frame ones at 2 * DT, in mixed order;
+# a dataset has one dt, so the events of each dt make one dataset.
 HAND_BUILT = [
     (DT, dipped_stream(150, [], seed=1)),
     (2 * DT, dipped_stream(90, [(30, 12, 10.0, [0, 4])], seed=2)),
@@ -48,16 +51,24 @@ HAND_BUILT = [
 @pytest.mark.parametrize("cap", [pipeline.DETECT_BATCH_FRAMES, 300, 1])
 def test_dataset_detection_is_per_event_detection(layout, monkeypatch, cap):
     monkeypatch.setattr(pipeline, "DETECT_BATCH_FRAMES", cap)  # 300: rounds split unevenly
-    dataset = dataset_of(layout, HAND_BUILT)
-    per_event = [assert_same_segments(ev.rssi, ev.dt, layout, TIGHT) for ev in dataset.events]
+    datasets = [dataset_of(layout, [rssi for dt, rssi in HAND_BUILT if dt == step], step,
+                           [i for i, (dt, _) in enumerate(HAND_BUILT, start=1) if dt == step])
+                for step in (DT, 2 * DT)]
+    events = sorted((ev for dataset in datasets for ev in dataset.events),
+                    key=lambda ev: ev.event_id)
+    per_event = [assert_same_segments(ev.rssi, dt, layout, TIGHT)
+                 for ev, (dt, _) in zip(events, HAND_BUILT)]
     assert [len(segments) for segments in per_event] == [0, 1, 3, 1, 0, 3, 2, 1]
     assert [any(s.start + len(s.rssi) == len(ev.rssi) for s in segments)
-            for ev, segments in zip(dataset.events, per_event)] == \
+            for ev, segments in zip(events, per_event)] == \
         [False, False, False, True, False, True, False, False]
 
-    records, summary = detect_dataset(dataset, layout, TIGHT)
+    found = [detect_dataset(dataset, layout, TIGHT) for dataset in datasets]
+    records = sorted((r for dataset_records, _ in found for r in dataset_records),
+                     key=lambda r: r.event_id)
+    summary = DetectionSummary(*np.sum([astuple(s) for _, s in found], axis=0).tolist())
     longest = [(ev, max(segments, key=lambda s: s.t_end - s.t_start))
-               for ev, segments in zip(dataset.events, per_event) if segments]
+               for ev, segments in zip(events, per_event) if segments]
     assert [r.event_id for r in records] == [ev.event_id for ev, _ in longest]
     for rec, (ev, want) in zip(records, longest):
         got = rec.segment
@@ -71,8 +82,7 @@ def test_dataset_detection_is_per_event_detection(layout, monkeypatch, cap):
 def test_dataset_detection_names_the_first_bad_event(layout):
     bad = dipped_stream(150, [], seed=8)
     bad[40, 2] = np.nan
-    dataset = dataset_of(layout, [(DT, dipped_stream(150, [], seed=9)),
-                                  (DT, dipped_stream(15, [])), (DT, bad)])
+    dataset = dataset_of(layout, [dipped_stream(150, [], seed=9), dipped_stream(15, []), bad])
     with pytest.raises(InputDataError, match="^event 2: stream of 15 samples is shorter"):
         detect_dataset(dataset, layout, TIGHT)
 
@@ -108,7 +118,7 @@ def test_batched_streams_match_reference(layout, case):
     cfg, streams, cap = case
     window = pipeline._checked_stream(streams[0], DT, layout, cfg)[1]
     with mock.patch.object(pipeline, "DETECT_BATCH_FRAMES", cap):
-        found = pipeline._detect_streams(streams, [DT] * len(streams), window, cfg)
+        found = pipeline._detect_streams(streams, DT, window, cfg)
     for rssi, got in zip(streams, found):
         want = reference_detect_events(rssi, DT, layout, cfg)
         assert [(s.start, s.baselines, s.windows.tobytes()) for s in got] == \

@@ -139,7 +139,8 @@ def seed42():
 def test_matches_reference_on_every_benchmark_event(seed, seed42):
     dataset, layout, det = seed42 if seed == 42 else benchmark_dataset(seed)
     assert len(dataset.events) == 300
-    counts = [len(assert_same_segments(ev.rssi, ev.dt, layout, det)) for ev in dataset.events]
+    dt = dataset.metadata["dt"]
+    counts = [len(assert_same_segments(ev.rssi, dt, layout, det)) for ev in dataset.events]
     assert sum(counts) >= 300
 
 
@@ -147,7 +148,7 @@ def test_matches_reference_on_concatenated_benchmark_stream(seed42):
     dataset, layout, det = seed42
     stream = np.vstack([ev.rssi for ev in dataset.events])
     assert len(stream) == 112_400
-    segments = assert_same_segments(stream, dataset.events[0].dt, layout, det)
+    segments = assert_same_segments(stream, dataset.metadata["dt"], layout, det)
     assert len(segments) >= 300
 
 

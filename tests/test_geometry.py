@@ -20,9 +20,7 @@ def make_vehicle(length=4.5, top=1.5, clearance=0.15, width=1.8, gap=0.0, traile
     segments = [BodySegment(length, top, clearance, gap)]
     if trailer:
         segments.append(BodySegment(*trailer))
-    return VehicleSpec("passenger car" if top < 3 else "truck",
-                       "passenger_car" if top < 3 else "truck",
-                       tuple(segments), width)
+    return VehicleSpec("passenger car" if top < 3 else "truck", tuple(segments), width)
 
 
 # -- build_layout ------------------------------------------------------------
@@ -114,10 +112,10 @@ def test_vehicle_total_length_includes_gaps():
 
 
 def test_vehicle_label_must_match_grouping():
+    # the type name fixes the label: no stored label can contradict it
+    assert VehicleSpec("bus", (BodySegment(12.0, 3.5, 0.3),), 2.5).label == "truck"
     with pytest.raises(ValueError):
-        VehicleSpec("bus", "passenger_car", (BodySegment(12.0, 3.5, 0.3),), 2.5)
-    with pytest.raises(ValueError):
-        VehicleSpec("sports car", "passenger_car", (BodySegment(4.0, 1.2, 0.1),), 1.8)
+        VehicleSpec("sports car", (BodySegment(4.0, 1.2, 0.1),), 1.8)
 
 
 def test_bad_body_segment():

@@ -86,7 +86,7 @@ def scenes(draw):
 @given(scene=scenes())
 def test_obstruction_loss_matches_the_scalar_reference(scene):
     seg, width, lane, heading, path, noses = scene
-    vehicle = VehicleSpec("truck", "truck", (seg,), width)
+    vehicle = VehicleSpec("truck", (seg,), width)
     intervals = [(x - seg.length, x) if heading == 1 else (x, x + seg.length) for x in noses]
     pose = Pose(np.array(noses), lane, heading)
     crosses = obstruction_loss(vehicle, pose, path, HUGE_LAM) > 0.0

@@ -25,6 +25,8 @@ from radiobarrier.learn import (
     train_test_split,
 )
 
+from test_cli import _mutate_bytes
+
 
 # -- k-NN -----------------------------------------------------------------------
 
@@ -597,4 +599,62 @@ def test_load_model_names_the_field_it_refuses(tmp_path, model, key, edit):
     p = tmp_path / "model.json"
     p.write_text(json.dumps(_saved_model(p, model, **{key: edit})))
     with pytest.raises(InputDataError, match=re.escape(f"{p}: {key}")):
+        load_model(p)
+
+
+def test_a_model_file_nested_too_deep_is_refused(tmp_path):
+    p = tmp_path / "model.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(InputDataError, match=re.escape(f"cannot read model file {p}")):
+        load_model(p)
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """The bytes save_model writes for a k-NN, an SVM and a threshold rule fitted on one
+    feature of four rows: few numbers, so that a mutation often meets another field."""
+    X, y = blobs(n=4, seed=16)
+    X = X[:, :1]
+    models = {"knn": KnnClassifier(k=3).fit(X, y), "svm": SvmClassifier(C=10.0).fit(X, y),
+              "length_threshold": LengthThresholdClassifier().fit(
+                  X[:, 0], np.where(y == "pos", "truck", "passenger_car"))}
+    p = tmp_path_factory.mktemp("models") / "model.json"
+    files = {}
+    for kind, model in models.items():
+        save_model(model, p)
+        files[kind] = p.read_bytes()
+    return files
+
+
+@settings(max_examples=1500, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a_model_file_loads_a_model_that_predicts_or_is_refused(saved_models, tmp_path_factory,
+                                                                data):
+    kind = data.draw(st.sampled_from(sorted(saved_models)), label="kind")
+    p = tmp_path_factory.mktemp("mutated") / "model.json"
+    p.write_bytes(_mutate_bytes(saved_models[kind], data.draw))
+    try:
+        model = load_model(p)
+    except InputDataError:
+        return
+    queries = np.random.default_rng(17).normal(3.0, 3.0, size=(5, 1))
+    labels = model.predict(queries[:, 0] if kind == "length_threshold" else queries)
+    assert len(labels) == len(queries)
+
+
+@pytest.mark.parametrize("model, key, value, needle", [
+    (KnnClassifier(3), "k", 0, "k must be a whole number of at least 1, got 0"),
+    (KnnClassifier(3), "k", 2.5, "k must be a whole number of at least 1, got 2.5"),
+    (KnnClassifier(3), "k", 41, "k = 41 exceeds the 40 training rows"),
+    (SvmClassifier(), "kernel", "poly", "unknown kernel 'poly'"),
+    (SvmClassifier(), "C", -1.0, "C and gamma must be finite and positive"),
+    (KnnClassifier(3), "std", [0.0, 1.0, 1.0], "std: an entry is not above 0"),
+    (SvmClassifier(), "std", [1.0, -1.0, 1.0], "std: an entry is not above 0"),
+], ids=["knn_k_0", "knn_k_not_whole", "knn_k_beyond_the_rows", "svm_unknown_kernel",
+        "svm_negative_C", "knn_std_0", "svm_std_negative"])
+def test_load_model_refuses_what_no_fit_leaves(tmp_path, model, key, value, needle):
+    # a model that loaded would predict nothing, or divide by a zero or negative scale
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(_saved_model(p, model, **{key: lambda _: value})))
+    with pytest.raises(InputDataError, match=re.escape(needle)):
         load_model(p)

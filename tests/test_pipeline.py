@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from radiobarrier.simulator import (
 from conftest import simulate_passage
 
 DET = DetectionConfig()
+DT = SimulationConfig().dt  # the sampling step of every passage() trace
 
 
 def table_fields(table):
@@ -80,7 +82,7 @@ def test_pure_baseline_has_no_segments(layout, patterns, quiet_channel):
 def test_single_car_yields_one_segment(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car)
-    segments = detect_events(ev.rssi, ev.dt, layout, DET)
+    segments = detect_events(ev.rssi, DT, layout, DET)
     assert len(segments) == 1
     seg = segments[0]
     base = baseline_rssi(layout, quiet_channel, patterns)
@@ -94,22 +96,22 @@ def test_single_car_yields_one_segment(layout, patterns, quiet_channel, app_conf
 def test_detected_segment_is_a_read_only_slice_of_the_event(layout, patterns, quiet_channel,
                                                             app_config):
     ev = passage(layout, patterns, quiet_channel, app_config.catalog["passenger car"])
-    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
+    seg = detect_events(ev.rssi, DT, layout, DET)[0]
     n = len(seg.rssi)
     assert seg.rssi.shape == (n, len(layout.links))
     assert not seg.rssi.flags.writeable
     with pytest.raises(ValueError):
         seg.rssi[0, 0] = 0.0
     assert np.array_equal(seg.rssi, ev.rssi[seg.start:seg.start + n])
-    assert seg.t_start == seg.start * ev.dt
-    assert seg.t_end == (seg.start + n - 1) * ev.dt
+    assert seg.t_start == seg.start * DT
+    assert seg.t_end == (seg.start + n - 1) * DT
 
 
 def test_truck_bridged_into_single_segment(signature_layout, signature_patterns,
                                            quiet_channel, app_config):
     truck = app_config.catalog["truck"]
     ev = passage(signature_layout, signature_patterns, quiet_channel, truck)
-    segments = detect_events(ev.rssi, ev.dt, signature_layout, DET)
+    segments = detect_events(ev.rssi, DT, signature_layout, DET)
     assert len(segments) == 1
 
 
@@ -166,7 +168,7 @@ def test_non_finite_samples_rejected(layout, patterns, quiet_channel, app_config
         stream[frames, 3] = bad
         where = f"frame {first}, link {layout.links[3].id} is not finite"
         with pytest.raises(InputDataError, match=where):
-            detect_events(stream, ev.dt, layout, DET)
+            detect_events(stream, DT, layout, DET)
 
 
 def test_detection_config_validation():
@@ -192,7 +194,7 @@ def test_restricted_topology_pipeline(app_config, quiet_channel):
     car = app_config.catalog["passenger car"]
     ev = simulate_passage(lay, quiet_channel, pat, car, 10.0,
                           centered_lane(lay, car), seed=0, sim=SimulationConfig())
-    v, L = estimates(detect_events(ev.rssi, ev.dt, lay, DET)[0], lay)
+    v, L = estimates(detect_events(ev.rssi, DT, lay, DET)[0], lay)
     assert v == pytest.approx(10.0, rel=0.02)
     assert L == pytest.approx(4.5, rel=0.05)
 
@@ -225,7 +227,7 @@ def test_speed_from_two_onsets(layout):
 def test_speed_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=12.0)
-    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
+    seg = detect_events(ev.rssi, DT, layout, DET)[0]
     assert estimates(seg, layout)[0] == pytest.approx(12.0, rel=0.02)
 
 
@@ -252,7 +254,7 @@ def test_length_simple_arithmetic(layout):
 def test_length_estimate_accuracy(layout, patterns, quiet_channel, app_config):
     car = app_config.catalog["passenger car"]
     ev = passage(layout, patterns, quiet_channel, car, speed=10.0)
-    seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
+    seg = detect_events(ev.rssi, DT, layout, DET)[0]
     assert estimates(seg, layout)[1] == pytest.approx(4.5, rel=0.05)
 
 
@@ -262,7 +264,7 @@ def test_truck_length_includes_gap(signature_layout, signature_patterns, app_con
     chan = replace(quiet_channel, ground_reflection_enabled=False)
     truck = app_config.catalog["truck"]
     ev = passage(signature_layout, signature_patterns, chan, truck, speed=10.0)
-    seg = detect_events(ev.rssi, ev.dt, signature_layout, DET)[0]
+    seg = detect_events(ev.rssi, DT, signature_layout, DET)[0]
     assert estimates(seg, signature_layout)[1] == pytest.approx(15.8, rel=0.05)
 
 
@@ -271,7 +273,7 @@ def test_length_scale_consistency(layout, patterns, quiet_channel, app_config):
     lengths = []
     for speed in (7.0, 14.0):
         ev = passage(layout, patterns, quiet_channel, van, speed=speed)
-        seg = detect_events(ev.rssi, ev.dt, layout, DET)[0]
+        seg = detect_events(ev.rssi, DT, layout, DET)[0]
         lengths.append(estimates(seg, layout)[1])
     assert lengths[0] == pytest.approx(lengths[1], rel=0.05)
 
@@ -352,7 +354,7 @@ def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
     for event_id, speed in ((1, 6.0), (2, 18.0)):  # very different durations
         ev = passage(layout, patterns, quiet_channel, car, speed=speed)
         records.append(SegmentRecord(event_id, "passenger car", "passenger_car",
-                                     detect_events(ev.rssi, ev.dt, layout, DET)[0]))
+                                     detect_events(ev.rssi, DT, layout, DET)[0]))
     table = featurize_records(records, layout)
     assert feature_matrix(table, "both").shape[1] == 9 * 32 + 1
     assert table.columns[len(SCALAR_COLUMNS):] == tuple(f"f_{i}" for i in range(288))
@@ -475,7 +477,13 @@ def test_features_csv_is_what_csv_writer_makes(tmp_path):
         writer.writerows((i, n, n, *(format(x, ".17g") for x in row))
                          for i, n, row in zip(table.event_ids, names, table.values))
     assert ours.read_bytes() == theirs.read_bytes()
-    assert table_fields(load_features_csv(ours)) == table_fields(table)
+    # the reader takes only known vehicle types, each with the label it fixes
+    with pytest.raises(InputDataError, match=":2: unknown vehicle type 'plain'"):
+        load_features_csv(ours)
+    known = FeatureTable((7, 8, 9), ("van", "bus", "truck"), ("passenger_car", "truck", "truck"),
+                         values)
+    save_features_csv(known, ours)
+    assert table_fields(load_features_csv(ours)) == table_fields(known)
 
 
 
@@ -488,10 +496,18 @@ def small_table(values, names=("van",)):
 
 @pytest.mark.parametrize("name", ['car, "big"\nvan', 'the "big" van'])
 def test_a_quoted_type_name_round_trips_row_by_row(tmp_path, name):
+    # csv.reader reads a quoted name back whole: an unknown one as the refusal names it, a
+    # known one quoted by hand as the type it is
     table = small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], names=(name,))
     p = tmp_path / "features.csv"
     save_features_csv(table, p)
     assert pipeline._split_at_once(p.read_bytes().decode()) == (None, None)  # csv.reader reads it
+    with pytest.raises(InputDataError, match=re.escape(f":2: unknown vehicle type {name!r};")):
+        load_features_csv(p)
+    table = small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    save_features_csv(table, p)
+    p.write_bytes(p.read_bytes().replace(b",van,", b',"van",'))
+    assert pipeline._split_at_once(p.read_bytes().decode()) == (None, None)
     assert table_fields(load_features_csv(p)) == table_fields(table)
 
 

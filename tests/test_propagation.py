@@ -219,8 +219,8 @@ def test_car_blocks_harder_than_trailer_deck():
     # same low link: a car body vs an elevated trailer deck overhead
     ctx = build_link_context((simple_link(z=0.6),), ChannelConfig(noise_sigma=0.0),
                              {1: OMNI, 2: OMNI})
-    car = VehicleSpec("passenger car", "passenger_car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
-    trailer = VehicleSpec("truck", "truck", (BodySegment(9.0, 4.0, 1.2),), 2.5)
+    car = VehicleSpec("passenger car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
+    trailer = VehicleSpec("truck", (BodySegment(9.0, 4.0, 1.2),), 2.5)
     rssi_car = received_rssi(ctx, noiseless_rssi(ctx, car, Pose(2.0, 2.6)))
     rssi_trailer = received_rssi(ctx, noiseless_rssi(ctx, trailer, Pose(4.0, 2.25)))
     assert rssi_car[0] < rssi_trailer[0]
@@ -231,7 +231,7 @@ def test_vehicle_capped_by_constructive_bound():
     # more than 20*log10(2); with |gamma| <= 1/3 the vehicle-absent value is
     # within that bound too
     rng = np.random.default_rng(7)
-    car = VehicleSpec("passenger car", "passenger_car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
+    car = VehicleSpec("passenger car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
     bound = 20.0 * math.log10(2.0) + 1e-9
     for _ in range(200):
         d = float(rng.uniform(4.0, 12.0))
@@ -291,7 +291,7 @@ def test_trace_smooth_inside_trough():
     patterns = {1: OMNI, 2: OMNI}
     link = simple_link(z=0.6)
     ctx = build_link_context((link,), chan, patterns)
-    car = VehicleSpec("passenger car", "passenger_car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
+    car = VehicleSpec("passenger car", (BodySegment(4.5, 1.5, 0.12),), 1.8)
     dt, speed = 0.01, 30.0
     values = []
     for i in range(120):
@@ -405,7 +405,7 @@ def passage_batches(draw):
             top_height=top,
             ground_clearance=draw(st.sampled_from([0.0, 0.0, 0.1, 0.6])) * top,
             gap_after=draw(st.sampled_from([0.0, 0.0, 0.3, 2.0]))))
-    vehicle = VehicleSpec("truck", "truck", tuple(segments), draw(st.floats(0.3, 3.0)))
+    vehicle = VehicleSpec("truck", tuple(segments), draw(st.floats(0.3, 3.0)))
     heading = draw(st.sampled_from([1, -1]))
     passages = draw(st.integers(1, 4))
     lanes = [draw(st.floats(-1.0, 8.0)) for _ in range(passages)]
@@ -444,7 +444,7 @@ def test_full_cover_bounds_on_a_frame(quiet_channel, heading):
     # are evaluated one by one, 8 to 10 by one evaluation
     chan = replace(quiet_channel, ground_reflection_enabled=False)
     ctx = build_link_context((simple_link(),), chan, {1: OMNI, 2: OMNI})
-    van = VehicleSpec("van", "passenger_car", (BodySegment(4.0, 2.0, 0.3),), 2.0)
+    van = VehicleSpec("van", (BodySegment(4.0, 2.0, 0.3),), 2.0)
     start, speed, frames = -7.0 * heading, 4.0 * heading, 20
     with mock.patch.object(propagation, "segment_loss",
                            wraps=propagation.segment_loss) as evaluate:

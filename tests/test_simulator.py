@@ -151,7 +151,6 @@ def test_true_metadata_recorded(layout, patterns, quiet_channel, app_config):
     assert ev.true_length == pytest.approx(15.8)
     assert ev.event_id == 17
     assert ev.label == "truck"
-    assert ev.dt == pytest.approx(0.01)
 
 
 def test_trace_is_read_only_frames_by_links(layout, patterns, quiet_channel, app_config):
@@ -256,7 +255,7 @@ def test_dataset_round_trip(tmp_path, layout, patterns, app_config):
 
 
 def _event(rssi):
-    return PassageEvent(1, "van", "passenger_car", 10.0, 5.0, 2.5, rssi, 0.01)
+    return PassageEvent(1, "van", 10.0, 5.0, 2.5, rssi)
 
 
 def test_an_event_copies_an_array_someone_can_still_write():
@@ -311,12 +310,12 @@ def test_event_line_equals_dumps_compact(tmp_path, layout, patterns, app_config)
     save_dataset(ds, p)
     lines = p.read_text().splitlines()
     assert lines[0] == dumps_compact(ds.metadata)
-    assert json.loads(lines[0])["version"] == 3
+    assert json.loads(lines[0])["version"] == 4
     for ev, line in zip(ds.events, lines[1:]):
         record = {
-            "event_id": ev.event_id, "type_name": ev.type_name, "label": ev.label,
+            "event_id": ev.event_id, "type_name": ev.type_name,
             "true_speed": ev.true_speed, "true_length": ev.true_length,
-            "lane_y": ev.lane_y, "dt": ev.dt, "frames": len(ev.rssi),
+            "lane_y": ev.lane_y, "frames": len(ev.rssi),
             "values": _encode(ev.rssi / RSSI_STEP_DB),
         }
         assert line == dumps_compact(record)
@@ -370,8 +369,7 @@ COUNT_MATRICES = st.integers(1, 9).flatmap(lambda links: st.lists(
 @given(matrices=COUNT_MATRICES)
 def test_every_int8_count_matrix_reads_back_bit_identical(matrices):
     links = matrices[0].shape[1]
-    events = tuple(PassageEvent(event_id, "van", "passenger_car", 10.0, 5.0, 2.5,
-                                counts * RSSI_STEP_DB, 0.01)
+    events = tuple(PassageEvent(event_id, "van", 10.0, 5.0, 2.5, counts * RSSI_STEP_DB)
                    for event_id, counts in enumerate(matrices, start=1))
     metadata = {"format": simulator.FORMAT_NAME, "version": simulator.FORMAT_VERSION, "dt": 0.01,
                 "link_ids": list(range(1, links + 1)), "event_count": len(events)}
@@ -393,7 +391,8 @@ def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patte
     save_dataset(ds, p)
     lines = p.read_text().splitlines()
     for i in range(1, len(lines)):
-        lines[i] = lines[i].replace('{"dt"', '{"fingerprint":"cdba1a75e9fe6a66","dt"', 1)
+        lines[i] = lines[i].replace('{"event_id"',
+                                    '{"fingerprint":"cdba1a75e9fe6a66","event_id"', 1)
     p.write_text("\n".join(lines) + "\n")
     loaded = load_dataset(p)
     assert [ev.event_id for ev in loaded.events] == [1, 2]
@@ -402,9 +401,10 @@ def test_lines_of_an_earlier_writer_with_extra_keys_load(tmp_path, layout, patte
 
 
 def _drop_dt(lines):
-    record = json.loads(lines[1])
-    del record["dt"]
-    lines[1] = json.dumps(record)
+    # the header's dt is the dataset's only one
+    header = json.loads(lines[0])
+    del header["dt"]
+    lines[0] = json.dumps(header)
 
 
 def _ragged(lines):
@@ -466,14 +466,22 @@ def _short_by_one(lines):
 
 
 def _string_dt(lines):
+    header = json.loads(lines[0])
+    header["dt"] = "0.01"
+    lines[0] = json.dumps(header)
+
+
+def _unknown_type(lines):
+    # a type name fixes the label, so one outside the grouping has none
     record = json.loads(lines[1])
-    record["dt"] = "0.01"
+    record["type_name"] = "bicycle"
     lines[1] = json.dumps(record)
 
 
 @pytest.mark.parametrize("mutate", [_drop_dt, _ragged, _narrow, _not_finite, _infinite_speed,
                                     _short_by_one, _string_dt, _outside_alphabet,
-                                    _frames_disagree, _no_frames, _version_1_header])
+                                    _frames_disagree, _no_frames, _version_1_header,
+                                    _unknown_type])
 def test_load_rejects_malformed_lines(tmp_path, layout, patterns, app_config, mutate):
     ds = generate_dataset(layout, app_config.channel, patterns, app_config.catalog,
                           {"passenger car": 2}, app_config.sim, seed=2)
