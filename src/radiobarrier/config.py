@@ -240,7 +240,7 @@ def load_config(path) -> AppConfig:
         channel = replace(d.channel, **parts["channel"])
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    return AppConfig(
+    cfg = AppConfig(
         layout_cfg=replace(d.layout_cfg, **parts["layout"]),
         antenna=antenna,
         channel=channel,
@@ -249,6 +249,11 @@ def load_config(path) -> AppConfig:
         features=replace(d.features, **parts["features"]),
         catalog=catalog or default_catalog(),
     )
+    if cfg.detection.baseline_window > cfg.sim.pre_roll:  # so every event it generates fits one
+        raise ConfigurationError(f"baseline_window_s = {cfg.detection.baseline_window} is longer "
+                                 f"than pre_roll_s = {cfg.sim.pre_roll}, the quiet lead-in of a "
+                                 f"passage that its first baseline is taken from")
+    return cfg
 
 
 def resolve_config(spec: str) -> AppConfig:

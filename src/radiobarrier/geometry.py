@@ -25,6 +25,10 @@ TYPE_LABELS = {
 
 LABELS = ("passenger_car", "truck")
 
+# Most posts per road side.  A full mesh of 32 has 1,024 links, 0.26 MB of layout, and
+# generating one batch of simulator.BATCH_FRAMES frames on it peaks at about 0.25 GiB.
+MAX_NODES_PER_SIDE = 32
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -81,8 +85,8 @@ def build_layout(config: LayoutConfig) -> SensorLayout:
     each receiver.
     """
     n = config.nodes_per_side
-    if n < 1:
-        raise ConfigurationError("need at least one node per side")
+    if not 1 <= n <= MAX_NODES_PER_SIDE:
+        raise ConfigurationError(f"nodes_per_side = {n} is not from 1 to {MAX_NODES_PER_SIDE}")
     if config.road_width <= 0:
         raise ConfigurationError("road width must be positive")
     if config.spacing <= 0:

@@ -164,6 +164,11 @@ class SvmClassifier:
             raise TrainingError(f"unknown kernel {kernel!r}")
         if not (0 < C < math.inf and (gamma is None or 0 < gamma < math.inf)):  # NaN fails too
             raise TrainingError(f"C and gamma must be finite and positive: C={C}, gamma={gamma}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
+                or not math.isfinite(tol):  # a negative tol is a tighter stop, not an error
+            raise TrainingError(f"tol must be a finite number, got {tol!r}")
+        if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+            raise TrainingError(f"max_iter must be a whole number of at least 1, got {max_iter!r}")
         self.kernel = kernel
         self.C = C
         self.gamma = gamma

@@ -29,8 +29,6 @@ row is the same floats whichever batch its segment falls in.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from contextlib import contextmanager
@@ -52,6 +50,10 @@ from .simulator import (Dataset, SimulationConfig, decode_base64, encode_base64,
 DETECT_BATCH_FRAMES = 8192
 # Segment frames featurized in one batch: a few dozen passages per array operation
 FEATURE_BATCH_FRAMES = 8192
+# Most points of one link's drop profile.  A feature row on the default 9 links then holds
+# at most 9,003 floats, 72 KB; the 300 seed-42 passages featurize in a 43 MB peak (2.4 MB
+# at the default 32 points).
+MAX_RESAMPLE_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,9 @@ class FeatureConfig:
     include_rssi: bool = True  # the drop profile columns f_0, f_1, ...
 
     def __post_init__(self) -> None:
-        if self.resample_points < 2:
-            raise ConfigurationError("resample_points must be at least 2")
+        if not 2 <= self.resample_points <= MAX_RESAMPLE_POINTS:
+            raise ConfigurationError(f"resample_points = {self.resample_points} is not from 2 "
+                                     f"to {MAX_RESAMPLE_POINTS}")
         if self.links_used not in ("all", "direct"):
             raise ConfigurationError(f"unknown link selection {self.links_used!r}")
 
@@ -321,24 +324,29 @@ SCALAR_COLUMNS = ("est_speed", "est_length", "drop_magnitude")
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """Per detected passage, its event's id, type name and label and a row of
+    """Per detected passage, its event's id and type name, a known vehicle type, and a row of
     `values`, a read-only float64 (events x columns) array whose columns are
     `columns`: SCALAR_COLUMNS, then the drop profile f_0 .. f_{D-1}.  `source`
     names the table in messages."""
 
     event_ids: Tuple[int, ...]
     type_names: Tuple[str, ...]
-    labels: Tuple[str, ...]
     values: np.ndarray
     source: str = "feature table"
 
     def __post_init__(self) -> None:
+        if unknown := set(self.type_names) - TYPE_LABELS.keys():
+            raise ValueError(f"unknown vehicle types {sorted(unknown)}")
         values = np.asarray(self.values, dtype=np.float64).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.event_ids)
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(TYPE_LABELS[name] for name in self.type_names)
 
     @property
     def columns(self) -> Tuple[str, ...]:
@@ -407,9 +415,16 @@ class SegmentRecord:
     """One detected passage with the event metadata needed downstream."""
 
     event_id: int
-    type_name: str
-    label: str
+    type_name: str  # a known vehicle type
     segment: EventSegment
+
+    def __post_init__(self) -> None:
+        if self.type_name not in TYPE_LABELS:
+            raise ValueError(f"unknown vehicle type {self.type_name!r}")
+
+    @property
+    def label(self) -> str:
+        return TYPE_LABELS[self.type_name]
 
 
 def detect_dataset(
@@ -428,7 +443,7 @@ def detect_dataset(
             rssi, window = _checked_stream(event.rssi, dt, layout, det_cfg)
         streams.append(rssi)
     found = _detect_streams(streams, dt, window, det_cfg)  # no window read without a stream
-    records = [SegmentRecord(event.event_id, event.type_name, event.label,
+    records = [SegmentRecord(event.event_id, event.type_name,
                              max(segments, key=lambda s: s.t_end - s.t_start))
                for event, segments in zip(events, found) if segments]
     segs = sum(map(len, found))
@@ -519,7 +534,7 @@ def load_segments(path, layout: SensorLayout,
             f"frames [{start}, {stop}) do not fit the {sizes[i]} frames of event {raw['event_id']}",
             f"window {link_ids[bad_windows[i].argmax()]} is neither two finite times nor two NaNs",
             f"baselines are not {len(link_ids)} finite numbers, one per link")[check])
-    return [SegmentRecord(event.event_id, event.type_name, event.label,
+    return [SegmentRecord(event.event_id, event.type_name,
                           EventSegment(start=start, dt=dt, baselines=tuple(base),
                                        rssi=event.rssi[start:stop], windows=win))
             for event, (start, stop), base, win in zip(found, bounds, baselines.tolist(), windows)]
@@ -548,112 +563,86 @@ def featurize_records(
         first = last
     values = np.concatenate(rows) if rows else np.empty((0, len(SCALAR_COLUMNS)))
     return FeatureTable(tuple(rec.event_id for rec in records),
-                        tuple(rec.type_name for rec in records),
-                        tuple(rec.label for rec in records), values)
+                        tuple(rec.type_name for rec in records), values)
 
 
 # ---------------------------------------------------------------------------
-# Feature table I/O: comma-separated text with one row per event, CRLF line
-# ends as csv.writer makes them, floats spelled as format(x, ".17g").
+# Feature table I/O: comma-separated text with one row per event, CRLF line ends,
+# no quotes (no type name needs one), floats spelled as format(x, ".17g").
 
 _TEXT_COLUMNS = ("event_id", "type_name", "label")
-
-
-def _csv_cells(cells) -> str:
-    """`cells` as csv.writer spells them within a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(cells)  # the row's own "\r\n" decides what gets quoted
-    return buf.getvalue()[:-2]
 
 
 def save_features_csv(table: FeatureTable, path) -> None:
     """Write `table` with one row per event, as load_features_csv reads it.  Each distinct
     value is formatted once, found by its bits: -0.0 is spelled "-0", 0.0 "0"."""
-    names = {pair: _csv_cells(pair) for pair in set(zip(table.type_names, table.labels))}
     bits = np.ascontiguousarray(table.values).view(np.int64)
     distinct, at = np.unique(bits, return_inverse=True)
     text = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(_TEXT_COLUMNS + table.columns) + "\r\n")
-        fh.writelines(f"{event_id},{names[pair]},{','.join(cells)}\r\n" for event_id, pair, cells
-                      in zip(table.event_ids, zip(table.type_names, table.labels),
-                             text[at.reshape(bits.shape)].tolist()))
+        fh.writelines(f"{event_id},{name},{TYPE_LABELS[name]},{','.join(cells)}\r\n"
+                      for event_id, name, cells in zip(table.event_ids, table.type_names,
+                                                       text[at.reshape(bits.shape)].tolist()))
 
 
 def load_features_csv(path) -> FeatureTable:
     """Read a non-empty feature table, rejecting any row that does not fit its header or whose
     label is not the one its type_name, a known vehicle type, fixes.
 
-    The numbers of a table of CRLF lines without a quote, as save_features_csv
-    writes one, are parsed in one call; a table that call cannot take is read
-    row by row with csv.reader, so that a message names the line at fault.
+    Lines end at CRLF, LF or CR.  The text cells of every row are checked first; then the
+    numbers of all rows are parsed in one np.loadtxt call, which reads no quotes and no
+    comments.  Only if that call fails are they parsed row by row, to name the line at fault.
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
-            text = fh.read()
-        rows, numbers = _split_at_once(text)
-        rows = rows or list(csv.reader(io.StringIO(text, newline="")))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        lines = path.read_text().split("\n")  # read with universal newlines
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read feature table {path}: {exc}") from exc
-    header = rows[0] if rows else []
-    leading = _TEXT_COLUMNS + SCALAR_COLUMNS
+    header, leading = lines[0].split(","), _TEXT_COLUMNS + SCALAR_COLUMNS
     if header != [*leading, *(f"f_{i}" for i in range(len(header) - len(leading)))]:
         raise InputDataError(f"{path} is not a feature table: its header is not "
                              f"{','.join(leading)} and then f_0, f_1, ... in order")
-    first_line, values = {}, []  # first_line: event id -> its line, in row order
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
+    first_line, rows = {}, []  # event id -> its line; (line, type name, numbers) per row
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
-        if numbers is None and len(row) != len(header):
-            raise InputDataError(
-                f"{path}:{lineno}: {len(row)} cells under a {len(header)}-column header")
+        if (n := line.count(",") + 1) != len(header):
+            raise InputDataError(f"{path}:{lineno}: {n} cells under a {len(header)}-column header")
+        event_id, type_name, label, numbers = line.split(",", len(_TEXT_COLUMNS))
         try:
-            event_id = int(row[0])
-            if numbers is None:
-                values.append(list(map(float, row[len(_TEXT_COLUMNS):])))
+            event_id = int(event_id)
         except ValueError as exc:
             raise InputDataError(f"{path}:{lineno}: {exc}") from None
-        if TYPE_LABELS.get(row[1]) != row[2]:
+        if TYPE_LABELS.get(type_name) != label:
             raise InputDataError(f"{path}:{lineno}: " + (
-                f"label {row[2]!r} is not {TYPE_LABELS[row[1]]!r}, the label of {row[1]!r}"
-                if row[1] in TYPE_LABELS else
-                f"unknown vehicle type {row[1]!r}; known types: {sorted(TYPE_LABELS)}"))
+                f"label {label!r} is not {TYPE_LABELS[type_name]!r}, the label of {type_name!r}"
+                if type_name in TYPE_LABELS else
+                f"unknown vehicle type {type_name!r}; known types: {sorted(TYPE_LABELS)}"))
         if first_line.setdefault(event_id, lineno) != lineno:
             raise InputDataError(
                 f"{path}:{lineno}: event_id {event_id} repeats line {first_line[event_id]}")
-    event_ids, linenos = tuple(first_line), list(first_line.values())
-    if not linenos:
+        rows.append((lineno, type_name, numbers))
+    if not rows:
         raise InputDataError(f"feature table {path} has no rows")
-    values = np.array(values) if numbers is None else numbers
+    linenos, type_names, numbers = zip(*rows)
+    if (values := _numbers(numbers)) is None:  # the first row it refuses, then its first cell
+        lineno, row = next((n, row) for n, row in zip(linenos, numbers) if _numbers([row]) is None)
+        cell = next(cell for cell in row.split(",") if _numbers([cell + ",0"]) is None)
+        raise InputDataError(f"{path}:{lineno}: could not convert string to float: {cell!r}")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise InputDataError(f"{path}:{linenos[np.argmin(finite)]}: a feature is not finite")
-    return FeatureTable(event_ids, tuple(rows[n - 1][1] for n in linenos),
-                        tuple(rows[n - 1][2] for n in linenos), values, source=str(path))
+    return FeatureTable(tuple(first_line), type_names, values, source=str(path))
 
 
-def _split_at_once(text):
-    """The rows of a table of CRLF lines as csv.reader reads them, but after the header only
-    their text cells, and the numbers of all those rows in one array; (None, None) if the
-    table holds a character that csv.reader or float() reads otherwise than this does, or a
-    row whose numbers do not all parse to fit the header."""
-    lines = text.split("\r\n")
-    if (lines[-1] or any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
-            or not text.count("\r") == text.count("\n") == len(lines) - 1
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None, None
-    width = len(_TEXT_COLUMNS)
-    rows = [lines[0].split(",")] + [line.split(",", width) if line else [] for line in lines[1:-1]]
-    try:  # IndexError: a row without numbers
-        numbers = [row[width] for row in rows[1:] if row]
-        if numbers and "" not in numbers:  # loadtxt skips an empty line, warns if all are
-            values = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
-            if values.shape == (len(numbers), len(rows[0]) - width):
-                return [rows[0]] + [row[:width] for row in rows[1:]], values
-    except (IndexError, ValueError):
-        pass
-    return None, None
+def _numbers(lines) -> Optional[np.ndarray]:
+    """The rows of numbers np.loadtxt reads from `lines` of comma-separated cells, or None if
+    it refuses one; a line of one blank cell it reads as no line."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def feature_matrix(table: FeatureTable, feature_set: str) -> np.ndarray:

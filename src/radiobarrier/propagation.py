@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import BodySegment, Point, Pose, RadioLink, VehicleSpec, segment_x_intervals
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -253,6 +254,10 @@ def build_link_context(
         if p_tx == p_rx:
             raise ValueError("link endpoints coincide")
         d_dir = math.dist(p_tx, p_rx)
+        if not 4.0 * math.pi * d_dir * channel.frequency / SPEED_OF_LIGHT >= 1.0:
+            raise ConfigurationError(f"link {link.id} of {d_dir:.3g} m is in the near field of "
+                                     f"frequency_hz = {channel.frequency:.3g}, where free-space "
+                                     f"loss would be below 0 dB")
         gains = gain_toward(patterns[link.tx_id], p_tx, p_rx) + gain_toward(
             patterns[link.rx_id], p_rx, p_tx
         )

@@ -31,9 +31,10 @@ FORMAT_VERSION = 4
 # ufunc implementations.
 RSSI_STEP_DB = 1.0
 BATCH_FRAMES = 4096  # frames of one vehicle type per kernel call, a few passages
-# Most frames one passage may have.  Generation peaks at about 370-440 B per frame
-# with the default 9 links, so a passage at the bound needs about 0.35 GiB.
-MAX_FRAMES = 1_000_000
+# Most link-samples (frames x links) one passage may have: 1,000,000 frames on the
+# default 9 links.  Generation peaks at about 370-440 B per frame on 9 links and at
+# about 62 B per link-sample on 1,024, so a passage at the bound needs 0.35-0.55 GiB.
+MAX_LINK_SAMPLES = 9_000_000
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ def baseline_rssi(layout: SensorLayout, channel: ChannelConfig,
 def _frame_count(layout: SensorLayout, vehicle: VehicleSpec, speed: float,
                  sim: SimulationConfig) -> int:
     total_time = sim.pre_roll + (layout.array_length + vehicle.total_length) / speed + sim.post_roll
-    frames = total_time / sim.dt
-    if not frames <= MAX_FRAMES:  # NaN fails too
+    frames, links = total_time / sim.dt, len(layout.links)
+    if not frames * links <= MAX_LINK_SAMPLES:  # NaN fails too
         raise ConfigurationError(
             f"a passage at {speed:.3g} m/s would take {frames:.3g} frames, more than the "
-            f"{MAX_FRAMES:,} allowed: set by dt_s, pre_roll_s, post_roll_s, the array length "
-            f"of spacing_m and nodes_per_side, and speed_min_mps")
+            f"{MAX_LINK_SAMPLES // links:,} allowed on {links} links: set by dt_s, pre_roll_s, "
+            f"post_roll_s, the array length of spacing_m and nodes_per_side, and speed_min_mps")
     return int(math.ceil(frames)) + 1
 
 
@@ -197,8 +198,14 @@ def generate_dataset(layout: SensorLayout, channel: ChannelConfig,
             batch.append(draw)
             size += frames
 
-    events = [event for vehicle, draws in batches
-              for event in _simulate_passages(layout, ctx, vehicle, sim, draws, RSSI_STEP_DB)]
+    try:  # every value the channel model computes comes from the config
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            events = [event for vehicle, draws in batches for event in
+                      _simulate_passages(layout, ctx, vehicle, sim, draws, RSSI_STEP_DB)]
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"the channel model leaves the float range ({exc}): the "
+                                 f"layout, channel, speeds or vehicle sizes are too extreme"
+                                 ) from None
 
     metadata = {
         "format": FORMAT_NAME,

@@ -247,7 +247,7 @@ def test_criterion_8_estimator_accuracy(cfg):
                                   seed=0, sim=sim)
             segments = detect_events(ev.rssi, sim.dt, layout, det)
             assert len(segments) == 1
-            record = SegmentRecord(1, vehicle.type_name, vehicle.label, segments[0])
+            record = SegmentRecord(1, vehicle.type_name, segments[0])
             v, L = featurize_records([record], layout).values[0, :2]
             worst_speed = max(worst_speed, abs(v - speed) / speed)
             worst_length = max(worst_length, abs(L - vehicle.total_length) / vehicle.total_length)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import radiobarrier
 from radiobarrier.cli import build_parser, main
+from radiobarrier.config import SCHEMA, VEHICLE_SCHEMA
 from radiobarrier.geometry import TYPE_LABELS
-from radiobarrier.pipeline import load_features_csv
 from radiobarrier.simulator import dumps_compact
 
 MIX = "passenger car=3,transporter=2,bus=2,truck=3"
@@ -561,6 +561,35 @@ def test_a_passage_of_too_many_frames_exits_2(tmp_path, capsys, section, key, va
     assert key in err
 
 
+def test_the_frame_bound_shrinks_as_the_links_grow(tmp_path, capsys):
+    # 6 posts a side make 36 links: 250,000 frames a passage hold the 9,000,000 link-samples
+    err = _generate_exits_2(tmp_path, capsys, "[layout]\nnodes_per_side = 6\n"
+                            "[simulation]\npre_roll_s = 3000\n",
+                            "frames, more than the 250,000 allowed on 36 links")
+    assert "nodes_per_side" in err
+
+
+@pytest.mark.parametrize("argv, text, needle", [
+    (["features", "--segments", "det/segments.jsonl"], "[features]\nresample_points = 100000000\n",
+     "resample_points = 100000000 is not from 2 to 1000"),
+    (["baseline"], "[layout]\nnodes_per_side = 5000\n",
+     "nodes_per_side = 5000 is not from 1 to 32"),
+    (["generate", "--mix", "truck=1"], "[layout]\nnodes_per_side = 33\n",
+     "nodes_per_side = 33 is not from 1 to 32"),
+    (["study", "--mix", "van=1,bus=1"], "[layout]\nnodes_per_side = 10000000000\n",
+     "nodes_per_side = 10000000000 is not from 1 to 32"),
+], ids=["features_resample_points", "baseline_nodes_per_side", "generate_nodes_per_side",
+        "study_nodes_per_side"])
+def test_a_config_beyond_a_memory_bound_exits_2(run_copy, capsys, argv, text, needle):
+    # refused from the config alone, before the feature grid or the layout's links exist
+    config = run_copy / "big.ini"
+    config.write_text(text)
+    argv = [str(run_copy / a) if a.endswith(".jsonl") else a for a in argv]
+    assert run([*argv, "--config", str(config), "--out", str(run_copy / "out")]) == 2
+    assert f"configuration error: {needle}" in capsys.readouterr().err
+    assert not (run_copy / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["baseline", "generate"])
 @pytest.mark.parametrize("key, value", [("tx_height_m", "1e300"), ("rx_height_m", "1e-300")])
 def test_heights_that_put_the_bounce_on_a_road_side_exit_2(tmp_path, capsys, command, key,
@@ -929,7 +958,7 @@ def test_a_feature_table_with_a_repeated_event_id_exits_3(workspace, tmp_path, c
     ("truck,passenger_car", "label 'passenger_car' is not 'truck', the label of 'truck'"),
     ("van,truck", "label 'truck' is not 'passenger_car', the label of 'van'"),
 ], ids=["unknown_type", "a_label_for_a_type", "truck_labelled_car", "van_labelled_truck"])
-@pytest.mark.parametrize("quoted", [False, True], ids=["one_call", "row_by_row"])
+@pytest.mark.parametrize("quoted", [False], ids=["one_call"])  # every table: one loadtxt call
 @pytest.mark.parametrize("command", ["crossval", "evaluate"])
 def test_a_feature_row_whose_label_is_not_its_type_s_exits_3(workspace, tmp_path, capsys,
                                                               cells, needle, quoted, command):
@@ -937,9 +966,6 @@ def test_a_feature_row_whose_label_is_not_its_type_s_exits_3(workspace, tmp_path
     lines = table.read_bytes().split(b"\r\n")
     event_id, _, _, rest = lines[2].decode().split(",", 3)
     lines[2] = f"{event_id},{cells},{rest}".encode()
-    if quoted:  # a quoted cell on line 2 sends the table to csv.reader, row by row
-        event_id, type_name, rest = lines[1].decode().split(",", 2)
-        lines[1] = f'{event_id},"{type_name}",{rest}'.encode()
     broken = tmp_path / "features.csv"
     broken.write_bytes(b"\r\n".join(lines))
     assert run([command, "--table", str(broken)]) == 3
@@ -988,10 +1014,12 @@ def _set_last_cell(table, target, lineno, text):
     return target
 
 
-@pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0)])
-def test_a_feature_cell_reads_as_float_reads_it(workspace, tmp_path, cell, value):
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", '"1.5"'])
+def test_a_feature_cell_only_float_reads_exits_3(workspace, tmp_path, capsys, cell):
+    # underscores, non-ASCII digits and quotes: float() or csv.reader read them, np.loadtxt not
     table = _set_last_cell(workspace / "feat" / "features.csv", tmp_path / "features.csv", 2, cell)
-    assert load_features_csv(table).values[0, -1] == value
+    assert run(["crossval", "--table", str(table)]) == 3
+    assert f"{table}:2: could not convert string to float: {cell!r}" in capsys.readouterr().err
 
 
 def test_a_comment_mark_in_a_feature_cell_exits_3_naming_its_line(workspace, tmp_path, capsys):
@@ -1214,3 +1242,61 @@ def test_readers_survive_single_mutations_of_their_bytes(mutable_files, results_
         code = run([*command, str(Path(tmp) / target), *out])
     assert "Traceback" not in capsys.readouterr().err
     assert code in (exits if files[name] != intact[name] else (0,))
+
+
+# -- every config key at the edges of what it may hold --------------------------------
+
+CONFIG_KEYS = [(section, key) for section, table in SCHEMA.items() for key in table] + \
+    [("vehicle.truck", key) for key in VEHICLE_SCHEMA]
+EDGE_NUMBERS = [0.0, 1.0, 1e300, 1e-300, 2.0 ** 63, 1e3]
+EDGE_TEXT = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", str(10 ** 30),
+             str(-10 ** 30), "word", ""]
+# an edge value, or a number within a factor of 4 of one, of either sign, or a whole one
+NEAR_EDGE = st.sampled_from(EDGE_TEXT) | st.sampled_from(EDGE_NUMBERS).flatmap(
+    lambda x: (st.floats(x / 4, x * 4) | st.floats(-x * 4, -x / 4)).map(repr)
+    | st.integers(int(-x * 4), int(x * 4)).map(str))
+SEGMENT_SPECS = st.lists(NEAR_EDGE, min_size=3, max_size=4).map(":".join)
+
+
+def _config_value(key):
+    return SEGMENT_SPECS if key == "segments" else NEAR_EDGE
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A default-config dataset of one van and one truck and its segments."""
+    root = tmp_path_factory.mktemp("small_run")
+    assert run(["generate", "--out", str(root), "--mix", "van=1,truck=1", "--seed", "3"]) == 0
+    assert run(["detect", "--dataset", str(root / "dataset.jsonl"), "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("section, key", CONFIG_KEYS,
+                         ids=[f"{section}.{key}" for section, key in CONFIG_KEYS])
+@settings(max_examples=25, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_config_key_at_an_edge_exits_0_or_2(small_run, tmp_path_factory, section, key, data):
+    # one or two keys set at once; every command that reads the config ends in exit 0 or 2,
+    # never in a traceback
+    values = {(section, key): data.draw(_config_value(key), label=key)}
+    if data.draw(st.booleans(), label="two keys"):
+        other = data.draw(st.sampled_from(CONFIG_KEYS), label="other key")
+        values.setdefault(other, data.draw(_config_value(other[1]), label=other[1]))
+    sections = {"vehicle.truck": {"segments": "6:3.8:0.45:0.8, 9:4.0:1.2"},
+                "vehicle.van": {"segments": "5.4:2.4:0.18"}}
+    for (s, k), value in values.items():
+        sections.setdefault(s, {})[k] = value
+    root = tmp_path_factory.mktemp("edge")
+    config = root / "config.ini"
+    config.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                              for s, keys in sections.items()))
+    commands = [["baseline"], ["generate", "--mix", "van=1,truck=1", "--out", str(root / "gen")],
+                ["study", "--mix", "van=1,truck=1"]]
+    if {s for s, _ in values} & {"detection", "features"}:
+        commands += [["detect", "--dataset", str(small_run / "dataset.jsonl"),
+                      "--out", str(root / "det")],
+                     ["features", "--segments", str(small_run / "segments.jsonl"),
+                      "--out", str(root / "feat")]]
+    for argv in commands:
+        assert run([*argv, "--config", str(config)]) in (0, 2), (argv, config.read_text())

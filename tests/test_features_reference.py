@@ -140,7 +140,7 @@ def segment_batches(draw):
             if (clean and j in DIRECT) or draw(st.integers(0, 4)):  # others may never cross
                 onset = (start + onsets[j]) * dt
                 windows[j] = onset, onset + draw(st.integers(0, 40)) * dt
-        records.append(SegmentRecord(event_id, "van", "passenger_car", EventSegment(
+        records.append(SegmentRecord(event_id, "van", EventSegment(
             start=start, dt=dt, baselines=tuple(baselines.tolist()), rssi=rssi, windows=windows)))
     return records, cfg, draw(st.sampled_from([1, 37, 150, pipeline.FEATURE_BATCH_FRAMES]))
 

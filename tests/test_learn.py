@@ -168,6 +168,21 @@ def test_svm_nonconvergence_raises():
         SvmClassifier(kernel="rbf", C=1000.0, max_iter=1).fit(X, y)
 
 
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"tol": "x"}, "tol must be a finite number"),
+    ({"tol": float("nan")}, "tol must be a finite number"),
+    ({"tol": False}, "tol must be a finite number"),
+    ({"max_iter": 0}, "max_iter must be a whole number of at least 1, got 0"),
+    ({"max_iter": 2.5}, "max_iter must be a whole number of at least 1, got 2.5"),
+    ({"max_iter": "5"}, "max_iter must be a whole number of at least 1, got '5'"),
+], ids=["tol_a_word", "tol_nan", "tol_a_bool", "max_iter_0", "max_iter_not_whole",
+        "max_iter_a_word"])
+def test_svm_refuses_a_stop_rule_no_fit_can_use(kwargs, needle):
+    with pytest.raises(TrainingError, match=re.escape(needle)):
+        SvmClassifier(**kwargs)
+    assert SvmClassifier(tol=-0.05, max_iter=np.int64(3)).tol == -0.05  # a negative tol stays
+
+
 def test_svm_predict_single_query():
     X, y = blobs(seed=2)
     model = SvmClassifier(kernel="linear", C=1.0).fit(X, y)
@@ -650,8 +665,13 @@ def test_a_model_file_loads_a_model_that_predicts_or_is_refused(saved_models, tm
     (SvmClassifier(), "C", -1.0, "C and gamma must be finite and positive"),
     (KnnClassifier(3), "std", [0.0, 1.0, 1.0], "std: an entry is not above 0"),
     (SvmClassifier(), "std", [1.0, -1.0, 1.0], "std: an entry is not above 0"),
+    (SvmClassifier(), "tol", "x", "tol must be a finite number, got 'x'"),
+    (SvmClassifier(), "tol", True, "tol must be a finite number, got True"),
+    (SvmClassifier(), "tol", None, "tol must be a finite number, got None"),
+    (SvmClassifier(), "tol", 1e309, "tol must be a finite number, got inf"),
 ], ids=["knn_k_0", "knn_k_not_whole", "knn_k_beyond_the_rows", "svm_unknown_kernel",
-        "svm_negative_C", "knn_std_0", "svm_std_negative"])
+        "svm_negative_C", "knn_std_0", "svm_std_negative", "svm_tol_a_word", "svm_tol_a_bool",
+        "svm_tol_null", "svm_tol_infinite"])
 def test_load_model_refuses_what_no_fit_leaves(tmp_path, model, key, value, needle):
     # a model that loaded would predict nothing, or divide by a zero or negative scale
     p = tmp_path / "model.json"

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from radiobarrier import pipeline
 from radiobarrier.config import load_config
 from radiobarrier.errors import ConfigurationError, EstimationError, InputDataError
+from radiobarrier.geometry import TYPE_LABELS
 from radiobarrier.pipeline import (
     DetectionConfig,
     EventSegment,
@@ -64,7 +64,7 @@ def passage(layout, patterns, channel, vehicle, speed=10.0, seed=0, sim=None):
 
 def feature_row(seg, layout, cfg=FeatureConfig()):
     """The feature-table row featurize_records makes of one segment."""
-    return featurize_records([SegmentRecord(1, "van", "passenger_car", seg)], layout, cfg).values[0]
+    return featurize_records([SegmentRecord(1, "van", seg)], layout, cfg).values[0]
 
 
 def estimates(seg, layout):
@@ -353,7 +353,7 @@ def test_feature_dimensionality(layout, patterns, quiet_channel, app_config):
     records = []
     for event_id, speed in ((1, 6.0), (2, 18.0)):  # very different durations
         ev = passage(layout, patterns, quiet_channel, car, speed=speed)
-        records.append(SegmentRecord(event_id, "passenger car", "passenger_car",
+        records.append(SegmentRecord(event_id, "passenger car",
                                      detect_events(ev.rssi, DT, layout, DET)[0]))
     table = featurize_records(records, layout)
     assert feature_matrix(table, "both").shape[1] == 9 * 32 + 1
@@ -377,7 +377,7 @@ def test_feature_config_validation(tmp_path):
 
 def test_feature_matrix_selects_columns():
     values = np.arange(12.0).reshape(2, 6)  # three scalars, then f_0 .. f_2
-    table = FeatureTable((4, 3), ("bus", "van"), ("truck", "passenger_car"), values)
+    table = FeatureTable((4, 3), ("bus", "van"), values)
     assert table.columns == SCALAR_COLUMNS + ("f_0", "f_1", "f_2")
     assert len(table) == 2 and not table.values.flags.writeable
     assert feature_matrix(table, "length").tolist() == [[1.0], [7.0]]
@@ -389,7 +389,7 @@ def test_feature_matrix_selects_columns():
 
 
 def test_feature_matrix_without_profile_columns_names_the_table():
-    table = FeatureTable((1,), ("bus",), ("truck",), [[10.0, 12.0, 8.0]], source="t.csv")
+    table = FeatureTable((1,), ("bus",), [[10.0, 12.0, 8.0]], source="t.csv")
     assert feature_matrix(table, "length").tolist() == [[12.0]]
     for feature_set in ("rssi", "both"):
         with pytest.raises(InputDataError, match="t.csv"):
@@ -466,58 +466,46 @@ def test_features_csv_round_trip(tmp_path, layout, patterns, app_config):
 
 
 def test_features_csv_is_what_csv_writer_makes(tmp_path):
-    names = ("plain", 'say "hi", twice', "two\nlines")
-    values = [[0.1, -0.0, 0.0, 5e-324], [1e300, 0.1, -1.5, 0.0], [2.0 / 3.0, 0.0, -0.0, 7.0]]
-    table = FeatureTable((7, 8, 9), names, names, values)
+    names = tuple(TYPE_LABELS)  # every known type, unquoted by csv.writer
+    values = [[0.1, -0.0, 0.0, 5e-324], [1e300, 0.1, -1.5, 0.0], [2.0 / 3.0, 0.0, -0.0, 7.0],
+              [1.0, 2.0, 3.0, 4.0], [-1e-300, 5.0, 6.0, 7.0], [8.0, 9.0, 1e16, 0.5]]
+    table = FeatureTable((7, 8, 9, 10, 11, 12), names, values)
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
     save_features_csv(table, ours)
     with theirs.open("w", newline="") as fh:  # csv.writer with every float as '.17g'
         writer = csv.writer(fh)
         writer.writerow(("event_id", "type_name", "label") + table.columns)
-        writer.writerows((i, n, n, *(format(x, ".17g") for x in row))
+        writer.writerows((i, n, TYPE_LABELS[n], *(format(x, ".17g") for x in row))
                          for i, n, row in zip(table.event_ids, names, table.values))
     assert ours.read_bytes() == theirs.read_bytes()
-    # the reader takes only known vehicle types, each with the label it fixes
-    with pytest.raises(InputDataError, match=":2: unknown vehicle type 'plain'"):
-        load_features_csv(ours)
-    known = FeatureTable((7, 8, 9), ("van", "bus", "truck"), ("passenger_car", "truck", "truck"),
-                         values)
-    save_features_csv(known, ours)
-    assert table_fields(load_features_csv(ours)) == table_fields(known)
+    assert table_fields(load_features_csv(ours)) == table_fields(table)
 
+
+def test_a_table_or_record_of_an_unknown_type_is_refused():
+    with pytest.raises(ValueError, match="unknown vehicle types \\['bicycle'\\]"):
+        FeatureTable((1, 2), ("van", "bicycle"), [[1.0, 2.0, 3.0]] * 2)
+    seg = EventSegment(start=0, dt=DT, baselines=(-40.0,), rssi=np.zeros((2, 1)),
+                       windows=np.full((1, 2), np.nan))
+    with pytest.raises(ValueError, match="unknown vehicle type 'passenger_car'"):
+        SegmentRecord(1, "passenger_car", seg)
+    assert SegmentRecord(1, "bus", seg).label == "truck"
 
 
 def small_table(values, names=("van",)):
     values = np.array(values, dtype=float)
     names = (names * len(values))[:len(values)]
-    return FeatureTable(tuple(range(1, len(values) + 1)), names, ("passenger_car",) * len(values),
-                        values)
+    return FeatureTable(tuple(range(1, len(values) + 1)), names, values)
 
 
-@pytest.mark.parametrize("name", ['car, "big"\nvan', 'the "big" van'])
-def test_a_quoted_type_name_round_trips_row_by_row(tmp_path, name):
-    # csv.reader reads a quoted name back whole: an unknown one as the refusal names it, a
-    # known one quoted by hand as the type it is
-    table = small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], names=(name,))
-    p = tmp_path / "features.csv"
-    save_features_csv(table, p)
-    assert pipeline._split_at_once(p.read_bytes().decode()) == (None, None)  # csv.reader reads it
-    with pytest.raises(InputDataError, match=re.escape(f":2: unknown vehicle type {name!r};")):
-        load_features_csv(p)
-    table = small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    save_features_csv(table, p)
-    p.write_bytes(p.read_bytes().replace(b",van,", b',"van",'))
-    assert pipeline._split_at_once(p.read_bytes().decode()) == (None, None)
-    assert table_fields(load_features_csv(p)) == table_fields(table)
-
-
-def test_minus_zero_is_written_as_minus_0_and_read_back_signed(tmp_path):
+def test_minus_zero_is_written_as_minus_0_and_read_back_signed(tmp_path, monkeypatch):
     table = small_table([[-0.0, 0.0, -0.0, 1.5]])
     p = tmp_path / "features.csv"
     save_features_csv(table, p)
     assert p.read_bytes().endswith(b"\r\n1,van,passenger_car,-0,0,-0,1.5\r\n")
-    assert pipeline._split_at_once(p.read_bytes().decode())[1] is not None  # read in one call
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
     assert np.signbit(load_features_csv(p).values).tolist() == [[True, False, True, False]]
+    assert len(calls) == 1  # every row in one call
 
 
 @pytest.mark.parametrize("ends", [b"\n", b"\r"])
@@ -546,6 +534,8 @@ CELL = (st.text("0123456789.eE+-infatyINFATY" + ODD, max_size=9)
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(cell=CELL, row=st.integers(0, 1), column=st.integers(3, 6))
 def test_a_numeric_cell_reads_as_float_reads_it(tmp_path_factory, cell, row, column):
+    # the reader reads a finite value, with float()'s bits wherever float() reads the cell,
+    # or exits 3 naming the cell's line
     p = tmp_path_factory.mktemp("cell") / "features.csv"
     save_features_csv(small_table([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), p)
     lines = p.read_bytes().decode().split("\r\n")
@@ -554,15 +544,16 @@ def test_a_numeric_cell_reads_as_float_reads_it(tmp_path_factory, cell, row, col
     lines[row + 1] = ",".join(cells)
     p.write_bytes("\r\n".join(lines).encode())
     try:
+        got = load_features_csv(p).values[row, column - 3]
+    except InputDataError as exc:
+        assert f":{row + 2}: " in str(exc)
+        return
+    assert math.isfinite(got)
+    try:
         want = float(cell)
     except ValueError:
-        want = None
-    if want is None or not math.isfinite(want):
-        with pytest.raises(InputDataError, match=f":{row + 2}: "):
-            load_features_csv(p)
-    else:
-        got = load_features_csv(p).values[row, column - 3]
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # -- reflection study -----------------------------------------------------------------
